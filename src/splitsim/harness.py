@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import datagen, metrics, protocols
+from . import datagen, metrics, nn, protocols
 from .datagen import ClientDataset, PartitionManifest, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA, SplitConfig
 from .nn import SequentialModel, forward, init_model
@@ -103,24 +103,14 @@ class RunResult:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def _val_scores(model: SequentialModel, ds: ClientDataset):
-    probs, _ = forward(model, ds.val_x)
-    return probs
-
-
 def _mean_val_loss(snapshot: dict[int, SequentialModel],
                    datasets: dict[int, ClientDataset]) -> float:
     losses = []
     for cid in sorted(snapshot):
         probs, _ = forward(snapshot[cid], datasets[cid].val_x)
-        loss, _ = _bce(probs, datasets[cid].val_y)
+        loss, _ = nn.bce_loss(probs, datasets[cid].val_y)
         losses.append(loss)
     return float(np.mean(losses))
-
-
-def _bce(probs, labels):
-    from .nn import bce_loss
-    return bce_loss(probs, labels)
 
 
 def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import SequentialModel, ShapeError, backward, forward
+from .nn import SequentialModel, backward, forward
 
 VANILLA = "vanilla"
 U_SHAPED = "u_shaped"
@@ -53,19 +53,15 @@ class ModelSegments:
     def concat(self) -> SequentialModel:
         return SequentialModel(self.front.layers + self.body.layers + self.tail.layers)
 
-    def param_count(self) -> int:
-        return (self.front.param_count() + self.body.param_count()
-                + self.tail.param_count())
-
 
 def split_model(model: SequentialModel, config: SplitConfig) -> ModelSegments:
-    """Cut at layer boundaries. Layer objects are moved, not copied, so
-    segment training updates the same arrays the concatenation sees."""
+    """Cut at layer boundaries. Each segment views its slice of
+    model.flat, so segment training updates the parent's parameters."""
     config.validate(len(model.layers))
     return ModelSegments(
-        front=SequentialModel(model.layers[:config.front_cut]),
-        body=SequentialModel(model.layers[config.front_cut:config.tail_cut]),
-        tail=SequentialModel(model.layers[config.tail_cut:]),
+        front=model.segment(0, config.front_cut),
+        body=model.segment(config.front_cut, config.tail_cut),
+        tail=model.segment(config.tail_cut, len(model.layers)),
     )
 
 

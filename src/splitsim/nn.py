@@ -2,13 +2,20 @@
 
 Plain numpy float64 throughout: tight gradient-check tolerances and
 bit-exact equality assertions elsewhere in the simulator depend on it.
-All functions are pure except `adam_step`, which mutates the parameter
-arrays and optimizer state it is handed.
+
+Parameters: each `SequentialModel` keeps all of its parameters in one
+contiguous vector, `model.flat`, in canonical order W0, b0, W1, b1, ...;
+layer weights and biases are reshaped views into it, and `backward`
+returns gradients in the same flat layout. Split segments are slices of
+their parent's vector, so training a segment trains the parent.
+
+What mutates: `adam_step` updates the parameter vector and optimizer
+state it is handed, and `unflatten_params` overwrites a model's vector.
+Everything else is pure; `clone` and `flatten_params` return copies.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +23,13 @@ import numpy as np
 ACTIVATIONS = ("linear", "relu", "sigmoid")
 
 PROB_CLAMP = 1e-12
+
+# Elements per Adam pass: each temporary is 64 KiB, half of glibc's
+# initial mmap threshold. Temporaries of 512 KiB or more (a whole-vector
+# pass, or 65,536-element chunks) made malloc map and trim fresh pages on
+# every step of a wide model, tripling the page faults of per-array Adam.
+# Every model at the default widths fits in one chunk.
+CHUNK = 8_192
 
 
 class ShapeError(ValueError):
@@ -74,17 +88,35 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
 class SequentialModel:
-    """Ordered dense-layer stack. An empty stack acts as the identity
-    (needed for vanilla split configurations with no client tail)."""
+    """Ordered dense-layer stack over one parameter vector, `flat`. An
+    empty stack acts as the identity (needed for vanilla split
+    configurations with no client tail).
 
-    layers: list[DenseLayer] = field(default_factory=list)
+    `SequentialModel(layers)` copies the layers' values into a new vector;
+    `SequentialModel(layers, flat)` binds the layers as views of `flat`.
+    """
 
-    def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
+    def __init__(self, layers=(), flat: np.ndarray | None = None):
+        layers = list(layers)
+        for prev, nxt in zip(layers, layers[1:]):
             if prev.out_width != nxt.in_width:
                 raise ShapeError("layer widths do not chain")
+        if flat is None:
+            flat = np.concatenate(
+                [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]
+                or [np.zeros(0)])
+        if flat.shape != (sum(layer.weights.size + layer.bias.size for layer in layers),):
+            raise ShapeError("flat vector length does not match the layers")
+        self.flat = flat
+        self.layers = []
+        off = 0
+        for layer in layers:
+            w_end = off + layer.weights.size
+            b_end = w_end + layer.bias.size
+            self.layers.append(DenseLayer(flat[off:w_end].reshape(layer.weights.shape),
+                                          flat[w_end:b_end], layer.activation))
+            off = b_end
 
     @property
     def in_width(self) -> int | None:
@@ -94,35 +126,24 @@ class SequentialModel:
     def out_width(self) -> int | None:
         return self.layers[-1].out_width if self.layers else None
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list in canonical order: W0, b0, W1, b1, ..."""
-        params = []
-        for layer in self.layers:
-            params.append(layer.weights)
-            params.append(layer.bias)
-        return params
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def clone(self) -> "SequentialModel":
-        return copy.deepcopy(self)
+        """An independent copy: one vector copy, views rebound to it."""
+        return SequentialModel(self.layers, self.flat.copy())
+
+    def segment(self, start: int, stop: int) -> "SequentialModel":
+        """layers[start:stop] as a model over the matching slice of `flat`;
+        it shares storage with this model."""
+        sizes = [layer.weights.size + layer.bias.size for layer in self.layers]
+        lo = sum(sizes[:start])
+        return SequentialModel(self.layers[start:stop],
+                               self.flat[lo:lo + sum(sizes[start:stop])])
 
 
 def models_equal(a: SequentialModel, b: SequentialModel) -> bool:
     """Bit-exact structural and parameter equality."""
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.activation != lb.activation:
-            return False
-        if la.weights.shape != lb.weights.shape:
-            return False
-        if not np.array_equal(la.weights, lb.weights):
-            return False
-        if not np.array_equal(la.bias, lb.bias):
-            return False
-    return True
+    return ([(layer.weights.shape, layer.activation) for layer in a.layers]
+            == [(layer.weights.shape, layer.activation) for layer in b.layers]
+            and np.array_equal(a.flat, b.flat))
 
 
 def init_model(widths: list[int], seed: int, hidden_activation: str = "relu") -> SequentialModel:
@@ -169,9 +190,10 @@ def forward(model: SequentialModel, x: np.ndarray):
 
 
 def backward(model: SequentialModel, cache, out_grad: np.ndarray):
-    """Backprop through the model; returns (param_grads, input_grad).
+    """Backprop through the model; returns (grads, input_grad).
 
-    param_grads mirrors model.parameters() order. cache must come from a
+    grads is one flat vector laid out like model.flat; each layer's dW and
+    db are written straight into their views of it. cache must come from a
     matching forward call on this model.
     """
     if cache.get("n_layers") != len(model.layers):
@@ -182,7 +204,8 @@ def backward(model: SequentialModel, cache, out_grad: np.ndarray):
     if not model.layers and out_grad.shape != cache["input"].shape:
         raise StateError("out_grad shape does not match cached forward output")
 
-    grads: list[np.ndarray] = [None] * (2 * len(model.layers))
+    grads = np.empty(model.flat.size)
+    end = grads.size
     da = out_grad
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -190,9 +213,13 @@ def backward(model: SequentialModel, cache, out_grad: np.ndarray):
         a = cache["post"][i]
         x_in = cache["input"] if i == 0 else cache["post"][i - 1]
         dz = da * _activation_grad(layer.activation, z, a)
-        grads[2 * i] = dz.T @ x_in          # dW
-        grads[2 * i + 1] = dz.sum(axis=0)   # db
+        w_end = end - layer.bias.size
+        start = w_end - layer.weights.size
+        # dW = dz.T @ x_in and db = dz.sum(axis=0), written into their views
+        np.matmul(dz.T, x_in, grads[start:w_end].reshape(layer.weights.shape))
+        np.add.reduce(dz, 0, None, grads[w_end:end])
         da = dz @ layer.weights             # d input of this layer
+        end = start
     return grads, da
 
 
@@ -218,36 +245,36 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Adam moments for one parameter list; shapes mirror the parameters."""
+    """Adam moments for one flat parameter vector; shapes mirror it."""
 
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4, **kw) -> "AdamState":
-        return cls(lr=lr,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   **kw)
+    def for_params(cls, params: np.ndarray, lr: float = 1e-4, **kw) -> "AdamState":
+        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params), **kw)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """Standard Adam update with bias correction; mutates params and state."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads and state sizes disagree")
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError("parameter/gradient/moment shape mismatch")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """Standard Adam update with bias correction; mutates params and state.
+
+    Runs over CHUNK-element slices of the flat vectors. Every op is
+    elementwise, so the result is bit-identical to one whole-vector pass.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ShapeError("parameter/gradient/moment shape mismatch")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for lo in range(0, params.size, CHUNK):
+        s = slice(lo, lo + CHUNK)
+        p, g, m, v = params[s], grads[s], state.m[s], state.v[s]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
@@ -256,18 +283,12 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 
 def flatten_params(model: SequentialModel) -> np.ndarray:
-    """Concatenate all parameters into one rank-1 vector, canonical order."""
-    params = model.parameters()
-    if not params:
-        return np.zeros(0)
-    return np.concatenate([p.ravel() for p in params])
+    """A copy of the model's parameter vector, canonical order."""
+    return model.flat.copy()
 
 
 def unflatten_params(model: SequentialModel, vec: np.ndarray) -> None:
-    """Write a flat vector back into the model's parameters in place."""
-    if vec.size != model.param_count():
+    """Write a flat vector into the model's parameters in place."""
+    if vec.size != model.flat.size:
         raise ShapeError("flat vector length does not match model")
-    off = 0
-    for p in model.parameters():
-        p[...] = vec[off:off + p.size].reshape(p.shape)
-        off += p.size
+    model.flat[...] = vec.reshape(-1)

@@ -106,22 +106,23 @@ def make_clients(datasets: list[ClientDataset], model: SequentialModel,
     freshly initialized model; every client starts bit-identical."""
     clients = {}
     server = ServerState()
+    # clones of the segments, so no client holds the whole model's vector
+    seg = None if config is None else split_model(model, config)
     for ds in datasets:
-        if config is None:  # FL: full model per client
+        if seg is None:  # FL: full model per client
             front = model.clone()
             tail = SequentialModel([])
         else:
-            seg = split_model(model.clone(), config)
-            front, tail = seg.front, seg.tail
+            front, tail = seg.front.clone(), seg.tail.clone()
         clients[ds.client_id] = ClientState(
             id=ds.client_id, front=front, tail=tail,
-            opt_front=AdamState.for_params(front.parameters(), lr=lr),
-            opt_tail=AdamState.for_params(tail.parameters(), lr=lr),
+            opt_front=AdamState.for_params(front.flat, lr=lr),
+            opt_tail=AdamState.for_params(tail.flat, lr=lr),
             dataset=ds)
-    if config is not None:
-        body_template = split_model(model.clone(), config).body
+    if seg is not None:
+        body_template = seg.body.clone()
         server.bodies[SHARED_BODY] = body_template
-        server.opts[SHARED_BODY] = AdamState.for_params(body_template.parameters(), lr=lr)
+        server.opts[SHARED_BODY] = AdamState.for_params(body_template.flat, lr=lr)
     return clients, server
 
 
@@ -134,16 +135,14 @@ def ensure_replicas(server: ServerState, client_ids, lr: float) -> None:
         for cid in client_ids:
             replica = template.clone()
             server.bodies[cid] = replica
-            server.opts[cid] = AdamState.for_params(replica.parameters(), lr=lr)
+            server.opts[cid] = AdamState.for_params(replica.flat, lr=lr)
 
 
 def composed_model(client: ClientState, body: SequentialModel | None) -> SequentialModel:
     """A detached copy of front (+ body) (+ tail) for evaluation."""
-    layers = list(client.front.clone().layers)
-    if body is not None:
-        layers += body.clone().layers
-    layers += client.tail.clone().layers
-    return SequentialModel(layers)
+    parts = [client.front] + ([] if body is None else [body]) + [client.tail]
+    return SequentialModel([layer for part in parts for layer in part.layers],
+                           np.concatenate([part.flat for part in parts]))
 
 
 def average_models(models: list[tuple[int, SequentialModel]],
@@ -157,24 +156,18 @@ def average_models(models: list[tuple[int, SequentialModel]],
         raise PlanError("cannot average zero models")
     ordered = sorted(models, key=lambda kv: kv[0])
     first = ordered[0][1]
-    for _, m in ordered[1:]:
-        if len(m.layers) != len(first.layers):
-            raise nn.ShapeError("models structurally different")
-        for la, lb in zip(m.layers, first.layers):
-            if la.weights.shape != lb.weights.shape:
-                raise nn.ShapeError("models structurally different")
+    shapes = [layer.weights.shape for layer in first.layers]
+    if any([layer.weights.shape for layer in m.layers] != shapes for _, m in ordered[1:]):
+        raise nn.ShapeError("models structurally different")
     if all(nn.models_equal(m, first) for _, m in ordered[1:]):
         return first.clone()
     total = sum(weights[cid] for cid, _ in ordered)
-    avg = first.clone()
-    for p in avg.parameters():
-        p[...] = 0.0
-    for cid, m in ordered:
-        w = weights[cid]
-        for p_avg, p in zip(avg.parameters(), m.parameters()):
-            p_avg += w * p
-    for p_avg in avg.parameters():
-        p_avg /= total
+    avg = SequentialModel(first.layers, np.zeros_like(first.flat))
+    for lo in range(0, avg.flat.size, nn.CHUNK):  # temporaries of one chunk
+        s = slice(lo, lo + nn.CHUNK)
+        for cid, m in ordered:
+            avg.flat[s] += weights[cid] * m.flat[s]
+    avg.flat /= total
     return avg
 
 
@@ -226,26 +219,26 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
         probs, cache_tail = forward(client.tail, msg.payload)
         loss, dprobs = bce_loss(probs, yb)
         grads_tail, d_body_out = backward(client.tail, cache_tail, dprobs)
-        adam_step(client.tail.parameters(), grads_tail, client.opt_tail)
+        adam_step(client.tail.flat, grads_tail, client.opt_tail)
         bus.send(Message(MsgType.BODY_OUTPUT_GRAD, cw, SERVER, rnd, payload=d_body_out))
 
         # server: body backward + update
         msg = _expect(bus, SERVER, cw, MsgType.BODY_OUTPUT_GRAD)
         grads_body, d_smashed = backward(body, cache_body, msg.payload)
-        adam_step(body.parameters(), grads_body, opt_body)
+        adam_step(body.flat, grads_body, opt_body)
         bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
     else:
         # server: loss on shared labels, body backward + update
         lab = _expect(bus, SERVER, cw, MsgType.LABELS)
         loss, dprobs = bce_loss(a_body, lab.payload)
         grads_body, d_smashed = backward(body, cache_body, dprobs)
-        adam_step(body.parameters(), grads_body, opt_body)
+        adam_step(body.flat, grads_body, opt_body)
         bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
 
     # client: front backward + update
     msg = _expect(bus, cw, SERVER, MsgType.SMASHED_GRAD)
     grads_front, _ = backward(client.front, cache_front, msg.payload)
-    adam_step(client.front.parameters(), grads_front, client.opt_front)
+    adam_step(client.front.flat, grads_front, client.opt_front)
     return loss
 
 
@@ -268,14 +261,13 @@ def _train_epoch_local(client: ClientState, bus, rnd, batch_size) -> float:
         probs, cache = forward(client.front, xb)
         loss, dprobs = bce_loss(probs, yb)
         grads, _ = backward(client.front, cache, dprobs)
-        adam_step(client.front.parameters(), grads, client.opt_front)
+        adam_step(client.front.flat, grads, client.opt_front)
         losses.append(loss)
     return float(np.mean(losses))
 
 
 def _send_param_blob(bus, sender, receiver, rnd, model: SequentialModel) -> None:
-    bus.send(Message(MsgType.PARAM_BLOB, sender, receiver, rnd,
-                     payload=nn.flatten_params(model)))
+    bus.send(Message(MsgType.PARAM_BLOB, sender, receiver, rnd, payload=model.flat))
 
 
 def _recv_param_blob(bus, receiver, sender, model: SequentialModel) -> None:
@@ -305,9 +297,7 @@ def run_round_fl(clients: dict[int, ClientState], global_model: SequentialModel,
         received.append((cid, blob_model))
     new_global = average_models(received, weights)
     for cid in sorted(clients):  # redistribute for next-round evaluation
-        client = clients[cid]
-        for p, q in zip(client.front.parameters(), new_global.parameters()):
-            p[...] = q
+        clients[cid].front.flat[...] = new_global.flat
     return new_global
 
 
@@ -360,8 +350,7 @@ def _average_bodies(clients, server: ServerState) -> None:
     weights = {cid: float(c.sample_count) for cid, c in clients.items()}
     avg = average_models([(cid, server.bodies[cid]) for cid in sorted(clients)], weights)
     for cid in sorted(clients):
-        for p, q in zip(server.bodies[cid].parameters(), avg.parameters()):
-            p[...] = q
+        server.bodies[cid].flat[...] = avg.flat
 
 
 def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:

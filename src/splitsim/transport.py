@@ -8,6 +8,7 @@ counters and the wire format stay honest for a future socket backend.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import threading
 from collections import deque
@@ -48,6 +49,15 @@ class UnsupportedMessage(CodecError):
     """Unknown msg_type code."""
 
 
+class TrailingBytes(CodecError):
+    """Frame longer than its declared payload or control code."""
+
+
+class FieldOutOfRange(CodecError):
+    """A header field (sender, receiver, round, seq) or the control code
+    does not fit its wire width."""
+
+
 class EmptyChannel(Exception):
     """recv on a channel with no pending message."""
 
@@ -82,27 +92,30 @@ class Message:
 
 
 def encode(message: Message) -> bytes:
-    """Serialize to the fixed wire layout; deterministic."""
-    if message.msg_type == MsgType.CONTROL:
+    """Serialize to the fixed wire layout; deterministic. Raises
+    FieldOutOfRange when a header field does not fit its wire width."""
+    control = message.msg_type == MsgType.CONTROL
+    tensor = message.payload
+    if not control and tensor is None:
+        raise CodecError("tensor message without payload")
+    if not control and tensor.ndim > 255:
+        raise CodecError("tensor rank exceeds 255")
+    try:
         header = _HEADER.pack(MAGIC, VERSION, int(message.msg_type),
                               message.sender, message.receiver,
-                              message.round, message.seq, 0)
-        return header + struct.pack("<B", message.control)
-    tensor = message.payload
-    if tensor is None:
-        raise CodecError("tensor message without payload")
-    if tensor.ndim > 255:
-        raise CodecError("tensor rank exceeds 255")
-    header = _HEADER.pack(MAGIC, VERSION, int(message.msg_type),
-                          message.sender, message.receiver,
-                          message.round, message.seq, tensor.ndim)
+                              message.round, message.seq, 0 if control else tensor.ndim)
+        if control:
+            return header + struct.pack("<B", message.control)
+    except struct.error as exc:
+        raise FieldOutOfRange(str(exc)) from None
     dims = struct.pack(f"<{tensor.ndim}I", *tensor.shape)
     payload = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     return header + dims + payload
 
 
 def decode(data: bytes) -> Message:
-    """Inverse of encode; raises CorruptStream / Truncated / UnsupportedMessage."""
+    """Inverse of encode; raises CorruptStream / Truncated /
+    UnsupportedMessage / TrailingBytes."""
     if len(data) < HEADER_LEN:
         raise Truncated("frame shorter than header")
     magic, version, type_code, sender, receiver, rnd, seq, rank = _HEADER.unpack_from(data)
@@ -118,15 +131,19 @@ def decode(data: bytes) -> Message:
     if msg_type == MsgType.CONTROL:
         if len(data) < off + 1:
             raise Truncated("missing control code")
+        if len(data) > off + 1:
+            raise TrailingBytes("bytes after the control code")
         (control,) = struct.unpack_from("<B", data, off)
         return Message(msg_type, sender, receiver, rnd, seq, None, control)
     if len(data) < off + 4 * rank:
         raise Truncated("missing dims")
     shape = struct.unpack_from(f"<{rank}I", data, off)
     off += 4 * rank
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)
     if len(data) < off + 8 * count:
         raise Truncated("payload shorter than declared dims product")
+    if len(data) > off + 8 * count:
+        raise TrailingBytes("bytes after the declared payload")
     tensor = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
     return Message(msg_type, sender, receiver, rnd, seq, tensor)
 

@@ -82,12 +82,12 @@ class TestNonIidSeparation:
         # on the most-shifted client's test data than on its own
         clients = generate_clients(desk_manifest(5), shift_scale=0.6, seed=3)
         model = nn.init_model([8, 16, 1], seed=0)
-        state = nn.AdamState.for_params(model.parameters(), lr=1e-2)
+        state = nn.AdamState.for_params(model.flat, lr=1e-2)
         for _ in range(30):
             probs, cache = nn.forward(model, clients[0].train_x)
             _, dprobs = nn.bce_loss(probs, clients[0].train_y)
             grads, _ = nn.backward(model, cache, dprobs)
-            nn.adam_step(model.parameters(), grads, state)
+            nn.adam_step(model.flat, grads, state)
 
         def accuracy(c):
             probs, _ = nn.forward(model, c.test_x)

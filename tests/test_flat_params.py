@@ -1,0 +1,126 @@
+"""Properties of the flat parameter representation: every model keeps its
+parameters in one vector, `flat`, and layers, segments and clones are
+defined by how they share (or do not share) that vector."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from splitsim import nn
+from splitsim.model_split import U_SHAPED, SplitConfig, split_model
+from splitsim.protocols import average_models
+
+widths_st = st.lists(st.integers(1, 12), min_size=1, max_size=5).map(lambda w: w + [1])
+
+# 100*100 + 100 + 100 + 1 parameters: longer than one chunk, not a multiple of it
+WIDE = [100, 100, 1]
+
+
+def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Per-array Adam, one loop over a list of separately allocated arrays."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for p, g, m_, v_ in zip(params, grads, m, v):
+            m_ *= b1
+            m_ += (1.0 - b1) * g
+            v_ *= b2
+            v_ += (1.0 - b2) * (g * g)
+            p -= lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
+
+
+def per_layer_arrays(model):
+    return [a.copy() for layer in model.layers for a in (layer.weights, layer.bias)]
+
+
+def split_like(vec, arrays):
+    """vec cut into consecutive pieces shaped like arrays."""
+    bounds = np.cumsum([a.size for a in arrays])[:-1]
+    return [piece.reshape(a.shape) for piece, a in zip(np.split(vec, bounds), arrays)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=widths_st, seed=st.integers(0, 2**31), steps=st.integers(1, 4),
+       lr=st.sampled_from([1e-4, 1e-3, 3e-3]))
+@example(widths=WIDE, seed=0, steps=3, lr=1e-3)
+def test_chunked_adam_bit_equals_per_array_reference(widths, seed, steps, lr):
+    model = nn.init_model(widths, seed)
+    rng = np.random.default_rng(seed)
+    grad_steps = [rng.normal(size=model.flat.size) for _ in range(steps)]
+
+    ref = per_layer_arrays(model)
+    reference_adam(ref, [split_like(g, ref) for g in grad_steps], lr)
+
+    state = nn.AdamState.for_params(model.flat, lr=lr)
+    for g in grad_steps:
+        nn.adam_step(model.flat, g, state)
+    assert state.step == steps
+    assert model.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+
+
+def test_wide_vector_spans_chunks():
+    size = nn.init_model(WIDE, 0).flat.size
+    assert size > nn.CHUNK and size % nn.CHUNK != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=widths_st, seed=st.integers(0, 2**31))
+def test_clone_shares_no_memory_and_views_track_flat(widths, seed):
+    model = nn.init_model(widths, seed)
+    before = model.flat.copy()
+    twin = model.clone()
+    assert nn.models_equal(twin, model)
+    assert not np.shares_memory(twin.flat, model.flat)
+    for layer in twin.layers:
+        assert np.shares_memory(layer.weights, twin.flat)
+        assert not np.shares_memory(layer.weights, model.flat)
+
+    twin.flat += 1.0
+    assert model.flat.tobytes() == before.tobytes()
+
+    model.layers[-1].bias[...] = 7.0
+    assert model.flat[-1] == 7.0
+    model.flat[0] = -3.0
+    assert model.layers[0].weights[0, 0] == -3.0
+    assert twin.layers[-1].bias[0] == before[-1] + 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=5).map(lambda w: w + [1]),
+       data=st.data())
+def test_split_segments_alias_parent_vector(widths, data):
+    n_layers = len(widths) - 1
+    front_cut = data.draw(st.integers(1, n_layers - 1))
+    tail_cut = data.draw(st.integers(front_cut, n_layers - 1))
+    model = nn.init_model(widths, 0)
+    seg = split_model(model, SplitConfig(U_SHAPED, front_cut, tail_cut))
+    joined = np.concatenate([seg.front.flat, seg.body.flat, seg.tail.flat])
+    assert joined.tobytes() == model.flat.tobytes()
+    for part in (seg.front, seg.body, seg.tail):
+        assert part.flat.size == 0 or np.shares_memory(part.flat, model.flat)
+
+    seg.tail.layers[0].weights[...] = 5.0
+    assert np.all(model.layers[tail_cut].weights == 5.0)
+    seg.front.flat[...] = 0.0
+    assert np.all(model.layers[0].weights == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=widths_st, n=st.integers(2, 5), data=st.data())
+def test_average_bit_equals_per_array_reference(widths, n, data):
+    ids = data.draw(st.permutations(range(n)))
+    counts = {cid: float(data.draw(st.integers(1, 400))) for cid in range(n)}
+    models = [(cid, nn.init_model(widths, seed=cid)) for cid in ids]
+
+    ref = [np.zeros_like(p) for p in per_layer_arrays(models[0][1])]
+    for cid, m in sorted(models, key=lambda kv: kv[0]):
+        for acc, p in zip(ref, per_layer_arrays(m)):
+            acc += counts[cid] * p
+    for acc in ref:
+        acc /= sum(counts.values())
+
+    avg = average_models(models, counts)
+    assert avg.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+    assert all(not np.shares_memory(avg.flat, m.flat) for _, m in models)

@@ -59,9 +59,9 @@ class TestRoundTrip:
 
     def test_parameter_conservation(self):
         m = four_layer_model()
-        total = m.param_count()
+        total = m.flat.size
         seg = split_model(m, SplitConfig(U_SHAPED, 1, 3))
-        assert seg.param_count() == total
+        assert seg.front.flat.size + seg.body.flat.size + seg.tail.flat.size == total
 
     def test_parameters_moved_not_copied(self):
         m = four_layer_model()

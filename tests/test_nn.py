@@ -53,10 +53,9 @@ class TestForward:
     def test_forward_is_pure(self):
         rng = np.random.default_rng(1)
         m = random_model(rng)
-        before = [p.copy() for p in m.parameters()]
+        before = m.flat.copy()
         nn.forward(m, rng.normal(size=(3, 4)))
-        for p, q in zip(m.parameters(), before):
-            assert np.array_equal(p, q)
+        assert np.array_equal(m.flat, before)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -120,21 +119,18 @@ def max_grad_check_error(seed: int) -> float:
     grads, _ = nn.backward(m, cache, dprobs)
 
     worst = 0.0
-    for p, g in zip(m.parameters(), grads):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = loss_value()
-            flat_p[i] = orig - h
-            down = loss_value()
-            flat_p[i] = orig
-            numeric = (up - down) / (2 * h)
-            # denominator floor guards against fd roundoff (~1e-10 abs)
-            # dominating the ratio on near-zero gradients
-            denom = max(abs(numeric), abs(flat_g[i]), 1e-3)
-            worst = max(worst, abs(numeric - flat_g[i]) / denom)
+    for i in range(m.flat.size):
+        orig = m.flat[i]
+        m.flat[i] = orig + h
+        up = loss_value()
+        m.flat[i] = orig - h
+        down = loss_value()
+        m.flat[i] = orig
+        numeric = (up - down) / (2 * h)
+        # denominator floor guards against fd roundoff (~1e-10 abs)
+        # dominating the ratio on near-zero gradients
+        denom = max(abs(numeric), abs(grads[i]), 1e-3)
+        worst = max(worst, abs(numeric - grads[i]) / denom)
     return worst
 
 
@@ -175,21 +171,21 @@ class TestBceLoss:
 
 class TestAdam:
     def test_zero_grad_fixed_point(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         st = nn.AdamState.for_params(p, lr=1e-4)
-        nn.adam_step(p, [np.zeros(2)], st)
-        assert np.array_equal(p[0], [1.0, -2.0])
-        assert np.all(st.m[0] == 0) and np.all(st.v[0] == 0)
+        nn.adam_step(p, np.zeros(2), st)
+        assert np.array_equal(p, [1.0, -2.0])
+        assert np.all(st.m == 0) and np.all(st.v == 0)
         assert st.step == 1
 
     def test_first_step_closed_form(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         g = 0.1
         st = nn.AdamState.for_params(p, lr=1e-4)
-        nn.adam_step(p, [np.array([g])], st)
+        nn.adam_step(p, np.array([g]), st)
         # bias-corrected first step: -lr * g / (|g| + eps)
         expected = -1e-4 * g / (abs(g) + 1e-8)
-        assert p[0][0] == pytest.approx(expected, abs=1e-12)
+        assert p[0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_steps_match_reference_loop(self):
         # hand-rolled scalar Adam, written independently
@@ -203,26 +199,26 @@ class TestAdam:
             vhat = v / (1 - b2 ** t)
             theta -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        p = [np.array([0.5])]
+        p = np.array([0.5])
         st = nn.AdamState.for_params(p, lr=lr)
         for g in gs:
-            nn.adam_step(p, [np.array([g])], st)
-        assert p[0][0] == pytest.approx(theta, abs=1e-12)
+            nn.adam_step(p, np.array([g]), st)
+        assert p[0] == pytest.approx(theta, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         st = nn.AdamState.for_params(p)
         with pytest.raises(nn.ShapeError):
-            nn.adam_step(p, [np.zeros(4)], st)
+            nn.adam_step(p, np.zeros(4), st)
 
     def test_determinism(self):
         results = []
         for _ in range(2):
-            p = [np.array([0.5, -0.5])]
+            p = np.array([0.5, -0.5])
             st = nn.AdamState.for_params(p, lr=1e-3)
             for g in ([0.1, 0.2], [-0.3, 0.4]):
-                nn.adam_step(p, [np.array(g)], st)
-            results.append(p[0].tobytes())
+                nn.adam_step(p, np.array(g), st)
+            results.append(p.tobytes())
         assert results[0] == results[1]
 
 
@@ -231,8 +227,7 @@ class TestInitModel:
         a = nn.init_model([4, 8, 1], seed=42)
         b = nn.init_model([4, 8, 1], seed=42)
         assert nn.models_equal(a, b)
-        for p, q in zip(a.parameters(), b.parameters()):
-            assert p.tobytes() == q.tobytes()
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_different_seed_differs(self):
         a = nn.init_model([4, 8, 1], seed=1)

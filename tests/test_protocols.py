@@ -43,13 +43,13 @@ def run_rounds(protocol, clients, server, model, order, epochs, kind=U_SHAPED,
 def centralized_training(dataset, seed, epochs, lr=LR, batch=BATCH):
     """Independent oracle: plain uncut training on the same batch stream."""
     model = nn.init_model(WIDTHS, seed)
-    state = nn.AdamState.for_params(model.parameters(), lr=lr)
+    state = nn.AdamState.for_params(model.flat, lr=lr)
     for _ in range(epochs):
         for xb, yb in iter_batches(dataset.train_x, dataset.train_y, batch):
             probs, cache = nn.forward(model, xb)
             _, dprobs = nn.bce_loss(probs, yb)
             grads, _ = nn.backward(model, cache, dprobs)
-            nn.adam_step(model.parameters(), grads, state)
+            nn.adam_step(model.flat, grads, state)
     return model
 
 
@@ -63,8 +63,7 @@ class TestAverageModels:
         avg = average_models([(0, m.clone()), (1, m.clone()), (2, m.clone())],
                              {0: 182.0, 1: 377.0, 2: 115.0})
         assert nn.models_equal(avg, m)
-        for p, q in zip(avg.parameters(), m.parameters()):
-            assert p.tobytes() == q.tobytes()
+        assert avg.flat.tobytes() == m.flat.tobytes()
 
     def test_simple_mean(self):
         avg = average_models([(0, scalar_model(0.0)), (1, scalar_model(2.0))],

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim.transport import (HEADER_LEN, ChannelBus, CorruptStream,
-                                EmptyChannel, Message, MsgType, Truncated,
-                                UnsupportedMessage, decode, encode)
+from splitsim.transport import (HEADER_LEN, ChannelBus, CodecError, CorruptStream,
+                                EmptyChannel, FieldOutOfRange, Message, MsgType,
+                                TrailingBytes, Truncated, UnsupportedMessage,
+                                decode, encode)
 
 TENSOR_TYPES = [t for t in MsgType if t != MsgType.CONTROL]
 
@@ -99,6 +100,41 @@ class TestDecodeErrors:
         data = encode(tensor_message(shape=(2, 3)))
         with pytest.raises((Truncated, CorruptStream)):
             decode(data[:len(data) - cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=16), control=st.booleans())
+    def test_trailing_bytes_rejected(self, extra, control):
+        msg = Message(MsgType.CONTROL, 1, 0, control=3) if control else tensor_message()
+        with pytest.raises(TrailingBytes):
+            decode(encode(msg) + extra)
+
+    def test_rank_zero_round_trip(self):
+        m = Message(MsgType.LABELS, 1, 0, payload=np.float64(2.5))
+        assert len(encode(m)) == HEADER_LEN + 8
+        assert decode(encode(m)) == m
+
+
+class TestEncodeErrors:
+    @settings(max_examples=100, deadline=None)
+    @given(field=st.sampled_from(["sender", "receiver", "round", "seq"]),
+           value=st.one_of(st.integers(-2**40, -1), st.integers(2**32, 2**40)),
+           control=st.booleans())
+    def test_out_of_range_header_field(self, field, value, control):
+        msg = Message(MsgType.CONTROL, 1, 0) if control else tensor_message()
+        setattr(msg, field, value)
+        with pytest.raises(FieldOutOfRange):
+            encode(msg)
+
+    @pytest.mark.parametrize("field, value", [("sender", 70000), ("receiver", 65536)])
+    def test_sixteen_bit_ids(self, field, value):
+        msg = tensor_message(**{field: value})
+        with pytest.raises(FieldOutOfRange) as info:
+            encode(msg)
+        assert isinstance(info.value, CodecError)
+
+    def test_out_of_range_control_code(self):
+        with pytest.raises(FieldOutOfRange):
+            encode(Message(MsgType.CONTROL, 1, 0, control=256))
 
 
 class TestBus:
