@@ -90,6 +90,8 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
     score group that contains positives."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if not np.all(np.isfinite(scores)):
+        raise MetricError("auprc needs finite scores")
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -171,15 +171,6 @@ def average_models(models: list[tuple[int, SequentialModel]],
     return avg
 
 
-def select_checkpoint(history: list):
-    """history: list of (mean_val_loss, snapshot). Returns (epoch_index,
-    snapshot) of the least loss; ties break to the earliest epoch."""
-    if not history:
-        raise PlanError("empty checkpoint history")
-    best = min(range(len(history)), key=lambda i: (history[i][0], i))
-    return best, history[best][1]
-
-
 # --- message plumbing -----------------------------------------------------
 
 def _expect(bus: ChannelBus, receiver: int, sender: int, msg_type: MsgType) -> Message:

@@ -179,8 +179,8 @@ class ChannelBus:
         key = (message.sender, message.receiver)
         with self._lock:
             message.seq = self.seq_counts.get(key, 0)
+            data = encode(message)  # may raise: commit nothing before it
             self.seq_counts[key] = message.seq + 1
-            data = encode(message)
             self.queues.setdefault(key, deque()).append(data)
             self.byte_counts[key] = self.byte_counts.get(key, 0) + len(data)
             self.log.append(LogRecord(message.round, message.seq, message.sender,

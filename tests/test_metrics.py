@@ -131,6 +131,13 @@ class TestAuprc:
         with pytest.raises(MetricError):
             auprc([0.5, 0.6], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(MetricError):
+            auprc([0.9, bad, 0.2, 0.1], [1, 1, 0, 0])
+        with pytest.raises(MetricError):
+            auprc([bad] * 4, [1, 0, 0, 0])
+
     def test_ties_processed_as_one_group(self):
         # all scores equal: single group, area = prevalence
         assert auprc([0.5, 0.5, 0.5, 0.5], [1, 0, 0, 0]) == pytest.approx(0.25)

@@ -9,7 +9,7 @@ from splitsim.protocols import (FL, SFV1, SFV2, SFV3, SL, SHARED_BODY,
                                 PlanError, ProtocolViolation, RoundPlan,
                                 average_models, body_for_client,
                                 composed_model, iter_batches, make_clients,
-                                run_round, select_checkpoint)
+                                run_round)
 from splitsim.transport import ChannelBus, Message, MsgType
 
 WIDTHS = [8, 16, 16, 16, 8, 1]
@@ -90,25 +90,6 @@ class TestAverageModels:
     def test_empty_rejected(self):
         with pytest.raises(PlanError):
             average_models([], {})
-
-
-class TestSelectCheckpoint:
-    def test_argmin(self):
-        idx, snap = select_checkpoint([(0.9, "a"), (0.5, "b"), (0.7, "c")])
-        assert (idx, snap) == (1, "b")
-
-    def test_tie_breaks_earliest(self):
-        idx, snap = select_checkpoint([(0.5, "a"), (0.5, "b")])
-        assert (idx, snap) == (0, "a")
-
-    def test_monotone_decreasing_takes_last(self):
-        hist = [(1.0 - 0.05 * i, i) for i in range(10)]
-        idx, snap = select_checkpoint(hist)
-        assert (idx, snap) == (9, 9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(PlanError):
-            select_checkpoint([])
 
 
 class TestSingleClientEquivalence:

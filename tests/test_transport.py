@@ -197,6 +197,18 @@ class TestBus:
         assert (rec.round, rec.sender, rec.receiver, rec.nbytes) == (4, 1, 0, 75)
         assert rec.msg_type == MsgType.SMASHED_ACTIVATIONS
 
+    def test_rejected_send_commits_nothing(self):
+        bus = ChannelBus()
+        bus.send(tensor_message(sender=1, receiver=0))
+        with pytest.raises(FieldOutOfRange):
+            bus.send(tensor_message(sender=2, receiver=0, round=2**33))
+        assert bus.bytes_sent(sender=2) == 0
+        assert len(bus.log) == 1
+        bus.send(tensor_message(sender=2, receiver=0))
+        assert bus.recv(0, 2).seq == 0
+        with pytest.raises(EmptyChannel):
+            bus.recv(0, 2)
+
     def test_dump_log(self, tmp_path):
         bus = ChannelBus()
         bus.send(tensor_message(shape=(2, 3), round=1))
