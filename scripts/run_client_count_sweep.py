@@ -16,28 +16,17 @@ import sys
 from dataclasses import replace
 
 from splitsim import datagen, harness
-from splitsim.harness import ExperimentConfig
-from splitsim.metrics import percent_drop
+from splitsim.metrics import percent_drop_or_worst
 
-MANIFEST = datagen.PartitionManifest(
-    (182, 377, 115, 88, 109), (200,) * 5, (200,) * 5)
-BASE = ExperimentConfig(protocol="sl", epochs=2, lr=3e-3, batch_size=4,
-                        shift_scale=0.75, probe=0)
 SIZES = (2, 3, 4, 5)
 
 
 def kappa_drop(manifest, seed, n):
-    datasets = datagen.generate_clients(manifest, shift_scale=BASE.shift_scale,
-                                        seed=seed)
-    cfg = replace(BASE, n_clients=n, seed=seed)
-    others = tuple(range(1, n))
-    first = harness.run_experiment(
-        replace(cfg, order=(0, *others)), datasets).per_client[0]
-    last = harness.run_experiment(
-        replace(cfg, order=(*others, 0)), datasets).per_client[0]
-    if last.kappa == 0:
-        return float("-inf") if first.kappa > 0 else 0.0
-    return percent_drop(first.kappa, last.kappa)
+    datasets = datagen.generate_clients(
+        manifest, shift_scale=harness.BIAS_CONFIG.shift_scale, seed=seed)
+    cfg = replace(harness.BIAS_CONFIG, n_clients=n, seed=seed)
+    row = harness.run_probe_pair(cfg, 0, datasets)
+    return percent_drop_or_worst(row.first.kappa, row.last.kappa)
 
 
 def main(argv=None):
@@ -48,7 +37,7 @@ def main(argv=None):
 
     lines = ["setting,median_kappa_drop"]
     for n in SIZES:
-        manifest = MANIFEST.subset(range(n))
+        manifest = harness.BIAS_MANIFEST.subset(range(n))
         drops = [kappa_drop(manifest, seed, n) for seed in range(args.seeds)]
         median = statistics.median(drops)
         print(f"{n} clients: per-seed kappa drops "

@@ -16,25 +16,14 @@ import sys
 from dataclasses import replace
 
 from splitsim import datagen, harness
-from splitsim.harness import ExperimentConfig
-from splitsim.metrics import percent_drop
-
-MANIFEST = datagen.PartitionManifest(
-    (182, 377, 115, 88, 109), (200,) * 5, (200,) * 5)
-BASE = ExperimentConfig(protocol="sl", epochs=2, lr=3e-3, batch_size=4,
-                        shift_scale=0.75, n_clients=5, probe=0)
+from splitsim.metrics import percent_drop_or_worst
 
 
 def probe_drops(seed):
-    datasets = datagen.generate_clients(MANIFEST, shift_scale=BASE.shift_scale,
-                                        seed=seed)
-    cfg = replace(BASE, seed=seed)
-    others = tuple(range(1, cfg.n_clients))
-    first = harness.run_experiment(
-        replace(cfg, order=(0, *others)), datasets).per_client[0]
-    last = harness.run_experiment(
-        replace(cfg, order=(*others, 0)), datasets).per_client[0]
-    return harness.ReportRow(key=f"seed{seed}", first=first, last=last)
+    datasets = datagen.generate_clients(
+        harness.BIAS_MANIFEST, shift_scale=harness.BIAS_CONFIG.shift_scale, seed=seed)
+    row = harness.run_probe_pair(replace(harness.BIAS_CONFIG, seed=seed), 0, datasets)
+    return replace(row, key=f"seed{seed}")
 
 
 def main(argv=None):
@@ -49,16 +38,15 @@ def main(argv=None):
     print(harness.render_table(table), end="")
 
     for metric in ("auprc", "f1", "kappa"):
-        drops = []
-        for row in rows:
-            f, l = getattr(row.first, metric), getattr(row.last, metric)
-            drops.append(percent_drop(f, l) if l != 0 else float("-inf"))
+        drops = [percent_drop_or_worst(getattr(row.first, metric), getattr(row.last, metric))
+                 for row in rows]
         positive = sum(d > 0 for d in drops)
         print(f"{metric}: positive drop in {positive}/{len(drops)} seeds, "
               f"median {statistics.median(drops):.1f}%")
 
     if args.out:
-        harness.emit_report(table, args.out, name="order_sweep", config=BASE)
+        harness.emit_report(table, args.out, name="order_sweep",
+                            config=harness.BIAS_CONFIG)
     return 0
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .transport import CorruptStream, TrailingBytes, Truncated
+
 TRAIN_PREVALENCE = 0.5
 EVAL_PREVALENCE = 0.1
 
@@ -163,26 +165,40 @@ def save_clients(path, clients: list[ClientDataset]) -> None:
 
 
 def load_clients(path) -> list[ClientDataset]:
+    """Inverse of save_clients; raises CorruptStream (bad magic),
+    Truncated (file ends inside a declared field) or TrailingBytes
+    (bytes after the last client)."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != _FILE_MAGIC:
-        raise ValueError("not a dataset file (bad magic)")
-    d, n_clients = struct.unpack_from("<II", data, 4)
-    off = 12
+        raise CorruptStream("not a dataset file (bad magic)")
+    off = 4
+
+    def take(n_bytes: int) -> int:
+        """Offset of the next n_bytes; advances past them."""
+        nonlocal off
+        if len(data) < off + n_bytes:
+            raise Truncated(f"dataset file ends at byte {len(data)}, "
+                            f"needs {off + n_bytes}")
+        off += n_bytes
+        return off - n_bytes
+
+    d, n_clients = struct.unpack_from("<II", data, take(8))
     clients = []
     for _ in range(n_clients):
-        cid, angle, n_train, n_val, n_test = struct.unpack_from("<IdIII", data, off)
-        off += struct.calcsize("<IdIII")
+        cid, angle, n_train, n_val, n_test = struct.unpack_from(
+            "<IdIII", data, take(struct.calcsize("<IdIII")))
         splits = []
         for n in (n_train, n_val, n_test):
-            x = np.frombuffer(data, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
-            off += 8 * n * d
-            y = np.frombuffer(data, dtype=np.uint8, count=n, offset=off).astype(np.int64)
-            off += n
+            x = np.frombuffer(data, dtype="<f8", count=n * d,
+                              offset=take(8 * n * d)).reshape(n, d).copy()
+            y = np.frombuffer(data, dtype=np.uint8, count=n, offset=take(n)).astype(np.int64)
             splits.append((x, y))
         clients.append(ClientDataset(cid, splits[0][0], splits[0][1],
                                      splits[1][0], splits[1][1],
                                      splits[2][0], splits[2][1], angle))
+    if off != len(data):
+        raise TrailingBytes(f"{len(data) - off} bytes after the last client")
     return clients
 
 

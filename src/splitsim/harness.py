@@ -15,13 +15,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import datagen, metrics, nn, protocols
+from . import datagen, metrics, nn
 from .datagen import ClientDataset, PartitionManifest, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA, ConfigError, SplitConfig
 from .nn import forward, init_model
-from .protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL, PlanError,
-                        RoundPlan, body_for_client, composed_model,
-                        make_clients, run_round)
+from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan,
+                        composed_model, make_clients, run_round)
 from .transport import ChannelBus, MsgType
 
 
@@ -70,8 +69,8 @@ class ExperimentConfig:
             raise ConfigurationError("widths need an input width and end in 1")
         if self.widths[0] != self.feature_dim:
             raise ConfigurationError("first width must equal feature_dim")
-        if not (0 <= self.probe < self.n_clients):
-            raise ConfigurationError("probe client not in range")
+        if self.probe not in (self.order or range(self.n_clients)):
+            raise ConfigurationError("probe client is not a participating client")
         split_cfg = self.split_config()
         if split_cfg is not None:
             try:
@@ -80,12 +79,21 @@ class ExperimentConfig:
                 raise ConfigurationError(str(exc)) from exc
 
     def split_config(self) -> SplitConfig | None:
-        if self.protocol == FL:
+        if not SPECS[self.protocol].split:
             return None
         n_layers = len(self.widths) - 1
         if self.split_kind == VANILLA:
             return SplitConfig(VANILLA, self.front_cut, n_layers)
         return SplitConfig(U_SHAPED, self.front_cut, self.tail_cut)
+
+
+# The bias fixture: the short-horizon sequential setting in which the
+# probe-first vs probe-last drop is strongest. Small batches keep the run
+# inside the training transient where order matters most; 200-sample
+# eval splits cut metric noise.
+BIAS_MANIFEST = PartitionManifest(datagen.DESK_TRAIN_COUNTS, (200,) * 5, (200,) * 5)
+BIAS_CONFIG = ExperimentConfig(protocol=SL, epochs=2, lr=3e-3, batch_size=4,
+                               shift_scale=0.75, n_clients=5, probe=0)
 
 
 @dataclass
@@ -158,20 +166,17 @@ class BestCheckpoint:
         return self.epoch, self.models
 
 
-def _mean_live_val_loss(protocol: str, clients, server, global_model,
-                        datasets: dict[int, ClientDataset]) -> float:
+def _mean_live_val_loss(clients, server, datasets: dict[int, ClientDataset]) -> float:
     """Mean validation loss over clients, straight from the live models
-    (front, body, tail in turn); bit-identical to a forward pass through
-    each composed model, because the per-layer operation sequence is the
-    same."""
+    (front, body if any, tail in turn); bit-identical to a forward pass
+    through each composed model, because the per-layer operation
+    sequence is the same."""
     losses = []
     for cid in sorted(clients):
-        parts = ([global_model] if protocol == FL else
-                 [clients[cid].front, body_for_client(protocol, server, cid),
-                  clients[cid].tail])
         a = datasets[cid].val_x
-        for part in parts:
-            a, _ = forward(part, a)
+        for part in (clients[cid].front, server.bodies.get(cid), clients[cid].tail):
+            if part is not None:
+                a, _ = forward(part, a)
         loss, _ = nn.bce_loss(a, datasets[cid].val_y)
         losses.append(loss)
     return float(np.mean(losses))
@@ -210,27 +215,18 @@ def run_experiment(config: ExperimentConfig,
 
     model = init_model(list(config.widths), config.seed)
     split_cfg = config.split_config()
-    clients, server = make_clients(datasets, model, split_cfg, config.lr)
+    clients, server = make_clients(datasets, model, config.protocol, split_cfg, config.lr)
     bus = ChannelBus()
-    global_model = model.clone() if config.protocol == FL else None
 
     def snapshot():
-        if config.protocol == FL:
-            kept = global_model.clone()
-            return {cid: kept for cid in sorted(clients)}
-        return {cid: composed_model(clients[cid],
-                                    body_for_client(config.protocol, server, cid))
+        return {cid: composed_model(clients[cid], server.bodies.get(cid))
                 for cid in sorted(clients)}
 
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
         plan = RoundPlan(config.protocol, tuple(order), epoch)
-        new_global = run_round(config.protocol, clients, server, global_model,
-                               plan, bus, config.split_kind, config.batch_size)
-        if new_global is not None:
-            global_model = new_global
-        checkpoint.offer(_mean_live_val_loss(config.protocol, clients, server,
-                                             global_model, ds_by_id), snapshot)
+        run_round(clients, server, plan, bus, config.split_kind, config.batch_size)
+        checkpoint.offer(_mean_live_val_loss(clients, server, ds_by_id), snapshot)
 
     best_epoch, best = checkpoint.best()
     per_client = {}
@@ -282,8 +278,10 @@ def _orders_for_probe(client_ids, probe: int):
 def run_probe_pair(config: ExperimentConfig, probe: int,
                    datasets=None) -> ReportRow:
     """Run the config twice, probe placed first then last; report the
-    probe client's metrics from each."""
-    client_ids = range(config.n_clients)
+    probe client's metrics from each. The clients are the first
+    config.n_clients datasets, or ids 0..n_clients-1 when none are given."""
+    client_ids = (range(config.n_clients) if datasets is None
+                  else [ds.client_id for ds in datasets[:config.n_clients]])
     first_order, last_order = _orders_for_probe(client_ids, probe)
     res_first = run_experiment(replace(config, order=first_order, probe=probe), datasets)
     res_last = run_experiment(replace(config, order=last_order, probe=probe), datasets)
@@ -312,19 +310,13 @@ def sweep_client_count(config: ExperimentConfig, datasets=None) -> ReportTable:
         raise ConfigurationError("sweep size exceeds available clients")
     if datasets is None:
         datasets = load_or_generate(config)
+    others = [cid for cid in range(config.n_clients) if cid != config.probe]
     rows = []
     for n in config.sweep_sizes:
-        others = [cid for cid in range(config.n_clients) if cid != config.probe]
         participating = sorted([config.probe] + others[:n - 1])
         subset = [ds for ds in datasets if ds.client_id in participating]
-        sub_cfg = replace(config, n_clients=n)
-        first_order = (config.probe, *[c for c in participating if c != config.probe])
-        last_order = (*[c for c in participating if c != config.probe], config.probe)
-        res_first = run_experiment(replace(sub_cfg, order=first_order), subset)
-        res_last = run_experiment(replace(sub_cfg, order=last_order), subset)
-        rows.append(ReportRow(key=f"{n} client setting",
-                              first=res_first.per_client[config.probe],
-                              last=res_last.per_client[config.probe]))
+        row = run_probe_pair(replace(config, n_clients=n), config.probe, subset)
+        rows.append(replace(row, key=f"{n} client setting"))
     return ReportTable(rows)
 
 

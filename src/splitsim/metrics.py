@@ -148,6 +148,16 @@ def percent_drop(first: float, last: float) -> float:
     return 100.0 * (last - first) / last
 
 
+def percent_drop_or_worst(first: float, last: float) -> float:
+    """percent_drop, extended to the degenerate last == 0 case for
+    multi-seed sweeps: a probe that scores 0 when trained last counts as
+    the worst possible outcome (-inf) if it scored above 0 when trained
+    first, and as no change (0.0) otherwise."""
+    if last == 0:
+        return float("-inf") if first > 0 else 0.0
+    return percent_drop(first, last)
+
+
 def evaluate(test_scores: np.ndarray, test_labels: np.ndarray,
              val_scores: np.ndarray, val_labels: np.ndarray,
              sensitivity: float = DEFAULT_SENSITIVITY) -> MetricReport:

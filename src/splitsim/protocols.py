@@ -1,16 +1,22 @@
-"""The five training protocols as message-driven round engines.
+"""The five training protocols as one message-driven round engine.
 
-All engines speak through a ChannelBus; activations, gradients, labels
+Each protocol is a row of `SPECS`, after how SplitFed (Thapa et al.,
+arXiv 2004.12088) defines v1 and v2 against SL and FedAvg: whether the
+model is cut around a server body, whether each client trains against
+its own body replica or all share one, and what is averaged at round
+end. `run_round` reads the row.
+
+All traffic goes through a ChannelBus; activations, gradients, labels
 (vanilla only) and parameter blobs genuinely transit the binary codec.
-Engines are deterministic state machines: parallel-protocol clients
-(FL, SFv1, SFv3) are executed sequentially in ascending client id, and
-all averaging accumulates in ascending client id, so "order invariance"
-is a bit-exact property, not an approximate one.
+The engine is a deterministic state machine: with replicas or without a
+body (FL, SFv1, SFv3) clients run in ascending client id whatever the
+plan order, and all averaging accumulates in ascending client id, so
+"order invariance" is a bit-exact property, not an approximate one.
 
-Server-side optimizer state: the single body of SL/SFv2 carries its
-Adam moments across clients and rounds (it is one continuously trained
-model). Per-replica states in SFv1/SFv3 are local to their replica and
-never averaged; they persist across rounds.
+Server-side optimizer state: the single shared body of SL/SFv2 carries
+its Adam moments across clients and rounds (it is one continuously
+trained model). Per-replica states in SFv1/SFv3 are local to their
+replica and never averaged; they persist across rounds.
 """
 
 from __future__ import annotations
@@ -21,22 +27,35 @@ import numpy as np
 
 from . import nn
 from .datagen import ClientDataset
-from .model_split import U_SHAPED, VANILLA, ModelSegments, SplitConfig, split_model
+from .model_split import U_SHAPED, VANILLA, SplitConfig, split_model
 from .nn import AdamState, SequentialModel, adam_step, backward, bce_loss, forward
 from .transport import ChannelBus, Message, MsgType
 
 SERVER = 0          # wire id of the server participant
-SHARED_BODY = -1    # bodies-dict key for the single shared body of SL/SFv2
 
 FL = "fl"
 SL = "sl"
 SFV1 = "sfv1"
 SFV2 = "sfv2"
 SFV3 = "sfv3"
-PROTOCOLS = (FL, SL, SFV1, SFV2, SFV3)
 
-# protocols whose result must be invariant to the client order
-PARALLEL = (FL, SFV1, SFV3)
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    split: bool             # cut around a server body (False: FL trains the whole model locally)
+    replicas: bool          # one body replica per client, else one body shared by all
+    average_bodies: bool    # body replicas averaged at round end
+    average_segments: bool  # client segments go up as ParamBlobs, are averaged, come back down
+
+
+SPECS = {
+    FL: ProtocolSpec(split=False, replicas=False, average_bodies=False, average_segments=True),
+    SL: ProtocolSpec(split=True, replicas=False, average_bodies=False, average_segments=False),
+    SFV1: ProtocolSpec(split=True, replicas=True, average_bodies=True, average_segments=True),
+    SFV2: ProtocolSpec(split=True, replicas=False, average_bodies=False, average_segments=True),
+    SFV3: ProtocolSpec(split=True, replicas=True, average_bodies=True, average_segments=False),
+}
+PROTOCOLS = tuple(SPECS)
 
 
 class PlanError(ValueError):
@@ -72,8 +91,9 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """Server bodies: {SHARED_BODY: model} for SL/SFv2, one replica per
-    client id for SFv1/SFv3, empty for FL."""
+    """Each client id's server body and its optimizer: the same objects
+    for every client under SL/SFv2, one replica per client under
+    SFv1/SFv3, empty under FL."""
 
     bodies: dict[int, SequentialModel] = field(default_factory=dict)
     opts: dict[int, AdamState] = field(default_factory=dict)
@@ -100,10 +120,11 @@ def iter_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
         yield x[start:start + batch_size], y[start:start + batch_size]
 
 
-def make_clients(datasets: list[ClientDataset], model: SequentialModel,
+def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol: str,
                  config: SplitConfig | None, lr: float) -> tuple[dict[int, ClientState], ServerState]:
     """Deal out per-client segments (or full copies for FL) from one
-    freshly initialized model; every client starts bit-identical."""
+    freshly initialized model, and the server bodies `SPECS[protocol]`
+    asks for; every client and every replica starts bit-identical."""
     clients = {}
     server = ServerState()
     # clones of the segments, so no client holds the whole model's vector
@@ -119,23 +140,25 @@ def make_clients(datasets: list[ClientDataset], model: SequentialModel,
             opt_front=AdamState.for_params(front.flat, lr=lr),
             opt_tail=AdamState.for_params(tail.flat, lr=lr),
             dataset=ds)
-    if seg is not None:
-        body_template = seg.body.clone()
-        server.bodies[SHARED_BODY] = body_template
-        server.opts[SHARED_BODY] = AdamState.for_params(body_template.flat, lr=lr)
+    if seg is None:
+        return clients, server
+    body = seg.body.clone()
+    if SPECS[protocol].replicas:
+        # Replicas are cloned from one body clone that is released once
+        # they exist. Cloning them straight from the segment gives the same
+        # values, but which large blocks glibc malloc has freed by then
+        # sets its dynamic mmap threshold, and so how many fresh pages
+        # later training temporaries fault in: in the wide-body benchmark
+        # (widths 8-256-256-256-64-1) an sfv1 run took 14.7 k minor page
+        # faults that way against 13.8 k this way.
+        for cid in clients:
+            server.bodies[cid] = body.clone()
+            server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr)
+    else:
+        opt = AdamState.for_params(body.flat, lr=lr)
+        server.bodies = dict.fromkeys(clients, body)
+        server.opts = dict.fromkeys(clients, opt)
     return clients, server
-
-
-def ensure_replicas(server: ServerState, client_ids, lr: float) -> None:
-    """SFv1/SFv3: turn the shared body into identically seeded per-client
-    replicas (first round), keeping one replica and optimizer per client."""
-    if SHARED_BODY in server.bodies:
-        template = server.bodies.pop(SHARED_BODY)
-        server.opts.pop(SHARED_BODY)
-        for cid in client_ids:
-            replica = template.clone()
-            server.bodies[cid] = replica
-            server.opts[cid] = AdamState.for_params(replica.flat, lr=lr)
 
 
 def composed_model(client: ClientState, body: SequentialModel | None) -> SequentialModel:
@@ -183,8 +206,8 @@ def _expect(bus: ChannelBus, receiver: int, sender: int, msg_type: MsgType) -> M
 
 def _train_batch_split(client: ClientState, body: SequentialModel,
                        opt_body: AdamState, xb, yb, bus: ChannelBus,
-                       kind: str, rnd: int) -> float:
-    """One batch of split training for one client; returns the batch loss.
+                       kind: str, rnd: int) -> None:
+    """One batch of split training for one client.
 
     U-shaped exchange: SmashedActivations -> BodyOutput -> BodyOutputGrad
     -> SmashedGrad. Vanilla: SmashedActivations + Labels -> SmashedGrad
@@ -208,7 +231,7 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
         # client: tail forward, loss on local labels, tail backward
         msg = _expect(bus, cw, SERVER, MsgType.BODY_OUTPUT)
         probs, cache_tail = forward(client.tail, msg.payload)
-        loss, dprobs = bce_loss(probs, yb)
+        _, dprobs = bce_loss(probs, yb)
         grads_tail, d_body_out = backward(client.tail, cache_tail, dprobs)
         adam_step(client.tail.flat, grads_tail, client.opt_tail)
         bus.send(Message(MsgType.BODY_OUTPUT_GRAD, cw, SERVER, rnd, payload=d_body_out))
@@ -221,7 +244,7 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
     else:
         # server: loss on shared labels, body backward + update
         lab = _expect(bus, SERVER, cw, MsgType.LABELS)
-        loss, dprobs = bce_loss(a_body, lab.payload)
+        _, dprobs = bce_loss(a_body, lab.payload)
         grads_body, d_smashed = backward(body, cache_body, dprobs)
         adam_step(body.flat, grads_body, opt_body)
         bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
@@ -230,31 +253,14 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
     msg = _expect(bus, cw, SERVER, MsgType.SMASHED_GRAD)
     grads_front, _ = backward(client.front, cache_front, msg.payload)
     adam_step(client.front.flat, grads_front, client.opt_front)
-    return loss
 
 
-def _train_epoch_split(client: ClientState, body, opt_body, bus, kind,
-                       rnd, batch_size) -> float:
-    """One pass over the client's training split; returns mean batch loss."""
-    losses = []
-    for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,
-                               batch_size):
-        losses.append(_train_batch_split(client, body, opt_body, xb, yb,
-                                         bus, kind, rnd))
-    return float(np.mean(losses))
-
-
-def _train_epoch_local(client: ClientState, bus, rnd, batch_size) -> float:
-    """FL local epoch: full model lives in client.front, trained in place."""
-    losses = []
-    for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,
-                               batch_size):
-        probs, cache = forward(client.front, xb)
-        loss, dprobs = bce_loss(probs, yb)
-        grads, _ = backward(client.front, cache, dprobs)
-        adam_step(client.front.flat, grads, client.opt_front)
-        losses.append(loss)
-    return float(np.mean(losses))
+def _train_batch_local(client: ClientState, xb, yb) -> None:
+    """FL: the full model lives in client.front and trains in place."""
+    probs, cache = forward(client.front, xb)
+    _, dprobs = bce_loss(probs, yb)
+    grads, _ = backward(client.front, cache, dprobs)
+    adam_step(client.front.flat, grads, client.opt_front)
 
 
 def _send_param_blob(bus, sender, receiver, rnd, model: SequentialModel) -> None:
@@ -266,75 +272,33 @@ def _recv_param_blob(bus, receiver, sender, model: SequentialModel) -> None:
     nn.unflatten_params(model, msg.payload)
 
 
-# --- round engines --------------------------------------------------------
+# --- round engine ---------------------------------------------------------
 
-def run_round_fl(clients: dict[int, ClientState], global_model: SequentialModel,
-                 plan: RoundPlan, bus: ChannelBus, batch_size: int) -> SequentialModel:
-    """FedAvg round: distribute, train locally in parallel, average.
-    Clients execute in ascending id order; the plan order is inert."""
+def run_round(clients: dict[int, ClientState], server: ServerState,
+              plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int) -> None:
+    """One global epoch of plan.protocol as its SPECS row describes it.
+
+    Clients train one after another: in plan order against a shared
+    body (SL, SFv2), in ascending id against replicas or without a body
+    (FL, SFv1, SFv3), where the plan order is inert. Then the bodies
+    and the client segments are averaged as the row says."""
     plan.validate(clients.keys())
+    spec = SPECS[plan.protocol]
     rnd = plan.round_index
-    weights = {cid: float(c.sample_count) for cid, c in clients.items()}
-    for cid in sorted(clients):
+    shared_body = spec.split and not spec.replicas
+    for cid in plan.order if shared_body else sorted(clients):
         client = clients[cid]
-        _send_param_blob(bus, SERVER, wire_id(cid), rnd, global_model)
-        _recv_param_blob(bus, wire_id(cid), SERVER, client.front)
-        _train_epoch_local(client, bus, rnd, batch_size)
-        _send_param_blob(bus, wire_id(cid), SERVER, rnd, client.front)
-    received = []
-    for cid in sorted(clients):
-        blob_model = global_model.clone()
-        _recv_param_blob(bus, SERVER, wire_id(cid), blob_model)
-        received.append((cid, blob_model))
-    new_global = average_models(received, weights)
-    for cid in sorted(clients):  # redistribute for next-round evaluation
-        clients[cid].front.flat[...] = new_global.flat
-    return new_global
-
-
-def run_round_sl(clients: dict[int, ClientState], server: ServerState,
-                 plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int) -> None:
-    """Sequential split learning: one shared body updated in place by
-    every client in plan order; client segments stay per-client."""
-    plan.validate(clients.keys())
-    body = server.bodies[SHARED_BODY]
-    opt = server.opts[SHARED_BODY]
-    for cid in plan.order:
-        _train_epoch_split(clients[cid], body, opt, bus, kind,
-                           plan.round_index, batch_size)
-
-
-def run_round_sfv2(clients: dict[int, ClientState], server: ServerState,
-                   plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int) -> None:
-    """SL round plus round-end averaging of the client-side segments only
-    (the sequential body is not averaged)."""
-    run_round_sl(clients, server, plan, bus, kind, batch_size)
-    _average_client_segments(clients, bus, plan.round_index)
-
-
-def run_round_sfv1(clients: dict[int, ClientState], server: ServerState,
-                   plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int) -> None:
-    """Parallel round against per-client body replicas; both client
-    segments and body replicas are averaged at round end."""
-    plan.validate(clients.keys())
-    ensure_replicas(server, sorted(clients), clients[next(iter(clients))].opt_front.lr)
-    for cid in sorted(clients):
-        _train_epoch_split(clients[cid], server.bodies[cid], server.opts[cid],
-                           bus, kind, plan.round_index, batch_size)
-    _average_bodies(clients, server)
-    _average_client_segments(clients, bus, plan.round_index)
-
-
-def run_round_sfv3(clients: dict[int, ClientState], server: ServerState,
-                   plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int) -> None:
-    """Parallel round against per-client body replicas; only the body
-    replicas are averaged, client segments stay unique."""
-    plan.validate(clients.keys())
-    ensure_replicas(server, sorted(clients), clients[next(iter(clients))].opt_front.lr)
-    for cid in sorted(clients):
-        _train_epoch_split(clients[cid], server.bodies[cid], server.opts[cid],
-                           bus, kind, plan.round_index, batch_size)
-    _average_bodies(clients, server)
+        for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,
+                                   batch_size):
+            if spec.split:
+                _train_batch_split(client, server.bodies[cid], server.opts[cid],
+                                   xb, yb, bus, kind, rnd)
+            else:
+                _train_batch_local(client, xb, yb)
+    if spec.average_bodies:
+        _average_bodies(clients, server)
+    if spec.average_segments:
+        _average_client_segments(clients, bus, rnd)
 
 
 def _average_bodies(clients, server: ServerState) -> None:
@@ -370,24 +334,3 @@ def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:
         if avg_tail is not None:
             _send_param_blob(bus, SERVER, wire_id(cid), rnd, avg_tail)
             _recv_param_blob(bus, wire_id(cid), SERVER, clients[cid].tail)
-
-
-def run_round(protocol: str, clients, server, global_model, plan, bus,
-              kind: str, batch_size: int):
-    """Dispatch one global epoch of the given protocol. Returns the new
-    global model for FL, None otherwise."""
-    if protocol == FL:
-        return run_round_fl(clients, global_model, plan, bus, batch_size)
-    engine = {SL: run_round_sl, SFV1: run_round_sfv1,
-              SFV2: run_round_sfv2, SFV3: run_round_sfv3}[protocol]
-    engine(clients, server, plan, bus, kind, batch_size)
-    return None
-
-
-def body_for_client(protocol: str, server: ServerState, cid: int) -> SequentialModel | None:
-    """The body a client composes with for evaluation."""
-    if protocol == FL:
-        return None
-    if protocol in (SL, SFV2):
-        return server.bodies[SHARED_BODY]
-    return server.bodies.get(cid, server.bodies.get(SHARED_BODY))

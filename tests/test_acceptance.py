@@ -14,10 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitsim import datagen, nn
+from splitsim import datagen, harness, nn
 from splitsim.harness import ExperimentConfig, run_experiment
 from splitsim.metrics import (ConfusionCounts, auprc, cohen_kappa, f1,
-                              percent_drop)
+                              percent_drop, percent_drop_or_worst)
 from splitsim.transport import (CorruptStream, Message, MsgType, Truncated,
                                 decode, encode)
 
@@ -26,43 +26,20 @@ from test_metrics import (ORDER_TABLE, SETTING_TABLE, brute_force_auprc,
 from test_nn import max_grad_check_error
 from test_protocols import centralized_training, make_setup, run_rounds
 import test_protocols as tp
-from splitsim.protocols import (FL, SFV1, SFV2, SFV3, SL, body_for_client,
-                                composed_model)
+from splitsim.protocols import FL, SFV1, SFV2, SFV3, SL, composed_model
 from splitsim.model_split import U_SHAPED, VANILLA
 
-# 5-client fixture for the bias properties: short horizon and small
-# batches keep the run inside the training transient where sequential
-# order matters most; 200-sample eval splits cut metric noise.
-BIAS_MANIFEST = datagen.PartitionManifest(
-    (182, 377, 115, 88, 109), (200,) * 5, (200,) * 5)
-BIAS_SHIFT = 0.75
 SEEDS = range(10)
 
 
-def _bias_config(n_clients, seed):
-    return ExperimentConfig(protocol=SL, epochs=2, lr=3e-3, batch_size=4,
-                            shift_scale=BIAS_SHIFT, n_clients=n_clients,
-                            seed=seed, probe=0)
-
-
-def _safe_drop(first, last):
-    """percent_drop, extended to the degenerate last == 0 case: a probe
-    that scores 0 when trained last counts as the worst possible
-    (negative-direction) outcome rather than an error."""
-    if last == 0:
-        return float("-inf") if first > 0 else 0.0
-    return percent_drop(first, last)
-
-
 def _probe_drops(manifest, seed, n_clients):
-    """Probe client 0 scheduled first vs last; percent drop per metric."""
-    datasets = datagen.generate_clients(manifest, shift_scale=BIAS_SHIFT,
-                                        seed=seed)
-    cfg = _bias_config(n_clients, seed)
-    others = tuple(range(1, n_clients))
-    first = run_experiment(replace(cfg, order=(0, *others)), datasets).per_client[0]
-    last = run_experiment(replace(cfg, order=(*others, 0)), datasets).per_client[0]
-    return {m: _safe_drop(getattr(first, m), getattr(last, m))
+    """Probe client 0 scheduled first vs last on the bias fixture;
+    percent drop per metric."""
+    datasets = datagen.generate_clients(
+        manifest, shift_scale=harness.BIAS_CONFIG.shift_scale, seed=seed)
+    cfg = replace(harness.BIAS_CONFIG, n_clients=n_clients, seed=seed)
+    row = harness.run_probe_pair(cfg, 0, datasets)
+    return {m: percent_drop_or_worst(getattr(row.first, m), getattr(row.last, m))
             for m in ("auprc", "f1", "kappa")}
 
 
@@ -103,7 +80,7 @@ def test_sequential_order_biases_probe_client():
     """SL, 5 non-IID clients, 10 seeds: training the probe first instead
     of last costs it AUPRC in at least 8 seeds, and the median drop is
     positive for all three metrics."""
-    drops = [_probe_drops(BIAS_MANIFEST, seed, 5) for seed in SEEDS]
+    drops = [_probe_drops(harness.BIAS_MANIFEST, seed, 5) for seed in SEEDS]
     positive_auprc = sum(d["auprc"] > 0 for d in drops)
     medians = {m: statistics.median(d[m] for d in drops)
                for m in ("auprc", "f1", "kappa")}
@@ -123,7 +100,7 @@ def test_bias_grows_with_client_count():
     sizes = (2, 3, 4, 5)
     medians = []
     for n in sizes:
-        manifest = BIAS_MANIFEST.subset(range(n))
+        manifest = harness.BIAS_MANIFEST.subset(range(n))
         per_seed = [_probe_drops(manifest, seed, n)["kappa"] for seed in SEEDS]
         medians.append(statistics.median(per_seed))
     inversions = sum(a > b for a, b in zip(medians, medians[1:]))
@@ -143,11 +120,8 @@ def test_single_client_equals_centralized():
              (SFV2, U_SHAPED), (SFV3, U_SHAPED), (FL, U_SHAPED)]
     for protocol, kind in cases:
         datasets, model, clients, server = make_setup(1, protocol, kind, seed=11)
-        global_model, _ = run_rounds(protocol, clients, server, model, (0,), 3, kind)
-        if protocol == FL:
-            final = global_model
-        else:
-            final = composed_model(clients[0], body_for_client(protocol, server, 0))
+        run_rounds(protocol, clients, server, (0,), 3, kind)
+        final = composed_model(clients[0], server.bodies.get(0))
         ref = centralized_training(datasets[0], seed=11, epochs=3)
         assert nn.models_equal(final, ref), f"{protocol}/{kind} diverged"
     print("single-client equivalence: PASS (6 protocol variants bit-identical "

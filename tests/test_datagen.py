@@ -1,11 +1,17 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import datagen, nn
 from splitsim.datagen import (ClientDataset, ManifestError, PartitionManifest,
                               desk_manifest, generate_clients, load_clients,
                               load_manifest_text, prevalence, save_clients,
                               save_manifest_text)
+from splitsim.transport import CodecError, TrailingBytes
 
 
 class TestManifest:
@@ -116,6 +122,31 @@ class TestFileRoundTrip:
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(ValueError):
             load_clients(path)
+
+    @staticmethod
+    def _saved(tmp: str, seed: int) -> tuple[pathlib.Path, bytes]:
+        path = pathlib.Path(tmp) / "clients.sds"
+        manifest = PartitionManifest((4, 6), (6, 8), (8, 6))
+        save_clients(path, generate_clients(manifest, d=2, seed=seed))
+        return path, path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 3))
+    def test_every_truncation_is_a_codec_error(self, data, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, full = self._saved(tmp, seed)
+            path.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+            with pytest.raises(CodecError):
+                load_clients(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(suffix=st.binary(min_size=1, max_size=64), seed=st.integers(0, 3))
+    def test_every_appended_suffix_is_a_codec_error(self, suffix, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, full = self._saved(tmp, seed)
+            path.write_bytes(full + suffix)
+            with pytest.raises(TrailingBytes):
+                load_clients(path)
 
     def test_manifest_text(self, tmp_path):
         m = desk_manifest(4)

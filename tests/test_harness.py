@@ -14,9 +14,8 @@ from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               render_table, run_experiment, run_probe_pair,
                               sweep_client_count, sweep_order, trend_series)
 from splitsim.metrics import MetricReport
-from splitsim.protocols import (FL, PROTOCOLS, PlanError, RoundPlan,
-                                body_for_client, composed_model, make_clients,
-                                run_round)
+from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, composed_model,
+                                make_clients, run_round)
 from splitsim.transport import ChannelBus
 
 FAST = ExperimentConfig(protocol="sl", epochs=2, n_clients=2, lr=1e-3, seed=0)
@@ -132,19 +131,13 @@ def _history_reference(cfg, datasets):
     ds_by_id = {ds.client_id: ds for ds in datasets}
     order = cfg.order or tuple(sorted(ds_by_id))
     model = nn.init_model(list(cfg.widths), cfg.seed)
-    clients, server = make_clients(datasets, model, cfg.split_config(), cfg.lr)
+    clients, server = make_clients(datasets, model, cfg.protocol, cfg.split_config(), cfg.lr)
     bus = ChannelBus()
-    global_model = model.clone() if cfg.protocol == FL else None
     losses, snapshots = [], []
     for epoch in range(cfg.epochs):
-        new_global = run_round(cfg.protocol, clients, server, global_model,
-                               RoundPlan(cfg.protocol, order, epoch), bus,
-                               cfg.split_kind, cfg.batch_size)
-        if new_global is not None:
-            global_model = new_global
-        snap = {cid: (global_model.clone() if cfg.protocol == FL
-                      else composed_model(clients[cid],
-                                          body_for_client(cfg.protocol, server, cid)))
+        run_round(clients, server, RoundPlan(cfg.protocol, order, epoch), bus,
+                  cfg.split_kind, cfg.batch_size)
+        snap = {cid: composed_model(clients[cid], server.bodies.get(cid))
                 for cid in sorted(clients)}
         losses.append(float(np.mean([
             nn.bce_loss(nn.forward(snap[cid], ds_by_id[cid].val_x)[0],
@@ -255,6 +248,19 @@ class TestSweeps:
         series = trend_series(table)
         assert len(series) == 2 and all(isinstance(v, float) for _, v in series)
 
+    @pytest.mark.parametrize("probe", [0, 3])
+    def test_client_count_sweep_rows_are_probe_pairs(self, probe):
+        # probe 3 is beyond the smallest setting's client count
+        cfg = replace(FAST, epochs=1, n_clients=5, probe=probe, sweep_sizes=(2, 3, 4, 5))
+        datasets = harness.load_or_generate(cfg)
+        table = sweep_client_count(cfg, datasets)
+        assert [r.key for r in table.rows] == [f"{n} client setting" for n in cfg.sweep_sizes]
+        others = [cid for cid in range(5) if cid != probe]
+        for n, row in zip(cfg.sweep_sizes, table.rows):
+            subset = [ds for ds in datasets if ds.client_id in [probe] + others[:n - 1]]
+            pair = run_probe_pair(replace(cfg, n_clients=n), probe, subset)
+            assert (row.first, row.last) == (pair.first, pair.last)
+
     def test_sweep_size_exceeding_clients_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep_client_count(replace(FAST, sweep_sizes=(2, 3)))
@@ -293,6 +299,13 @@ class TestCli:
         path = tmp_path / "exp.cfg"
         path.write_text("protocol = sl\nepochs = 2\nn_clients = 2\nlr = 0.001\n" + extra)
         return path
+
+    def test_sweep_clients_probe_beyond_smallest_size(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("protocol = sl\nepochs = 1\nlr = 0.001\nsweep_sizes = 2,4\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep-clients", "--config", str(cfg), "--probe", "3",
+                         "--out", str(out)]) == 0
 
     def test_gen_data(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

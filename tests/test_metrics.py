@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from splitsim.metrics import (ConfusionCounts, MetricError, UndefinedKappa,
                               auprc, cohen_kappa, confusion, evaluate, f1,
-                              percent_drop, threshold_at_sensitivity)
+                              percent_drop, percent_drop_or_worst,
+                              threshold_at_sensitivity)
 
 # First/Last/%drop rows of the two reference result tables
 # (client rows, then client-count-setting rows).
@@ -210,6 +211,12 @@ class TestPercentDrop:
     def test_zero_last_rejected(self):
         with pytest.raises(MetricError):
             percent_drop(0.5, 0.0)
+
+    def test_or_worst_defines_zero_last(self):
+        assert percent_drop_or_worst(0.5, 0.0) == float("-inf")
+        assert percent_drop_or_worst(0.0, 0.0) == 0.0
+        assert percent_drop_or_worst(-0.2, 0.0) == 0.0
+        assert percent_drop_or_worst(0.4318, 0.5833) == percent_drop(0.4318, 0.5833)
 
     @pytest.mark.parametrize("row", ORDER_TABLE + SETTING_TABLE,
                              ids=[r[0] for r in ORDER_TABLE] + [f"n{r[0]}" for r in SETTING_TABLE])

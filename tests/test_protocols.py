@@ -1,13 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from splitsim import datagen, nn, protocols
-from splitsim.model_split import U_SHAPED, VANILLA, SplitConfig
-from splitsim.protocols import (FL, SFV1, SFV2, SFV3, SL, SHARED_BODY,
-                                PlanError, ProtocolViolation, RoundPlan,
-                                average_models, body_for_client,
+from splitsim import datagen, nn, protocols, transport
+from splitsim.model_split import U_SHAPED, VANILLA, SplitConfig, split_model
+from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
+                                SERVER, PlanError, ProtocolViolation, RoundPlan, average_models,
                                 composed_model, iter_batches, make_clients,
                                 run_round)
 from splitsim.transport import ChannelBus, Message, MsgType
@@ -24,20 +24,15 @@ def make_setup(n_clients, protocol, kind=U_SHAPED, seed=0, shift=0.6):
                                         shift_scale=shift, seed=seed)
     model = nn.init_model(WIDTHS, seed)
     config = None if protocol == FL else (SPLIT_VANILLA if kind == VANILLA else SPLIT)
-    clients, server = make_clients(datasets, model, config, LR)
+    clients, server = make_clients(datasets, model, protocol, config, LR)
     return datasets, model, clients, server
 
 
-def run_rounds(protocol, clients, server, model, order, epochs, kind=U_SHAPED,
-               bus=None):
+def run_rounds(protocol, clients, server, order, epochs, kind=U_SHAPED, bus=None):
     bus = bus or ChannelBus()
-    global_model = model.clone() if protocol == FL else None
     for e in range(epochs):
-        new = run_round(protocol, clients, server, global_model,
-                        RoundPlan(protocol, tuple(order), e), bus, kind, BATCH)
-        if new is not None:
-            global_model = new
-    return global_model, bus
+        run_round(clients, server, RoundPlan(protocol, tuple(order), e), bus, kind, BATCH)
+    return bus
 
 
 def centralized_training(dataset, seed, epochs, lr=LR, batch=BATCH):
@@ -99,11 +94,8 @@ class TestSingleClientEquivalence:
     ])
     def test_equals_centralized(self, protocol, kind):
         datasets, model, clients, server = make_setup(1, protocol, kind, seed=5)
-        global_model, _ = run_rounds(protocol, clients, server, model, (0,), 3, kind)
-        if protocol == FL:
-            final = global_model
-        else:
-            final = composed_model(clients[0], body_for_client(protocol, server, 0))
+        run_rounds(protocol, clients, server, (0,), 3, kind)
+        final = composed_model(clients[0], server.bodies.get(0))
         ref = centralized_training(datasets[0], seed=5, epochs=3)
         assert nn.models_equal(final, ref)
 
@@ -111,7 +103,7 @@ class TestSingleClientEquivalence:
 class TestMessageSequences:
     def test_u_shaped_batch_trace(self):
         datasets, model, clients, server = make_setup(1, SL)
-        _, bus = run_rounds(SL, clients, server, model, (0,), 1)
+        bus = run_rounds(SL, clients, server, (0,), 1)
         n_batches = -(-datasets[0].sample_count // BATCH)
         types = [rec.msg_type for rec in bus.log]
         expected = [MsgType.SMASHED_ACTIVATIONS, MsgType.BODY_OUTPUT,
@@ -120,12 +112,61 @@ class TestMessageSequences:
 
     def test_vanilla_batch_trace(self):
         datasets, model, clients, server = make_setup(1, SL, VANILLA)
-        _, bus = run_rounds(SL, clients, server, model, (0,), 1, VANILLA)
+        bus = run_rounds(SL, clients, server, (0,), 1, VANILLA)
         n_batches = -(-datasets[0].sample_count // BATCH)
         types = [rec.msg_type for rec in bus.log]
         expected = [MsgType.SMASHED_ACTIVATIONS, MsgType.LABELS,
                     MsgType.SMASHED_GRAD] * n_batches
         assert types == expected
+
+    @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_channel_sequences(self, protocol, kind):
+        """Every channel's exact (type, round, seq, bytes) sequence over
+        two rounds of two clients, from batch counts and segment sizes."""
+        datasets, model, clients, server = make_setup(2, protocol, kind)
+        bus = run_rounds(protocol, clients, server, (1, 0), 2, kind)
+
+        def frame(*shape):
+            return transport.HEADER_LEN + 4 * len(shape) + 8 * math.prod(shape)
+
+        if protocol == FL:
+            segments = [model.flat.size]
+        else:
+            seg = split_model(model, SPLIT_VANILLA if kind == VANILLA else SPLIT)
+            segments = [part.flat.size for part in (seg.front, seg.tail) if part.layers]
+        cut_w = WIDTHS[SPLIT.front_cut]       # front output, body input
+        body_w = WIDTHS[SPLIT.tail_cut]       # u-shaped body output
+        expected = {}
+        for rnd in range(2):
+            for ds in datasets:
+                up = (protocols.wire_id(ds.client_id), SERVER)
+                down = up[::-1]
+
+                def add(channel, msg_type, nbytes):
+                    expected.setdefault(channel, []).append((msg_type, rnd, nbytes))
+
+                n = ds.sample_count
+                for b in ([] if protocol == FL else
+                          [min(BATCH, n - lo) for lo in range(0, n, BATCH)]):
+                    add(up, MsgType.SMASHED_ACTIVATIONS, frame(b, cut_w))
+                    if kind == VANILLA:
+                        add(up, MsgType.LABELS, frame(b))
+                    else:
+                        add(down, MsgType.BODY_OUTPUT, frame(b, body_w))
+                        add(up, MsgType.BODY_OUTPUT_GRAD, frame(b, body_w))
+                    add(down, MsgType.SMASHED_GRAD, frame(b, cut_w))
+                if protocol in (FL, SFV1, SFV2):  # segments averaged at round end
+                    for size in segments:
+                        add(up, MsgType.PARAM_BLOB, frame(size))
+                        add(down, MsgType.PARAM_BLOB, frame(size))
+        observed = {}
+        for rec in bus.log:
+            observed.setdefault((rec.sender, rec.receiver), []).append(
+                (rec.msg_type, rec.round, rec.seq, rec.nbytes))
+        assert observed == {
+            channel: [(t, rnd, seq, nbytes) for seq, (t, rnd, nbytes) in enumerate(msgs)]
+            for channel, msgs in expected.items()}
 
     def test_out_of_order_message_rejected(self):
         _, model, clients, server = make_setup(1, SL)
@@ -134,7 +175,7 @@ class TestMessageSequences:
         bus.send(Message(MsgType.CONTROL, protocols.wire_id(0), protocols.SERVER,
                          control=1))
         with pytest.raises(ProtocolViolation):
-            run_rounds(SL, clients, server, model, (0,), 1, bus=bus)
+            run_rounds(SL, clients, server, (0,), 1, bus=bus)
 
 
 class TestOrderInvariance:
@@ -143,14 +184,10 @@ class TestOrderInvariance:
         finals = set()
         for perm in itertools.permutations(range(3)):
             _, model, clients, server = make_setup(3, protocol, seed=1)
-            global_model, _ = run_rounds(protocol, clients, server, model, perm, 2)
-            if protocol == FL:
-                blob = nn.flatten_params(global_model)
-            else:
-                parts = [nn.flatten_params(composed_model(
-                    clients[c], body_for_client(protocol, server, c)))
-                    for c in sorted(clients)]
-                blob = np.concatenate(parts)
+            run_rounds(protocol, clients, server, perm, 2)
+            parts = [nn.flatten_params(composed_model(clients[c], server.bodies.get(c)))
+                     for c in sorted(clients)]
+            blob = np.concatenate(parts)
             finals.add(blob.tobytes())
         assert len(finals) == 1
 
@@ -161,15 +198,15 @@ class TestOrderSensitivity:
         bodies = []
         for order in ((0, 1, 2), (2, 1, 0)):
             _, model, clients, server = make_setup(3, protocol, seed=2)
-            run_rounds(protocol, clients, server, model, order, 1)
-            bodies.append(nn.flatten_params(server.bodies[SHARED_BODY]).tobytes())
+            run_rounds(protocol, clients, server, order, 1)
+            bodies.append(nn.flatten_params(server.bodies[0]).tobytes())
         assert bodies[0] != bodies[1]
 
 
 class TestAveragingPlacement:
     def test_sfv2_fronts_identical_after_round(self):
         _, model, clients, server = make_setup(3, SFV2, seed=3)
-        run_rounds(SFV2, clients, server, model, (0, 1, 2), 1)
+        run_rounds(SFV2, clients, server, (0, 1, 2), 1)
         blobs = {nn.flatten_params(clients[c].front).tobytes() for c in clients}
         assert len(blobs) == 1
         tails = {nn.flatten_params(clients[c].tail).tobytes() for c in clients}
@@ -177,7 +214,7 @@ class TestAveragingPlacement:
 
     def test_sfv3_bodies_identical_fronts_unique(self):
         _, model, clients, server = make_setup(3, SFV3, seed=3)
-        run_rounds(SFV3, clients, server, model, (0, 1, 2), 1)
+        run_rounds(SFV3, clients, server, (0, 1, 2), 1)
         bodies = {nn.flatten_params(server.bodies[c]).tobytes() for c in clients}
         assert len(bodies) == 1
         fronts = {nn.flatten_params(clients[c].front).tobytes() for c in clients}
@@ -185,7 +222,7 @@ class TestAveragingPlacement:
 
     def test_sfv1_fronts_and_bodies_identical(self):
         _, model, clients, server = make_setup(3, SFV1, seed=3)
-        run_rounds(SFV1, clients, server, model, (0, 1, 2), 1)
+        run_rounds(SFV1, clients, server, (0, 1, 2), 1)
         bodies = {nn.flatten_params(server.bodies[c]).tobytes() for c in clients}
         fronts = {nn.flatten_params(clients[c].front).tobytes() for c in clients}
         assert len(bodies) == 1 and len(fronts) == 1
@@ -195,13 +232,13 @@ class TestLabelPrivacy:
     def test_u_shaped_never_ships_labels(self):
         for protocol in (SL, SFV1, SFV2, SFV3):
             _, model, clients, server = make_setup(2, protocol, seed=4)
-            _, bus = run_rounds(protocol, clients, server, model, (0, 1), 2)
+            bus = run_rounds(protocol, clients, server, (0, 1), 2)
             assert bus.count_by_type(MsgType.LABELS) == 0
 
     def test_vanilla_ships_one_labels_message_per_batch(self):
         datasets, model, clients, server = make_setup(2, SL, VANILLA)
         epochs = 2
-        _, bus = run_rounds(SL, clients, server, model, (0, 1), epochs, VANILLA)
+        bus = run_rounds(SL, clients, server, (0, 1), epochs, VANILLA)
         n_batches = sum(-(-ds.sample_count // BATCH) for ds in datasets) * epochs
         assert bus.count_by_type(MsgType.LABELS) == n_batches
 
@@ -211,7 +248,7 @@ class TestCommunicationAccounting:
         byte_counts = {}
         for protocol in (SFV1, SFV3):
             _, model, clients, server = make_setup(3, protocol, seed=6)
-            _, bus = run_rounds(protocol, clients, server, model, (0, 1, 2), 2)
+            bus = run_rounds(protocol, clients, server, (0, 1, 2), 2)
             byte_counts[protocol] = bus.bytes_by_type(MsgType.PARAM_BLOB)
         assert byte_counts[SFV1] > byte_counts[SFV3]
         assert byte_counts[SFV3] == 0  # replicas live server-side
