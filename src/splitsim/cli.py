@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, run, sweep-order, sweep-clients, report.
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 rejected input (config, command line, dataset
+file), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -11,39 +12,35 @@ import json
 import pathlib
 import statistics
 import sys
+from dataclasses import fields, replace
 
 from . import datagen, harness
 from .harness import ConfigurationError, ExperimentConfig
 from .model_split import U_SHAPED, VANILLA
+from .protocols import PROTOCOLS
+from .transport import CodecError
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=pathlib.Path, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--protocol", choices=["fl", "sl", "sfv1", "sfv2", "sfv3"], default=None)
-    p.add_argument("--split", choices=["vanilla", "ushape"], default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--probe", type=int, default=None, help="probe client id")
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds (multi-seed mode)")
-    p.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out"))
-    p.add_argument("--message-log", action="store_true",
-                   help="dump the transport message log next to the results")
+# Each flag once; a subcommand registers only the flags it reads. A flag
+# whose dest is a config field overrides that field.
+FLAGS = {
+    "--config": dict(type=pathlib.Path, help="key = value config file, or a run's manifest"),
+    "--seed": dict(type=int),
+    "--protocol": dict(choices=PROTOCOLS),
+    "--split": dict(choices=(VANILLA, U_SHAPED), dest="split_kind"),
+    "--epochs": dict(type=int),
+    "--probe": dict(type=int, help="probe client id"),
+    "--seeds": dict(type=int, default=1, help="number of seeds, counting up from the seed"),
+    "--out": dict(type=pathlib.Path, default=pathlib.Path("out")),
+    "--message-log": dict(action="store_true", help="also write messages.log"),
+}
+TRAIN_FLAGS = ("--config", "--seed", "--protocol", "--split", "--epochs")
+SWEEP_FLAGS = TRAIN_FLAGS + ("--probe", "--seeds", "--out")
 
 
 def _build_config(args) -> ExperimentConfig:
     file_values = harness.parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "seed": args.seed,
-        "protocol": args.protocol,
-        "split_kind": {"vanilla": VANILLA, "ushape": U_SHAPED}.get(args.split),
-        "epochs": args.epochs,
-        "probe": args.probe,
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     return harness.config_from(file_values, overrides)
-
-
-def _seed_range(base: int, n: int):
-    return range(base, base + n)
 
 
 def cmd_gen_data(args) -> int:
@@ -65,7 +62,7 @@ def cmd_run(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "result.json").write_text(result.to_json())
     (args.out / "result.manifest.txt").write_text(harness.render_manifest(result.config))
-    if args.message_log and result.bus is not None:
+    if args.message_log:
         result.bus.dump_log(args.out / "messages.log")
     print(json.dumps(result.to_dict()["per_client"], indent=1))
     print(f"checkpoint epoch {result.checkpoint_epoch}, "
@@ -76,8 +73,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_order(args) -> int:
     cfg = _build_config(args)
-    for seed in _seed_range(cfg.seed, args.seeds):
-        from dataclasses import replace
+    for seed in range(cfg.seed, cfg.seed + args.seeds):
         cfg_s = replace(cfg, seed=seed)
         table = harness.sweep_order(cfg_s, probe_only=args.probe is not None)
         harness.emit_report(table, args.out, name=f"order_sweep_seed{seed}", config=cfg_s)
@@ -87,9 +83,8 @@ def cmd_sweep_order(args) -> int:
 
 def cmd_sweep_clients(args) -> int:
     cfg = _build_config(args)
-    from dataclasses import replace
     per_seed_kappa = {}
-    for seed in _seed_range(cfg.seed, args.seeds):
+    for seed in range(cfg.seed, cfg.seed + args.seeds):
         cfg_s = replace(cfg, seed=seed)
         table = harness.sweep_client_count(cfg_s)
         harness.emit_report(table, args.out, name=f"client_sweep_seed{seed}", config=cfg_s)
@@ -116,35 +111,37 @@ def cmd_report(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate the synthetic client datasets",
+                 ("--config", "--seed", "--out")),
+    "run": (cmd_run, "run a single experiment",
+            TRAIN_FLAGS + ("--out", "--message-log")),
+    "sweep-order": (cmd_sweep_order, "probe-first vs probe-last sweep", SWEEP_FLAGS),
+    "sweep-clients": (cmd_sweep_clients, "client-count sweep", SWEEP_FLAGS),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="splitsim")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate the synthetic client datasets")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("run", help="run a single experiment")
-    _add_common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep-order", help="probe-first vs probe-last sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_order)
-
-    p = sub.add_parser("sweep-clients", help="client-count sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_clients)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="re-render a stored run result")
     p.add_argument("result", type=pathlib.Path, help="result.json from a run")
     p.set_defaults(func=cmd_report)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ConfigurationError, datagen.ManifestError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigurationError, datagen.ManifestError, CodecError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)

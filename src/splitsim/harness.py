@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import datagen, metrics, nn
+from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, PartitionManifest, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA, ConfigError, SplitConfig
 from .nn import forward, init_model
@@ -59,16 +60,26 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown split kind {self.split_kind!r}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError("lr must be finite and > 0")
         if not (0 <= self.sensitivity <= 1):
             raise ConfigurationError("sensitivity must be in [0, 1]")
-        if len(self.widths) < 2 or self.widths[-1] != 1:
-            raise ConfigurationError("widths need an input width and end in 1")
+        if len(self.widths) < 2 or self.widths[-1] != 1 or min(self.widths) < 1:
+            raise ConfigurationError("widths need an input width, end in 1 and are all >= 1")
+        if self.feature_dim < 2:
+            raise ConfigurationError("feature_dim must be >= 2 (clients differ by a rotation)")
         if self.widths[0] != self.feature_dim:
             raise ConfigurationError("first width must equal feature_dim")
+        if not (math.isfinite(self.shift_scale) and self.shift_scale >= 0):
+            raise ConfigurationError("shift_scale must be finite and >= 0")
+        # not bounded by n_clients: sweep_client_count validates each
+        # setting's sub-config, whose n_clients is that setting's size
+        if not self.sweep_sizes or min(self.sweep_sizes) < 1:
+            raise ConfigurationError("sweep_sizes must be non-empty, each >= 1")
         if self.probe not in (self.order or range(self.n_clients)):
             raise ConfigurationError("probe client is not a participating client")
         split_cfg = self.split_config()
@@ -187,6 +198,10 @@ def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
         datasets = datagen.load_clients(config.dataset_path)
         if len(datasets) < config.n_clients:
             raise ConfigurationError("dataset file has too few clients")
+        width = datasets[0].train_x.shape[1]
+        if width != config.feature_dim:
+            raise ConfigurationError(f"dataset file has {width} features, "
+                                     f"config feature_dim is {config.feature_dim}")
         return datasets[:config.n_clients]
     manifest = desk_manifest(config.n_clients)
     return generate_clients(manifest, d=config.feature_dim,
@@ -345,44 +360,41 @@ def render_table(table: ReportTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(table: ReportTable, out_dir, name: str = "report",
-                config: ExperimentConfig | None = None) -> list:
-    """Write the CSV table plus a run manifest; returns the paths."""
+def emit_report(table: ReportTable, out_dir, config: ExperimentConfig,
+                name: str = "report") -> list:
+    """Write the CSV table and the config's manifest; returns the paths."""
     import pathlib
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{name}.csv"
-    csv_path.write_text(render_table(table))
-    paths = [csv_path]
-    if config is not None:
-        manifest_path = out / f"{name}.manifest.txt"
-        manifest_path.write_text(render_manifest(config))
-        paths.append(manifest_path)
+    paths = [out / f"{name}.csv", out / f"{name}.manifest.txt"]
+    paths[0].write_text(render_table(table))
+    paths[1].write_text(render_manifest(config))
     return paths
 
 
+# --- flat key-value config files ------------------------------------------
+
 def render_manifest(config: ExperimentConfig) -> str:
-    lines = [f"version = splitsim-0.1.0"]
+    """The config as a config file that `parse_config_file` reads back to
+    the same config; None fields are left out (they take their default).
+    A str value with '#', a line break or surrounding blanks cannot be held."""
+    lines = [f"# splitsim {__version__}"]
     for f in fields(config):
         value = getattr(config, f.name)
+        if value is None:
+            continue
         if isinstance(value, tuple):
             value = ",".join(map(str, value))
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 
 
-# --- flat key-value config files ------------------------------------------
-
-_TUPLE_FIELDS = {"widths", "order", "sweep_sizes"}
-_INT_FIELDS = {"front_cut", "tail_cut", "epochs", "seed", "batch_size",
-               "n_clients", "feature_dim", "probe"}
-_FLOAT_FIELDS = {"lr", "shift_scale", "sensitivity"}
-
-
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines; '#' starts a comment. Each key is an
+    ExperimentConfig field, and its value is parsed as the field's type;
+    a bad key or value raises ConfigurationError naming `path:line`."""
     values = {}
-    names = {f.name for f in fields(ExperimentConfig)}
+    hints = typing.get_type_hints(ExperimentConfig)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -390,20 +402,23 @@ def parse_config_file(path) -> dict:
                 continue
             key, sep, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if not sep or key not in names:
+            if not sep or key not in hints:
                 raise ConfigurationError(f"{path}:{lineno}: bad key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_as(hints[key], raw)
+            except ValueError:
+                raise ConfigurationError(f"{path}:{lineno}: bad {key} value {raw!r}") from None
     return values
 
 
-def _parse_value(key: str, raw: str):
-    if key in _TUPLE_FIELDS:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+def _parse_as(hint, raw: str):
+    """Parse raw as a field type: int, float, str, a tuple of one of these
+    (comma separated, empty for ()), or one of these | None."""
+    if type(None) in typing.get_args(hint):
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        return tuple(map(typing.get_args(hint)[0], raw.split(","))) if raw else ()
+    return hint(raw)
 
 
 def config_from(file_values: dict, overrides: dict) -> ExperimentConfig:

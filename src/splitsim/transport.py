@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -161,45 +160,33 @@ class LogRecord:
 @dataclass
 class ChannelBus:
     """FIFO queues keyed by (sender, receiver), with exact byte counters
-    per direction and an optional message log.
-
-    Safe for one producer plus one consumer per channel across threads;
-    single-threaded use is the default.
-    """
+    per direction and an optional message log."""
 
     queues: dict = field(default_factory=dict)
     byte_counts: dict = field(default_factory=dict)
     seq_counts: dict = field(default_factory=dict)
     log: list = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def send(self, message: Message) -> int:
         """Encode and enqueue; assigns the per-channel sequence number.
         Returns the encoded length."""
         key = (message.sender, message.receiver)
-        with self._lock:
-            message.seq = self.seq_counts.get(key, 0)
-            data = encode(message)  # may raise: commit nothing before it
-            self.seq_counts[key] = message.seq + 1
-            self.queues.setdefault(key, deque()).append(data)
-            self.byte_counts[key] = self.byte_counts.get(key, 0) + len(data)
-            self.log.append(LogRecord(message.round, message.seq, message.sender,
-                                      message.receiver, message.msg_type, len(data)))
+        message.seq = self.seq_counts.get(key, 0)
+        data = encode(message)  # may raise: commit nothing before it
+        self.seq_counts[key] = message.seq + 1
+        self.queues.setdefault(key, deque()).append(data)
+        self.byte_counts[key] = self.byte_counts.get(key, 0) + len(data)
+        self.log.append(LogRecord(message.round, message.seq, message.sender,
+                                  message.receiver, message.msg_type, len(data)))
         return len(data)
 
-    def recv(self, receiver: int, sender: int | None = None) -> Message:
-        """Pop the oldest pending message for receiver (optionally from a
-        specific sender); raises EmptyChannel when nothing is pending."""
-        with self._lock:
-            if sender is not None:
-                q = self.queues.get((sender, receiver))
-                if not q:
-                    raise EmptyChannel(f"no message from {sender} to {receiver}")
-                return decode(q.popleft())
-            for (s, r), q in self.queues.items():
-                if r == receiver and q:
-                    return decode(q.popleft())
-        raise EmptyChannel(f"no message for {receiver}")
+    def recv(self, receiver: int, sender: int) -> Message:
+        """Pop the oldest pending message from sender to receiver; raises
+        EmptyChannel when nothing is pending."""
+        q = self.queues.get((sender, receiver))
+        if not q:
+            raise EmptyChannel(f"no message from {sender} to {receiver}")
+        return decode(q.popleft())
 
     def bytes_sent(self, sender: int | None = None, receiver: int | None = None) -> int:
         total = 0

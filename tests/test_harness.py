@@ -1,19 +1,24 @@
 import json
+import re
+import string
 import tracemalloc
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from splitsim import cli, datagen, harness, metrics, nn
 from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               DivergenceError, ExperimentConfig, ReportRow,
                               ReportTable, config_from, parse_config_file,
-                              render_table, run_experiment, run_probe_pair,
-                              sweep_client_count, sweep_order, trend_series)
+                              render_manifest, render_table, run_experiment,
+                              run_probe_pair, sweep_client_count, sweep_order,
+                              trend_series)
 from splitsim.metrics import MetricReport
+from splitsim.model_split import U_SHAPED, VANILLA
 from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, composed_model,
                                 make_clients, run_round)
 from splitsim.transport import ChannelBus
@@ -79,6 +84,22 @@ class TestConfigFile:
     def test_invalid_merged_config_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from({"protocol": "nope"}, {})
+
+    @pytest.mark.parametrize("line", ["epochs = abc", "order = None", "widths = 8,x",
+                                      "lr = fast", "seed = 1.5", "sweep_sizes = 2,,3"])
+    def test_malformed_value_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text("# header\nprotocol = sl\n" + line + "\n")
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}:3: bad")):
+            parse_config_file(path)
+
+    def test_manifest_is_a_config_file(self, tmp_path):
+        path = tmp_path / "result.manifest.txt"
+        path.write_text(render_manifest(FAST))
+        text = path.read_text()
+        assert text.startswith("# splitsim ")
+        assert "order" not in text and "dataset_path" not in text  # None fields
+        assert config_from(parse_config_file(path), {}) == FAST
 
 
 class TestBestCheckpoint:
@@ -347,6 +368,10 @@ class TestCli:
         "widths = 8", "widths = 8,16,2",
         "front_cut = 0", "tail_cut = 5", "front_cut = 3\ntail_cut = 2",
         "split_kind = vanilla\nwidths = 8,16,1\nfront_cut = 3",
+        "feature_dim = 1\nwidths = 1,16,16,16,8,1", "widths = 8,0,16,16,8,1",
+        "shift_scale = -0.5", "shift_scale = nan", "shift_scale = inf",
+        "sweep_sizes =", "sweep_sizes = 0,2", "seed = -1",
+        "epochs = abc", "order = None", "widths = 8,x", "dataset_path = .",
     ])
     def test_invalid_config_exits_1(self, tmp_path, line):
         cfg = self._write_cfg(tmp_path, line + "\n")
@@ -362,9 +387,171 @@ class TestCli:
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
-    def test_corrupt_dataset_exits_2(self, tmp_path):
+    def test_corrupt_dataset_exits_1(self, tmp_path):
         junk = tmp_path / "junk.sds"
         junk.write_bytes(b"NOPE" + b"\0" * 32)
         cfg = self._write_cfg(tmp_path, f"dataset_path = {junk}\n")
         assert cli.main(["run", "--config", str(cfg), "--out",
-                         str(tmp_path / "out")]) == 2
+                         str(tmp_path / "out")]) == 1
+
+    def test_truncated_dataset_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data" / "clients.sds"
+        assert cli.main(["gen-data", "--out", str(data.parent)]) == 0
+        data.write_bytes(data.read_bytes()[:500])
+        cfg = self._write_cfg(tmp_path, f"dataset_path = {data}\n")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "dataset file ends at byte 500" in capsys.readouterr().err
+
+    def test_dataset_feature_width_mismatch_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data" / "clients.sds"
+        assert cli.main(["gen-data", "--out", str(data.parent)]) == 0
+        cfg = self._write_cfg(tmp_path, f"dataset_path = {data}\n"
+                                        "feature_dim = 4\nwidths = 4,8,8,8,8,1\n")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "dataset file has 8 features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["run", "--epochs", "abc"], ["run", "--protocol", "gossip"],
+        ["run", "--split", "ushape"], ["run", "--seeds", "2"], ["run", "--probe", "1"],
+        ["gen-data", "--epochs", "2"], ["gen-data", "--protocol", "sl"],
+        ["sweep-order", "--message-log"], ["sweep-clients", "--message-log"],
+    ])
+    def test_usage_error_exits_1(self, argv):
+        assert cli.main(argv) == 1
+
+    def test_help_exits_0(self):
+        assert cli.main(["run", "--help"]) == 0
+
+    def test_each_command_registers_only_the_flags_it_reads(self):
+        counts = {name: len(flags) for name, (_, _, flags) in cli.COMMANDS.items()}
+        assert counts == {"gen-data": 3, "run": 7, "sweep-order": 8, "sweep-clients": 8}
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("split", [VANILLA, U_SHAPED])
+    def test_result_manifest_reruns_byte_identical(self, tmp_path, protocol, split):
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert cli.main(["run", "--protocol", protocol, "--split", split,
+                         "--epochs", "2", "--out", str(a)]) == 0
+        assert cli.main(["run", "--config", str(a / "result.manifest.txt"),
+                         "--out", str(b)]) == 0
+        assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
+        assert (a / "result.manifest.txt").read_text() == (b / "result.manifest.txt").read_text()
+
+    def test_sweep_manifest_reruns_identical(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1",
+                         "--seed", "3", "--out", str(a)]) == 0
+        assert cli.main(["sweep-order", "--config", str(a / "order_sweep_seed3.manifest.txt"),
+                         "--out", str(b)]) == 0
+        for name in ("order_sweep_seed3.csv", "order_sweep_seed3.manifest.txt"):
+            assert (a / name).read_text() == (b / name).read_text()
+
+
+def _letters():
+    return st.text(alphabet=string.ascii_letters, min_size=1, max_size=8)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that validate, over every field; dataset_path is drawn from
+    the text a config file can hold (no '#', line break or surrounding
+    blank)."""
+    feature_dim = draw(st.integers(2, 16))
+    widths = (feature_dim, *draw(st.lists(st.integers(1, 64), min_size=1, max_size=5)), 1)
+    front_cut = draw(st.integers(1, len(widths) - 1))
+    n_clients = draw(st.integers(1, 5))
+    cfg = ExperimentConfig(
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        split_kind=draw(st.sampled_from([VANILLA, U_SHAPED])),
+        widths=widths, front_cut=front_cut,
+        tail_cut=draw(st.integers(front_cut, len(widths) - 1)),
+        epochs=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64)),
+        batch_size=draw(st.integers(1, 4096)),
+        lr=draw(st.floats(0, 1e6, exclude_min=True)),
+        n_clients=n_clients, feature_dim=feature_dim,
+        shift_scale=draw(st.floats(0, 1e3)),
+        probe=draw(st.integers(0, n_clients - 1)),
+        sensitivity=draw(st.floats(0, 1)),
+        order=draw(st.none() | st.permutations(range(n_clients)).map(tuple)),
+        sweep_sizes=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))),
+        dataset_path=draw(st.none() | st.text(alphabet="ab/._- ", max_size=12).map(str.strip)))
+    try:
+        cfg.validate()
+    except ConfigurationError:
+        reject()
+    return cfg
+
+
+def _malformed(key: str, hint, tmp):
+    """Values that are not a valid setting of the key."""
+    if key == "protocol":
+        return _letters().filter(lambda v: v not in PROTOCOLS)
+    if key == "split_kind":
+        return _letters().filter(lambda v: v != VANILLA)  # letters never spell u_shaped
+    if key == "dataset_path":  # a missing file, or a directory
+        return _letters().map(lambda v: str(tmp / v)) | st.just(str(tmp))
+    numeric = {int: ["1.5", "1e3", "1,2", "-"], float: ["1,5", "1.2.3", "--1", "0x10"]}
+    # letters never parse as an int; as a float only nan and inf[inity]
+    # parse, and validate rejects both for every float field
+    return _letters() | st.sampled_from(numeric.get(hint, ["8,x", "1.5", "1,,2"]))
+
+
+class TestConfigProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=valid_configs())
+    def test_manifest_round_trips(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("manifest") / "result.manifest.txt"
+        path.write_text(render_manifest(cfg))
+        assert config_from(parse_config_file(path), {}) == cfg
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_malformed_value_exits_1(self, tmp_path_factory, key, data):
+        tmp = tmp_path_factory.mktemp("malformed")
+        hint = typing.get_type_hints(ExperimentConfig)[key]
+        value = data.draw(_malformed(key, hint, tmp))
+        path = tmp / "exp.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp / "out")]) == 1
+
+    # out-of-range values for the fields whose gaps validate closes
+    GAPS = {
+        "feature_dim": st.sampled_from([1, 0, -1]),
+        "hidden": st.lists(st.integers(-1, 3), min_size=1, max_size=3).filter(
+            lambda h: min(h) < 1),
+        "shift_scale": st.sampled_from([-0.5, -1e-300, float("nan"), float("inf")]),
+        "sweep_sizes": st.sampled_from([(), (0,), (2, -1)]),
+        "seed": st.integers(-3, -1),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_drawn_config_runs_or_exits_1(self, tmp_path_factory, data):
+        """A valid config, or one with one of the GAPS fields out of range.
+        `run` computes no percent drop, so the sweeps' degenerate-kappa
+        MetricError is outside this property."""
+        draw = data.draw
+        values = {"feature_dim": draw(st.integers(2, 3)),
+                  "hidden": draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+                  "shift_scale": draw(st.sampled_from([0.0, 0.75])),
+                  "sweep_sizes": tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
+                  "seed": draw(st.integers(0, 2))}
+        gap = draw(st.sampled_from([None, *sorted(self.GAPS)]))
+        if gap is not None:
+            values[gap] = draw(self.GAPS[gap])
+        hidden = values.pop("hidden")
+        n_clients = draw(st.integers(1, 5))
+        cfg = ExperimentConfig(
+            protocol=draw(st.sampled_from(PROTOCOLS)),
+            split_kind=draw(st.sampled_from([VANILLA, U_SHAPED])),
+            widths=(values["feature_dim"], *hidden, 1), front_cut=1, tail_cut=len(hidden),
+            epochs=draw(st.integers(1, 2)), batch_size=draw(st.sampled_from([8, 64])),
+            lr=3e-3, n_clients=n_clients, probe=draw(st.integers(0, n_clients - 1)), **values)
+        tmp = tmp_path_factory.mktemp("drawn")
+        path = tmp / "exp.cfg"
+        path.write_text(render_manifest(cfg))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp / "out")]) in (0, 1)

@@ -1,4 +1,3 @@
-import threading
 
 import numpy as np
 import pytest
@@ -156,8 +155,6 @@ class TestBus:
         bus = ChannelBus()
         with pytest.raises(EmptyChannel):
             bus.recv(0, 1)
-        with pytest.raises(EmptyChannel):
-            bus.recv(5)
 
     def test_seq_assigned_per_channel(self):
         bus = ChannelBus()
@@ -215,26 +212,3 @@ class TestBus:
         path = tmp_path / "messages.log"
         bus.dump_log(path)
         assert path.read_text() == "1 0 1 0 SMASHED_ACTIVATIONS 75\n"
-
-    def test_one_producer_one_consumer_threads(self):
-        bus = ChannelBus()
-        n = 200
-        received = []
-
-        def producer():
-            for _ in range(n):
-                bus.send(tensor_message(shape=(1,), sender=1, receiver=0))
-
-        def consumer():
-            while len(received) < n:
-                try:
-                    received.append(bus.recv(0, 1).seq)
-                except EmptyChannel:
-                    pass
-
-        threads = [threading.Thread(target=producer), threading.Thread(target=consumer)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert received == list(range(n))
