@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Bias-vs-cohort-size sweep under sequential split learning.
 
-For each cohort size n in 2..5, measures the probe client's kappa
-percent drop (trained first vs last) over several seeds and prints the
-median per setting. The median drop grows with the number of clients
-that train after the probe.
+Runs `harness.sweep_client_count` on the bias fixture (configs/bias.cfg)
+once per seed, and prints, for each cohort size in the fixture's
+sweep_sizes, the probe client's kappa percent drop (trained first vs
+last) per seed and its median. The median drop grows with the number of
+clients that train after the probe.
 
 Usage: python3 scripts/run_client_count_sweep.py [--seeds N] [--out DIR]
 """
@@ -15,39 +16,36 @@ import statistics
 import sys
 from dataclasses import replace
 
-from splitsim import datagen, harness
+from splitsim import harness
+from splitsim.cli import positive_int
 from splitsim.metrics import percent_drop_or_worst
 
-SIZES = (2, 3, 4, 5)
-
-
-def kappa_drop(manifest, seed, n):
-    datasets = datagen.generate_clients(
-        manifest, shift_scale=harness.BIAS_CONFIG.shift_scale, seed=seed)
-    cfg = replace(harness.BIAS_CONFIG, n_clients=n, seed=seed)
-    row = harness.run_probe_pair(cfg, 0, datasets)
-    return percent_drop_or_worst(row.first.kappa, row.last.kappa)
+BIAS_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "bias.cfg"
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=10)
+    ap.add_argument("--seeds", type=positive_int, default=10)
     ap.add_argument("--out", type=pathlib.Path, default=None)
     args = ap.parse_args(argv)
 
+    cfg = harness.config_from(harness.parse_config_file(BIAS_CFG), {})
+    drops = {n: [] for n in cfg.sweep_sizes}
+    for seed in range(cfg.seed, cfg.seed + args.seeds):
+        table = harness.sweep_client_count(replace(cfg, seed=seed))
+        for n, row in zip(cfg.sweep_sizes, table.rows):
+            drops[n].append(percent_drop_or_worst(row.first.kappa, row.last.kappa))
+
     lines = ["setting,median_kappa_drop"]
-    for n in SIZES:
-        manifest = harness.BIAS_MANIFEST.subset(range(n))
-        drops = [kappa_drop(manifest, seed, n) for seed in range(args.seeds)]
-        median = statistics.median(drops)
+    for n, per_seed in drops.items():
+        median = statistics.median(per_seed)
         print(f"{n} clients: per-seed kappa drops "
-              f"{[round(d, 1) for d in drops]} -> median {median:.1f}%")
+              f"{[round(d, 1) for d in per_seed]} -> median {median:.1f}%")
         lines.append(f"{n},{median:.2f}")
 
     if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "client_count_trend.csv").write_text("\n".join(lines) + "\n")
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "client_count_trend.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 

@@ -16,9 +16,19 @@ from dataclasses import fields, replace
 
 from . import datagen, harness
 from .harness import ConfigurationError, ExperimentConfig
+from .metrics import percent_drop_or_worst
 from .model_split import U_SHAPED, VANILLA
 from .protocols import PROTOCOLS
 from .transport import CodecError
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
 
 # Each flag once; a subcommand registers only the flags it reads. A flag
 # whose dest is a config field overrides that field.
@@ -29,7 +39,8 @@ FLAGS = {
     "--split": dict(choices=(VANILLA, U_SHAPED), dest="split_kind"),
     "--epochs": dict(type=int),
     "--probe": dict(type=int, help="probe client id"),
-    "--seeds": dict(type=int, default=1, help="number of seeds, counting up from the seed"),
+    "--seeds": dict(type=positive_int, default=1,
+                    help="number of seeds, counting up from the seed"),
     "--out": dict(type=pathlib.Path, default=pathlib.Path("out")),
     "--message-log": dict(action="store_true", help="also write messages.log"),
 }
@@ -45,13 +56,11 @@ def _build_config(args) -> ExperimentConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _build_config(args)
-    manifest = datagen.desk_manifest(cfg.n_clients)
-    clients = datagen.generate_clients(manifest, d=cfg.feature_dim,
-                                       shift_scale=cfg.shift_scale, seed=cfg.seed)
+    clients = harness.load_or_generate(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     data_path = args.out / "clients.sds"
     datagen.save_clients(data_path, clients)
-    datagen.save_manifest_text(args.out / "manifest.txt", manifest)
+    (args.out / "manifest.txt").write_text(harness.render_manifest(cfg))
     print(f"wrote {data_path} ({cfg.n_clients} clients, seed {cfg.seed})")
     return 0
 
@@ -73,11 +82,23 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_order(args) -> int:
     cfg = _build_config(args)
+    per_seed_rows = {}
     for seed in range(cfg.seed, cfg.seed + args.seeds):
         cfg_s = replace(cfg, seed=seed)
         table = harness.sweep_order(cfg_s, probe_only=args.probe is not None)
         harness.emit_report(table, args.out, name=f"order_sweep_seed{seed}", config=cfg_s)
+        for row in table.rows:
+            per_seed_rows.setdefault(row.key, []).append(row)
         print(harness.render_table(table), end="")
+    if args.seeds > 1:
+        # positive drops mean the probe is worse off training first
+        for key, rows in per_seed_rows.items():
+            print(f"{key} over {len(rows)} seeds:")
+            for metric in ("auprc", "f1", "kappa"):
+                drops = [percent_drop_or_worst(getattr(row.first, metric),
+                                               getattr(row.last, metric)) for row in rows]
+                print(f"{metric}: positive drop in {sum(d > 0 for d in drops)}/{len(drops)} "
+                      f"seeds, median {statistics.median(drops):.1f}%")
     return 0
 
 
@@ -101,13 +122,18 @@ def cmd_sweep_clients(args) -> int:
 
 
 def cmd_report(args) -> int:
-    result = json.loads(pathlib.Path(args.result).read_text())
-    print(f"protocol {result['protocol']} seed {result['seed']} "
-          f"checkpoint epoch {result['checkpoint_epoch']}")
-    print("client,auprc,f1,kappa,threshold")
-    for cid, rep in sorted(result["per_client"].items(), key=lambda kv: int(kv[0])):
-        print(f"{cid},{rep['auprc']:.4f},{rep['f1']:.4f},"
-              f"{rep['kappa']:.4f},{rep['threshold']:.4f}")
+    try:
+        result = json.loads(args.result.read_text())
+        lines = [f"protocol {result['protocol']} seed {result['seed']} "
+                 f"checkpoint epoch {result['checkpoint_epoch']}",
+                 "client,auprc,f1,kappa,threshold"]
+        for cid, rep in sorted(result["per_client"].items(), key=lambda kv: int(kv[0])):
+            lines.append(f"{cid},{rep['auprc']:.4f},{rep['f1']:.4f},"
+                         f"{rep['kappa']:.4f},{rep['threshold']:.4f}")
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        # not JSON, or JSON without a run result's fields
+        raise ConfigurationError(f"{args.result} is not a run result: {exc!r}") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -10,7 +10,7 @@ deliberate prevalence mismatch of the target setting.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,25 +49,16 @@ class PartitionManifest:
     def n_clients(self) -> int:
         return len(self.train_counts)
 
-    def totals(self) -> tuple[int, int, int]:
-        return (sum(self.train_counts), sum(self.val_counts), sum(self.test_counts))
 
-    def subset(self, client_ids) -> "PartitionManifest":
-        return PartitionManifest(
-            tuple(self.train_counts[i] for i in client_ids),
-            tuple(self.val_counts[i] for i in client_ids),
-            tuple(self.test_counts[i] for i in client_ids),
-        )
-
-
-def desk_manifest(n_clients: int = 5) -> PartitionManifest:
-    """Default 5-client desk-scale manifest (or its first n_clients)."""
+def desk_manifest(n_clients: int = 5, eval_count: int = DESK_EVAL_COUNT) -> PartitionManifest:
+    """The desk-scale cohort's first n_clients, each with eval_count
+    val and eval_count test samples."""
     if not (1 <= n_clients <= len(DESK_TRAIN_COUNTS)):
         raise ManifestError(f"desk manifest supports 1..{len(DESK_TRAIN_COUNTS)} clients")
     return PartitionManifest(
         DESK_TRAIN_COUNTS[:n_clients],
-        (DESK_EVAL_COUNT,) * n_clients,
-        (DESK_EVAL_COUNT,) * n_clients,
+        (eval_count,) * n_clients,
+        (eval_count,) * n_clients,
     )
 
 
@@ -201,29 +192,3 @@ def load_clients(path) -> list[ClientDataset]:
         raise TrailingBytes(f"{len(data) - off} bytes after the last client")
     return clients
 
-
-def save_manifest_text(path, manifest: PartitionManifest) -> None:
-    with open(path, "w") as f:
-        f.write(f"n_clients = {manifest.n_clients}\n")
-        f.write("train_counts = " + ",".join(map(str, manifest.train_counts)) + "\n")
-        f.write("val_counts = " + ",".join(map(str, manifest.val_counts)) + "\n")
-        f.write("test_counts = " + ",".join(map(str, manifest.test_counts)) + "\n")
-        totals = manifest.totals()
-        f.write(f"total_train = {totals[0]}\n")
-        f.write(f"total_val = {totals[1]}\n")
-        f.write(f"total_test = {totals[2]}\n")
-
-
-def load_manifest_text(path) -> PartitionManifest:
-    values = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    def counts(key):
-        return tuple(int(v) for v in values[key].split(","))
-    return PartitionManifest(counts("train_counts"), counts("val_counts"),
-                             counts("test_counts"))

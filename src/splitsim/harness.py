@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, datagen, metrics, nn
-from .datagen import ClientDataset, PartitionManifest, desk_manifest, generate_clients
+from .datagen import ClientDataset, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA, ConfigError, SplitConfig
 from .nn import forward, init_model
 from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan,
@@ -47,6 +47,7 @@ class ExperimentConfig:
     n_clients: int = 5
     feature_dim: int = 8
     shift_scale: float = 0.6
+    eval_count: int = datagen.DESK_EVAL_COUNT  # val and test samples per client
     probe: int = 0
     sensitivity: float = metrics.DEFAULT_SENSITIVITY
     order: tuple[int, ...] | None = None      # None -> ascending client ids
@@ -96,15 +97,6 @@ class ExperimentConfig:
         if self.split_kind == VANILLA:
             return SplitConfig(VANILLA, self.front_cut, n_layers)
         return SplitConfig(U_SHAPED, self.front_cut, self.tail_cut)
-
-
-# The bias fixture: the short-horizon sequential setting in which the
-# probe-first vs probe-last drop is strongest. Small batches keep the run
-# inside the training transient where order matters most; 200-sample
-# eval splits cut metric noise.
-BIAS_MANIFEST = PartitionManifest(datagen.DESK_TRAIN_COUNTS, (200,) * 5, (200,) * 5)
-BIAS_CONFIG = ExperimentConfig(protocol=SL, epochs=2, lr=3e-3, batch_size=4,
-                               shift_scale=0.75, n_clients=5, probe=0)
 
 
 @dataclass
@@ -203,7 +195,7 @@ def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
             raise ConfigurationError(f"dataset file has {width} features, "
                                      f"config feature_dim is {config.feature_dim}")
         return datasets[:config.n_clients]
-    manifest = desk_manifest(config.n_clients)
+    manifest = desk_manifest(config.n_clients, config.eval_count)
     return generate_clients(manifest, d=config.feature_dim,
                             shift_scale=config.shift_scale, seed=config.seed)
 

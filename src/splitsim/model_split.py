@@ -1,14 +1,11 @@
 """Cutting a dense model into client-front / server-body / client-tail
-segments, plus the composed forward/backward used to prove the cut is
-equivalent to the uncut model."""
+segments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .nn import SequentialModel, backward, forward
+from .nn import SequentialModel
 
 VANILLA = "vanilla"
 U_SHAPED = "u_shaped"
@@ -50,9 +47,6 @@ class ModelSegments:
     body: SequentialModel
     tail: SequentialModel  # empty under vanilla
 
-    def concat(self) -> SequentialModel:
-        return SequentialModel(self.front.layers + self.body.layers + self.tail.layers)
-
 
 def split_model(model: SequentialModel, config: SplitConfig) -> ModelSegments:
     """Cut at layer boundaries. Each segment views its slice of
@@ -64,24 +58,3 @@ def split_model(model: SequentialModel, config: SplitConfig) -> ModelSegments:
         tail=model.segment(config.tail_cut, len(model.layers)),
     )
 
-
-def composed_forward(segments: ModelSegments, x: np.ndarray):
-    """Forward through front, body, tail in order.
-
-    Bit-identical to forward on the uncut model: the per-layer operation
-    sequence is the same. Returns (output, (cache_f, cache_b, cache_t)).
-    """
-    a, cache_f = forward(segments.front, x)
-    a, cache_b = forward(segments.body, a)
-    a, cache_t = forward(segments.tail, a)
-    return a, (cache_f, cache_b, cache_t)
-
-
-def composed_backward(segments: ModelSegments, caches, out_grad: np.ndarray):
-    """Backward through tail, body, front; returns per-segment param grads
-    and the gradient wrt the original input."""
-    cache_f, cache_b, cache_t = caches
-    grads_t, d_body_out = backward(segments.tail, cache_t, out_grad)
-    grads_b, d_front_out = backward(segments.body, cache_b, d_body_out)
-    grads_f, d_input = backward(segments.front, cache_f, d_front_out)
-    return (grads_f, grads_b, grads_t), d_input

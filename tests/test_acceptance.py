@@ -8,6 +8,7 @@ results are not reproducible, the direction and ordering are.
 
 import itertools
 import json
+import pathlib
 import statistics
 from dataclasses import replace
 
@@ -30,15 +31,14 @@ from splitsim.protocols import FL, SFV1, SFV2, SFV3, SL, composed_model
 from splitsim.model_split import U_SHAPED, VANILLA
 
 SEEDS = range(10)
+BIAS_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "bias.cfg"
 
 
-def _probe_drops(manifest, seed, n_clients):
-    """Probe client 0 scheduled first vs last on the bias fixture;
-    percent drop per metric."""
-    datasets = datagen.generate_clients(
-        manifest, shift_scale=harness.BIAS_CONFIG.shift_scale, seed=seed)
-    cfg = replace(harness.BIAS_CONFIG, n_clients=n_clients, seed=seed)
-    row = harness.run_probe_pair(cfg, 0, datasets)
+def _probe_drops(seed, n_clients):
+    """Probe client 0 scheduled first vs last on the bias fixture's first
+    n_clients clients; percent drop per metric."""
+    bias = harness.config_from(harness.parse_config_file(BIAS_CFG), {})
+    row = harness.run_probe_pair(replace(bias, n_clients=n_clients, seed=seed), 0)
     return {m: percent_drop_or_worst(getattr(row.first, m), getattr(row.last, m))
             for m in ("auprc", "f1", "kappa")}
 
@@ -80,7 +80,7 @@ def test_sequential_order_biases_probe_client():
     """SL, 5 non-IID clients, 10 seeds: training the probe first instead
     of last costs it AUPRC in at least 8 seeds, and the median drop is
     positive for all three metrics."""
-    drops = [_probe_drops(harness.BIAS_MANIFEST, seed, 5) for seed in SEEDS]
+    drops = [_probe_drops(seed, 5) for seed in SEEDS]
     positive_auprc = sum(d["auprc"] > 0 for d in drops)
     medians = {m: statistics.median(d[m] for d in drops)
                for m in ("auprc", "f1", "kappa")}
@@ -100,8 +100,7 @@ def test_bias_grows_with_client_count():
     sizes = (2, 3, 4, 5)
     medians = []
     for n in sizes:
-        manifest = harness.BIAS_MANIFEST.subset(range(n))
-        per_seed = [_probe_drops(manifest, seed, n)["kappa"] for seed in SEEDS]
+        per_seed = [_probe_drops(seed, n)["kappa"] for seed in SEEDS]
         medians.append(statistics.median(per_seed))
     inversions = sum(a > b for a, b in zip(medians, medians[1:]))
     assert inversions <= 1, f"medians not monotone: {medians}"

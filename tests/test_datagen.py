@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from splitsim import datagen, nn
 from splitsim.datagen import (ClientDataset, ManifestError, PartitionManifest,
                               desk_manifest, generate_clients, load_clients,
-                              load_manifest_text, prevalence, save_clients,
-                              save_manifest_text)
+                              prevalence, save_clients)
 from splitsim.transport import CodecError, TrailingBytes
 
 
@@ -21,10 +20,6 @@ class TestManifest:
         assert m.val_counts == (50,) * 5
         assert m.test_counts == (50,) * 5
 
-    def test_totals(self):
-        m = desk_manifest(5)
-        assert m.totals() == (871, 250, 250)
-
     def test_too_small_counts_rejected(self):
         with pytest.raises(ManifestError):
             PartitionManifest((10,), (3,), (3,))
@@ -33,9 +28,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             PartitionManifest((100, 100), (50,), (50,))
 
-    def test_subset(self):
-        m = desk_manifest(5).subset([0, 2])
-        assert m.train_counts == (182, 115)
+    def test_eval_count_sizes_both_eval_splits(self):
+        m = desk_manifest(3, eval_count=20)
+        assert m.train_counts == (182, 377, 115)
+        assert m.val_counts == m.test_counts == (20,) * 3
+
+    @pytest.mark.parametrize("eval_count", [5, 4, 1, 0, -1])
+    def test_eval_count_below_one_positive_rejected(self, eval_count):
+        # 10% of 5 is 0.5, which rounds half to even: no positive sample
+        with pytest.raises(ManifestError):
+            desk_manifest(2, eval_count=eval_count)
+        assert desk_manifest(2, eval_count=6).val_counts == (6, 6)
 
 
 class TestGeneration:
@@ -147,9 +150,3 @@ class TestFileRoundTrip:
             path.write_bytes(full + suffix)
             with pytest.raises(TrailingBytes):
                 load_clients(path)
-
-    def test_manifest_text(self, tmp_path):
-        m = desk_manifest(4)
-        path = tmp_path / "manifest.txt"
-        save_manifest_text(path, m)
-        assert load_manifest_text(path) == m

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import string
 import tracemalloc
@@ -24,6 +25,7 @@ from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, composed_model,
 from splitsim.transport import ChannelBus
 
 FAST = ExperimentConfig(protocol="sl", epochs=2, n_clients=2, lr=1e-3, seed=0)
+BIAS_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "bias.cfg"
 
 
 class TestConfig:
@@ -86,7 +88,8 @@ class TestConfigFile:
             config_from({"protocol": "nope"}, {})
 
     @pytest.mark.parametrize("line", ["epochs = abc", "order = None", "widths = 8,x",
-                                      "lr = fast", "seed = 1.5", "sweep_sizes = 2,,3"])
+                                      "lr = fast", "seed = 1.5", "sweep_sizes = 2,,3",
+                                      "eval_count = 2e2"])
     def test_malformed_value_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "exp.cfg"
         path.write_text("# header\nprotocol = sl\n" + line + "\n")
@@ -100,6 +103,26 @@ class TestConfigFile:
         assert text.startswith("# splitsim ")
         assert "order" not in text and "dataset_path" not in text  # None fields
         assert config_from(parse_config_file(path), {}) == FAST
+
+    def test_bias_fixture_file(self):
+        assert config_from(parse_config_file(BIAS_CFG), {}) == ExperimentConfig(
+            protocol="sl", epochs=2, lr=0.003, batch_size=4, shift_scale=0.75,
+            n_clients=5, probe=0, eval_count=200)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bias_fixture_data_is_its_first_n_clients(self, n):
+        cfg = config_from(parse_config_file(BIAS_CFG), {"n_clients": n, "seed": 2})
+        evals = (cfg.eval_count,) * n
+        expected = datagen.generate_clients(
+            datagen.PartitionManifest(datagen.DESK_TRAIN_COUNTS[:n], evals, evals),
+            shift_scale=cfg.shift_scale, seed=cfg.seed)
+        got = harness.load_or_generate(cfg)
+        assert len(got) == n
+        for a, b in zip(got, expected):
+            assert a.client_id == b.client_id and a.angle == b.angle
+            for split in ("train", "val", "test"):
+                for x, y in zip(a.split(split), b.split(split)):
+                    assert x.tobytes() == y.tobytes()
 
 
 class TestBestCheckpoint:
@@ -336,6 +359,15 @@ class TestCli:
         assert (out / "clients.sds").exists()
         assert (out / "manifest.txt").exists()
 
+    def test_gen_data_manifest_regenerates_the_data(self, tmp_path):
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert cli.main(["gen-data", "--config", str(BIAS_CFG), "--seed", "4",
+                         "--out", str(a)]) == 0
+        assert cli.main(["gen-data", "--config", str(a / "manifest.txt"),
+                         "--out", str(b)]) == 0
+        assert (a / "clients.sds").read_bytes() == (b / "clients.sds").read_bytes()
+        assert (a / "manifest.txt").read_text() == (b / "manifest.txt").read_text()
+
     def test_run_then_report(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -348,6 +380,20 @@ class TestCli:
         text = capsys.readouterr().out
         assert "client,auprc,f1,kappa,threshold" in text
 
+    @pytest.mark.parametrize("content", ["protocol = sl\n", "[1, 2]", "{}"])
+    def test_report_on_a_file_that_is_not_a_result_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "result.json"
+        path.write_text(content)
+        assert cli.main(["report", str(path)]) == 1
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["sweep-order", "--seeds", "0"],
+                                      ["sweep-clients", "--seeds", "-2"]])
+    def test_seeds_below_1_exits_1(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_sweep_order_command(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -355,6 +401,29 @@ class TestCli:
                        "--out", str(out)])
         assert rc == 0
         assert (out / "order_sweep_seed0.csv").exists()
+
+    def test_sweep_order_summarises_several_seeds(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1", "--probe", "1",
+                         "--seeds", "2", "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4] == "client1 over 2 seeds:"
+        for line, metric in zip(lines[-3:], ("auprc", "f1", "kappa")):
+            assert re.fullmatch(rf"{metric}: positive drop in [012]/2 seeds, median -?\d+\.\d%",
+                                line)
+
+    def test_bias_fixture_order_sweep(self, tmp_path):
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert cli.main(["sweep-order", "--config", str(BIAS_CFG), "--probe", "0",
+                         "--out", str(a)]) == 0
+        cells = (a / "order_sweep_seed0.csv").read_text().splitlines()[1].split(",")
+        assert cells[0] == "client0"
+        assert cells[1:3] == ["0.1377", "0.3774"]  # auprc first, last
+        assert cells[7:9] == ["0.0055", "0.1712"]  # kappa first, last
+        assert cli.main(["sweep-order", "--config", str(a / "order_sweep_seed0.manifest.txt"),
+                         "--probe", "0", "--out", str(b)]) == 0
+        assert (a / "order_sweep_seed0.csv").read_bytes() == (b / "order_sweep_seed0.csv").read_bytes()
 
     def test_bad_config_exits_1(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -372,6 +441,7 @@ class TestCli:
         "shift_scale = -0.5", "shift_scale = nan", "shift_scale = inf",
         "sweep_sizes =", "sweep_sizes = 0,2", "seed = -1",
         "epochs = abc", "order = None", "widths = 8,x", "dataset_path = .",
+        "eval_count = 4", "eval_count = 0", "eval_count = -1",
     ])
     def test_invalid_config_exits_1(self, tmp_path, line):
         cfg = self._write_cfg(tmp_path, line + "\n")
@@ -473,6 +543,7 @@ def valid_configs(draw):
         lr=draw(st.floats(0, 1e6, exclude_min=True)),
         n_clients=n_clients, feature_dim=feature_dim,
         shift_scale=draw(st.floats(0, 1e3)),
+        eval_count=draw(st.integers(6, 10**6)),
         probe=draw(st.integers(0, n_clients - 1)),
         sensitivity=draw(st.floats(0, 1)),
         order=draw(st.none() | st.permutations(range(n_clients)).map(tuple)),
@@ -518,8 +589,10 @@ class TestConfigProperties:
         path.write_text(f"{key} = {value}\n")
         assert cli.main(["run", "--config", str(path), "--out", str(tmp / "out")]) == 1
 
-    # out-of-range values for the fields whose gaps validate closes
+    # out-of-range values for the fields whose gaps validate closes, and
+    # eval_counts too small for the eval prevalence (the manifest rejects them)
     GAPS = {
+        "eval_count": st.sampled_from([5, 4, 0, -1]),
         "feature_dim": st.sampled_from([1, 0, -1]),
         "hidden": st.lists(st.integers(-1, 3), min_size=1, max_size=3).filter(
             lambda h: min(h) < 1),
@@ -538,6 +611,7 @@ class TestConfigProperties:
         values = {"feature_dim": draw(st.integers(2, 3)),
                   "hidden": draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)),
                   "shift_scale": draw(st.sampled_from([0.0, 0.75])),
+                  "eval_count": draw(st.sampled_from([6, 50])),
                   "sweep_sizes": tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
                   "seed": draw(st.integers(0, 2))}
         gap = draw(st.sampled_from([None, *sorted(self.GAPS)]))

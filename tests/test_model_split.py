@@ -3,13 +3,36 @@ import pytest
 
 from splitsim import nn
 from splitsim.model_split import (U_SHAPED, VANILLA, ConfigError, SplitConfig,
-                                  composed_backward, composed_forward,
                                   split_model)
 from tests.test_nn import random_model
 
 
 def four_layer_model(seed=0):
     return random_model(np.random.default_rng(seed), widths=[4, 6, 5, 3, 1])
+
+
+def segments(seg):
+    return (seg.front, seg.body, seg.tail)
+
+
+def chained_forward(seg, x):
+    """Forward through front, body, tail in turn; returns the output and
+    the per-segment caches."""
+    caches = []
+    for part in segments(seg):
+        x, cache = nn.forward(part, x)
+        caches.append(cache)
+    return x, caches
+
+
+def chained_backward(seg, caches, grad):
+    """Backward through tail, body, front in turn; returns the segments'
+    gradients in front, body, tail order and the input gradient."""
+    grads = []
+    for part, cache in reversed(list(zip(segments(seg), caches))):
+        part_grads, grad = nn.backward(part, cache, grad)
+        grads.insert(0, part_grads)
+    return grads, grad
 
 
 class TestSplitConfig:
@@ -55,7 +78,8 @@ class TestRoundTrip:
     def test_split_concat_identity(self, config):
         m = four_layer_model()
         seg = split_model(m, config)
-        assert nn.models_equal(seg.concat(), m)
+        rejoined = nn.SequentialModel([layer for part in segments(seg) for layer in part.layers])
+        assert nn.models_equal(rejoined, m)
 
     def test_parameter_conservation(self):
         m = four_layer_model()
@@ -82,7 +106,7 @@ class TestComposedEquivalence:
         x = rng.normal(size=(6, 4))
         ref, _ = nn.forward(m, x)
         seg = split_model(m, config)
-        out, _ = composed_forward(seg, x)
+        out, _ = chained_forward(seg, x)
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("config", [
@@ -100,9 +124,9 @@ class TestComposedEquivalence:
         ref_grads, ref_dx = nn.backward(m, ref_cache, dprobs)
 
         seg = split_model(m, config)
-        out, caches = composed_forward(seg, x)
+        out, caches = chained_forward(seg, x)
         _, dprobs2 = nn.bce_loss(out, y)
-        (gf, gb, gt), dx = composed_backward(seg, caches, dprobs2)
+        (gf, gb, gt), dx = chained_backward(seg, caches, dprobs2)
         flat = list(gf) + list(gb) + list(gt)
         assert len(flat) == len(ref_grads)
         for a, b in zip(flat, ref_grads):
@@ -116,7 +140,7 @@ class TestComposedEquivalence:
         m = nn.SequentialModel([front] + body_tail.layers)
         seg = split_model(m, SplitConfig(U_SHAPED, 1, 2))
         x = np.random.default_rng(14).normal(size=(3, 4))
-        out, _ = composed_forward(seg, x)
+        out, _ = chained_forward(seg, x)
         ref, _ = nn.forward(body_tail, x)
         assert out.tobytes() == ref.tobytes()
 
@@ -133,5 +157,5 @@ class TestComposedEquivalence:
             x = rng.normal(size=(4, widths[0]))
             ref, _ = nn.forward(m, x)
             seg = split_model(m, SplitConfig(U_SHAPED, front_cut, tail_cut))
-            out, _ = composed_forward(seg, x)
+            out, _ = chained_forward(seg, x)
             assert out.tobytes() == ref.tobytes()
