@@ -86,10 +86,11 @@ def cmd_sweep_order(args) -> int:
     for seed in range(cfg.seed, cfg.seed + args.seeds):
         cfg_s = replace(cfg, seed=seed)
         table = harness.sweep_order(cfg_s, probe_only=args.probe is not None)
-        harness.emit_report(table, args.out, name=f"order_sweep_seed{seed}", config=cfg_s)
+        csv_path, _ = harness.emit_report(table, args.out, name=f"order_sweep_seed{seed}",
+                                          config=cfg_s)
         for row in table.rows:
             per_seed_rows.setdefault(row.key, []).append(row)
-        print(harness.render_table(table), end="")
+        print(csv_path.read_text(), end="")
     if args.seeds > 1:
         # positive drops mean the probe is worse off training first
         for key, rows in per_seed_rows.items():
@@ -108,10 +109,11 @@ def cmd_sweep_clients(args) -> int:
     for seed in range(cfg.seed, cfg.seed + args.seeds):
         cfg_s = replace(cfg, seed=seed)
         table = harness.sweep_client_count(cfg_s)
-        harness.emit_report(table, args.out, name=f"client_sweep_seed{seed}", config=cfg_s)
+        csv_path, _ = harness.emit_report(table, args.out, name=f"client_sweep_seed{seed}",
+                                          config=cfg_s)
         for key, drop in harness.trend_series(table):
             per_seed_kappa.setdefault(key, []).append(drop)
-        print(harness.render_table(table), end="")
+        print(csv_path.read_text(), end="")
     if args.seeds > 1:
         lines = ["setting,median_kappa_drop"]
         for key, drops in per_seed_kappa.items():

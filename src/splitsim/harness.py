@@ -81,6 +81,12 @@ class ExperimentConfig:
         # setting's sub-config, whose n_clients is that setting's size
         if not self.sweep_sizes or min(self.sweep_sizes) < 1:
             raise ConfigurationError("sweep_sizes must be non-empty, each >= 1")
+        if self.dataset_path is None:
+            # the generated cohort's client count and eval splits
+            try:
+                desk_manifest(self.n_clients, self.eval_count)
+            except datagen.ManifestError as exc:
+                raise ConfigurationError(str(exc)) from None
         if self.probe not in (self.order or range(self.n_clients)):
             raise ConfigurationError("probe client is not a participating client")
         split_cfg = self.split_config()
@@ -141,10 +147,10 @@ class BestCheckpoint:
     earliest epoch. A non-finite loss raises DivergenceError.
 
     The new snapshot is built before the old one is released. Releasing
-    first saves one snapshot at the peak, but on the wide-body benchmark
-    it left glibc's dynamic mmap threshold low, so a fresh process faulted
-    in new pages for its training temporaries on every step (2.3x the page
-    faults, +24% set-up time).
+    first saves one snapshot at the peak (5 MB in a wide-body run, widths
+    8-256-256-256-64-1), but then each new snapshot maps fresh pages: a
+    warm wide-body sl run took 16.8 k minor page faults that way against
+    10.2 k this way (sfv1: 22.5 k against 13.4 k).
     """
 
     def __init__(self):
@@ -354,13 +360,15 @@ def render_table(table: ReportTable) -> str:
 
 def emit_report(table: ReportTable, out_dir, config: ExperimentConfig,
                 name: str = "report") -> list:
-    """Write the CSV table and the config's manifest; returns the paths."""
+    """Write the config's manifest, then the CSV table; returns the paths.
+    The manifest goes first, so a table that cannot be rendered still
+    leaves the config to rerun it from."""
     import pathlib
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / f"{name}.csv", out / f"{name}.manifest.txt"]
-    paths[0].write_text(render_table(table))
     paths[1].write_text(render_manifest(config))
+    paths[0].write_text(render_table(table))
     return paths
 
 

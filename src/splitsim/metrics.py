@@ -98,24 +98,17 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise MetricError("auprc needs both classes present")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
+    # each score group ends where the sorted score changes: the samples
+    # seen and the positives among them up to each group's end
+    seen = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
+    tps = np.cumsum(labels[order] == 1)[seen - 1]
     area = 0.0
-    tp = 0
-    seen = 0
     prev_recall = 0.0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp += int(np.sum(y[i:j] == 1))
-        seen += j - i
+    for tp, n_seen in zip(tps.tolist(), seen.tolist()):
         recall = tp / n_pos
-        precision = tp / seen
+        precision = tp / n_seen
         area += (recall - prev_recall) * precision
         prev_recall = recall
-        i = j
     return area
 
 

@@ -5,13 +5,19 @@ bit-exact equality assertions elsewhere in the simulator depend on it.
 
 Parameters: each `SequentialModel` keeps all of its parameters in one
 contiguous vector, `model.flat`, in canonical order W0, b0, W1, b1, ...;
-layer weights and biases are reshaped views into it, and `backward`
-returns gradients in the same flat layout. Split segments are slices of
-their parent's vector, so training a segment trains the parent.
+layer weights and biases are reshaped views into it. Split segments are
+slices of their parent's vector, so training a segment trains the parent.
+`pack` lays several models end to end over one vector and one gradient
+buffer, so one `adam_step` updates them all.
 
-What mutates: `adam_step` updates the parameter vector and optimizer
-state it is handed, and `unflatten_params` overwrites a model's vector.
-Everything else is pure; `clone` and `flatten_params` return copies.
+What mutates: `backward` writes the gradients into the model's gradient
+buffer, `model.grad` (laid out like `flat`, allocated on the first call
+and reused by every later one), and returns that buffer: a caller
+consumes it before the next `backward` on the same model. `adam_step`
+updates the parameter vector and optimizer state it is handed, using the
+state's scratch buffer for its temporaries, and `unflatten_params`
+overwrites a model's vector. Everything else is pure; `clone` and
+`flatten_params` return copies.
 """
 
 from __future__ import annotations
@@ -40,25 +46,11 @@ class StateError(ValueError):
     """Operation rejected because of a stale or mismatched state argument."""
 
 
-def _apply_activation(name, z):
-    if name == "linear":
-        return z
-    if name == "relu":
-        return np.maximum(0.0, z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name, z, a):
-    # derivative of activation wrt z, using cached pre/post values
-    if name == "linear":
-        return np.ones_like(z)
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(f"unknown activation {name!r}")
+def _f64(x) -> np.ndarray:
+    """x as a float64 ndarray; x itself when it already is one."""
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return x
+    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass
@@ -88,6 +80,17 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
+def _views(layers, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weights, bias) as views of vec, in the flat layout."""
+    views, off = [], 0
+    for layer in layers:
+        w_end = off + layer.weights.size
+        b_end = w_end + layer.bias.size
+        views.append((vec[off:w_end].reshape(layer.weights.shape), vec[w_end:b_end]))
+        off = b_end
+    return views
+
+
 class SequentialModel:
     """Ordered dense-layer stack over one parameter vector, `flat`. An
     empty stack acts as the identity (needed for vanilla split
@@ -95,9 +98,12 @@ class SequentialModel:
 
     `SequentialModel(layers)` copies the layers' values into a new vector;
     `SequentialModel(layers, flat)` binds the layers as views of `flat`.
+    `grad`, when given, is the gradient buffer `backward` writes into;
+    otherwise the first `backward` allocates one.
     """
 
-    def __init__(self, layers=(), flat: np.ndarray | None = None):
+    def __init__(self, layers=(), flat: np.ndarray | None = None,
+                 grad: np.ndarray | None = None):
         layers = list(layers)
         for prev, nxt in zip(layers, layers[1:]):
             if prev.out_width != nxt.in_width:
@@ -109,14 +115,17 @@ class SequentialModel:
         if flat.shape != (sum(layer.weights.size + layer.bias.size for layer in layers),):
             raise ShapeError("flat vector length does not match the layers")
         self.flat = flat
-        self.layers = []
-        off = 0
-        for layer in layers:
-            w_end = off + layer.weights.size
-            b_end = w_end + layer.bias.size
-            self.layers.append(DenseLayer(flat[off:w_end].reshape(layer.weights.shape),
-                                          flat[w_end:b_end], layer.activation))
-            off = b_end
+        self.layers = [DenseLayer(w, b, layer.activation)
+                       for layer, (w, b) in zip(layers, _views(layers, flat))]
+        self.grad = self.grad_views = None
+        if grad is not None:
+            self._bind_grad(grad)
+
+    def _bind_grad(self, grad: np.ndarray) -> None:
+        if grad.shape != self.flat.shape:
+            raise ShapeError("gradient buffer length does not match the layers")
+        self.grad = grad
+        self.grad_views = _views(self.layers, grad)
 
     @property
     def in_width(self) -> int | None:
@@ -137,6 +146,19 @@ class SequentialModel:
         lo = sum(sizes[:start])
         return SequentialModel(self.layers[start:stop],
                                self.flat[lo:lo + sum(sizes[start:stop])])
+
+
+def pack(models) -> tuple[np.ndarray, np.ndarray, list[SequentialModel]]:
+    """Copies of `models` laid end to end over one new parameter vector
+    and one gradient buffer; returns (vector, buffer, copies)."""
+    flat = np.concatenate([m.flat for m in models])
+    grad = np.empty_like(flat)
+    copies, lo = [], 0
+    for m in models:
+        hi = lo + m.flat.size
+        copies.append(SequentialModel(m.layers, flat[lo:hi], grad[lo:hi]))
+        lo = hi
+    return flat, grad, copies
 
 
 def models_equal(a: SequentialModel, b: SequentialModel) -> bool:
@@ -173,54 +195,83 @@ def forward(model: SequentialModel, x: np.ndarray):
     cache holds the layer inputs and pre/post activations needed by
     `backward`. An empty model is the identity.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _f64(x)
     if x.ndim != 2:
         raise ShapeError("input must be 2-D [n, features]")
-    if model.layers and x.shape[1] != model.in_width:
+    if model.layers and x.shape[1] != model.layers[0].weights.shape[1]:
         raise ShapeError(
             f"input width {x.shape[1]} != model input width {model.in_width}")
-    cache = {"input": x, "pre": [], "post": [], "n_layers": len(model.layers)}
+    pre, post = [], []
     a = x
     for layer in model.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = _apply_activation(layer.activation, z)
-        cache["pre"].append(z)
-        cache["post"].append(a)
-    return a, cache
+        z = a @ layer.weights.T
+        z += layer.bias
+        if layer.activation == "relu":
+            a = np.maximum(0.0, z)
+        elif layer.activation == "sigmoid":
+            a = 1.0 / (1.0 + np.exp(-z))
+        else:  # linear
+            a = z
+        pre.append(z)
+        post.append(a)
+    return a, {"input": x, "pre": pre, "post": post, "n_layers": len(model.layers)}
 
 
 def backward(model: SequentialModel, cache, out_grad: np.ndarray):
     """Backprop through the model; returns (grads, input_grad).
 
-    grads is one flat vector laid out like model.flat; each layer's dW and
-    db are written straight into their views of it. cache must come from a
+    grads is model.grad, one flat vector laid out like model.flat; each
+    layer's dW and db are written straight into their views of it. The
+    next backward on this model overwrites it. cache must come from a
     matching forward call on this model.
     """
     if cache.get("n_layers") != len(model.layers):
         raise StateError("cache does not match model (stale or wrong model)")
-    out_grad = np.asarray(out_grad, dtype=np.float64)
+    out_grad = _f64(out_grad)
     if model.layers and out_grad.shape != cache["post"][-1].shape:
         raise StateError("out_grad shape does not match cached forward output")
     if not model.layers and out_grad.shape != cache["input"].shape:
         raise StateError("out_grad shape does not match cached forward output")
 
-    grads = np.empty(model.flat.size)
-    end = grads.size
+    if model.grad is None:
+        model._bind_grad(np.empty(model.flat.size))
     da = out_grad
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         z = cache["pre"][i]
         a = cache["post"][i]
         x_in = cache["input"] if i == 0 else cache["post"][i - 1]
-        dz = da * _activation_grad(layer.activation, z, a)
-        w_end = end - layer.bias.size
-        start = w_end - layer.weights.size
+        # da times the activation's derivative at z (a float64 x bool
+        # product has the bits of one by the bool cast to float64)
+        if layer.activation == "relu":
+            dz = da * (z > 0.0)
+        elif layer.activation == "sigmoid":
+            dz = da * (a * (1.0 - a))
+        else:  # linear: the derivative is 1, and da * 1.0 is da
+            dz = da
         # dW = dz.T @ x_in and db = dz.sum(axis=0), written into their views
-        np.matmul(dz.T, x_in, grads[start:w_end].reshape(layer.weights.shape))
-        np.add.reduce(dz, 0, None, grads[w_end:end])
+        d_weights, d_bias = model.grad_views[i]
+        np.matmul(dz.T, x_in, d_weights)
+        np.add.reduce(dz, 0, None, d_bias)
         da = dz @ layer.weights             # d input of this layer
-        end = start
-    return grads, da
+    return model.grad, da
+
+
+def _clamped(probs, labels):
+    """(p, y): probs [n, 1] as a clamped [n] vector and labels [n], both
+    float64."""
+    probs = _f64(probs)
+    labels = _f64(labels)
+    if probs.ndim != 2 or probs.shape[1] != 1:
+        raise ShapeError("probs must be [n, 1]")
+    if labels.shape != (probs.shape[0],):
+        raise ShapeError("labels must be [n] matching probs")
+    return np.minimum(np.maximum(probs[:, 0], PROB_CLAMP), 1.0 - PROB_CLAMP), labels
+
+
+def _bce_grad(p, y):
+    n = p.shape[0]
+    return ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):
@@ -229,23 +280,27 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray):
     probs is [n, 1] in (0, 1); labels is [n] with values in {0, 1}.
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != 1:
-        raise ShapeError("probs must be [n, 1]")
-    if labels.shape != (probs.shape[0],):
-        raise ShapeError("labels must be [n] matching probs")
-    n = probs.shape[0]
-    p = np.clip(probs[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = labels
+    p, y = _clamped(probs, labels)
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-    grad = ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
-    return loss, grad
+    return loss, _bce_grad(p, y)
+
+
+def bce_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """bce_loss(probs, labels)[1], without computing the loss."""
+    return _bce_grad(*_clamped(probs, labels))
+
+
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    # two arrays, not one of twice the size: each stays below glibc's
+    # initial mmap threshold (see CHUNK)
+    width = min(size, CHUNK)
+    return np.empty(width), np.empty(width)
 
 
 @dataclass
 class AdamState:
-    """Adam moments for one flat parameter vector; shapes mirror it."""
+    """Adam moments for one flat parameter vector; shapes mirror it.
+    `scratch` holds adam_step's two temporaries, one chunk each."""
 
     lr: float = 1e-4
     beta1: float = 0.9
@@ -254,10 +309,18 @@ class AdamState:
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def for_params(cls, params: np.ndarray, lr: float = 1e-4, **kw) -> "AdamState":
-        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params), **kw)
+    def for_params(cls, params: np.ndarray, lr: float = 1e-4,
+                   scratch: tuple[np.ndarray, np.ndarray] | None = None,
+                   **kw) -> "AdamState":
+        """Zero moments for params, and new scratch buffers unless they are
+        given: states that never step at the same time can share them."""
+        if scratch is None:
+            scratch = _scratch(params.size)
+        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=scratch, **kw)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
@@ -265,21 +328,35 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 
     Runs over CHUNK-element slices of the flat vectors. Every op is
     elementwise, so the result is bit-identical to one whole-vector pass.
+    The temporaries go to state.scratch (`out=` forms of the same ops, in
+    the same order), so a step allocates nothing after the first.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError("parameter/gradient/moment shape mismatch")
+    if state.scratch is None or state.scratch[0].size != min(params.size, CHUNK):
+        state.scratch = _scratch(params.size)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    beta1, beta2 = state.beta1, state.beta2
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     for lo in range(0, params.size, CHUNK):
         s = slice(lo, lo + CHUNK)
         p, g, m, v = params[s], grads[s], state.m[s], state.v[s]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        t1, t2 = state.scratch
+        if p.size < t1.size:  # the last, partial chunk
+            t1, t2 = t1[:p.size], t2[:p.size]
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=t1)
+        v *= beta2
+        np.multiply(g, g, out=t1)
+        v += np.multiply(1.0 - beta2, t1, out=t1)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(state.lr, np.divide(m, bc1, out=t1), out=t1)
+        np.sqrt(np.divide(v, bc2, out=t2), out=t2)
+        t2 += state.eps
+        t1 /= t2
+        p -= t1
 
 
 def flatten_params(model: SequentialModel) -> np.ndarray:

@@ -28,7 +28,8 @@ import numpy as np
 from . import nn
 from .datagen import ClientDataset
 from .model_split import U_SHAPED, VANILLA, SplitConfig, split_model
-from .nn import AdamState, SequentialModel, adam_step, backward, bce_loss, forward
+from .nn import AdamState, SequentialModel, adam_step, backward, bce_grad, forward
+from .nn import bce_loss  # noqa: F401 - the benchmark's tracer wraps protocols.bce_loss
 from .transport import ChannelBus, Message, MsgType
 
 SERVER = 0          # wire id of the server participant
@@ -72,16 +73,20 @@ def wire_id(client_id: int) -> int:
 
 @dataclass
 class ClientState:
-    """One participant: its model segments, optimizer states and data.
+    """One participant: its model segments, optimizer state and data.
 
-    Under FL, `front` holds the full uncut model and `tail` is empty.
+    `front` and `tail` are views of one parameter vector, `flat`, and of
+    one gradient buffer, `grad`; `opt` is the Adam state of the whole
+    vector, so one step updates both segments. Under FL, `front` holds
+    the full uncut model and `tail` is empty.
     """
 
     id: int
     front: SequentialModel
     tail: SequentialModel
-    opt_front: AdamState
-    opt_tail: AdamState
+    flat: np.ndarray
+    grad: np.ndarray
+    opt: AdamState
     dataset: ClientDataset
 
     @property
@@ -127,34 +132,31 @@ def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol
     asks for; every client and every replica starts bit-identical."""
     clients = {}
     server = ServerState()
-    # clones of the segments, so no client holds the whole model's vector
     seg = None if config is None else split_model(model, config)
+    # participants train one at a time, so the clients share one Adam
+    # scratch buffer, and the body replicas share one gradient buffer and
+    # one scratch buffer
+    scratch = None
     for ds in datasets:
-        if seg is None:  # FL: full model per client
-            front = model.clone()
-            tail = SequentialModel([])
-        else:
-            front, tail = seg.front.clone(), seg.tail.clone()
+        # FL: the full model per client; split: a copy of front and tail
+        flat, grad, parts = nn.pack([model] if seg is None else [seg.front, seg.tail])
+        front, tail = (parts[0], SequentialModel([])) if seg is None else parts
+        opt = AdamState.for_params(flat, lr=lr, scratch=scratch)
+        scratch = opt.scratch
         clients[ds.client_id] = ClientState(
-            id=ds.client_id, front=front, tail=tail,
-            opt_front=AdamState.for_params(front.flat, lr=lr),
-            opt_tail=AdamState.for_params(tail.flat, lr=lr),
-            dataset=ds)
+            id=ds.client_id, front=front, tail=tail, flat=flat, grad=grad, opt=opt, dataset=ds)
     if seg is None:
         return clients, server
-    body = seg.body.clone()
+    body_grad = np.empty_like(seg.body.flat)
     if SPECS[protocol].replicas:
-        # Replicas are cloned from one body clone that is released once
-        # they exist. Cloning them straight from the segment gives the same
-        # values, but which large blocks glibc malloc has freed by then
-        # sets its dynamic mmap threshold, and so how many fresh pages
-        # later training temporaries fault in: in the wide-body benchmark
-        # (widths 8-256-256-256-64-1) an sfv1 run took 14.7 k minor page
-        # faults that way against 13.8 k this way.
+        scratch = None
         for cid in clients:
-            server.bodies[cid] = body.clone()
-            server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr)
+            server.bodies[cid] = SequentialModel(seg.body.layers, seg.body.flat.copy(), body_grad)
+            server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr,
+                                                    scratch=scratch)
+            scratch = server.opts[cid].scratch
     else:
+        body = SequentialModel(seg.body.layers, seg.body.flat.copy(), body_grad)
         opt = AdamState.for_params(body.flat, lr=lr)
         server.bodies = dict.fromkeys(clients, body)
         server.opts = dict.fromkeys(clients, opt)
@@ -211,7 +213,12 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
 
     U-shaped exchange: SmashedActivations -> BodyOutput -> BodyOutputGrad
     -> SmashedGrad. Vanilla: SmashedActivations + Labels -> SmashedGrad
-    (the server holds the output head and the loss)."""
+    (the server holds the output head and the loss).
+
+    The client takes one Adam step over front and tail together, after
+    the front's backward. Stepping the tail right after its own backward
+    gives the same bits: Adam is elementwise, both segments share one step
+    count, and nothing reads the tail's weights again in this batch."""
     cw = wire_id(client.id)
 
     # client: front forward, ship cut-layer activations
@@ -231,9 +238,7 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
         # client: tail forward, loss on local labels, tail backward
         msg = _expect(bus, cw, SERVER, MsgType.BODY_OUTPUT)
         probs, cache_tail = forward(client.tail, msg.payload)
-        _, dprobs = bce_loss(probs, yb)
-        grads_tail, d_body_out = backward(client.tail, cache_tail, dprobs)
-        adam_step(client.tail.flat, grads_tail, client.opt_tail)
+        _, d_body_out = backward(client.tail, cache_tail, bce_grad(probs, yb))
         bus.send(Message(MsgType.BODY_OUTPUT_GRAD, cw, SERVER, rnd, payload=d_body_out))
 
         # server: body backward + update
@@ -244,23 +249,21 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
     else:
         # server: loss on shared labels, body backward + update
         lab = _expect(bus, SERVER, cw, MsgType.LABELS)
-        _, dprobs = bce_loss(a_body, lab.payload)
-        grads_body, d_smashed = backward(body, cache_body, dprobs)
+        grads_body, d_smashed = backward(body, cache_body, bce_grad(a_body, lab.payload))
         adam_step(body.flat, grads_body, opt_body)
         bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
 
-    # client: front backward + update
+    # client: front backward, then one update of front and tail
     msg = _expect(bus, cw, SERVER, MsgType.SMASHED_GRAD)
-    grads_front, _ = backward(client.front, cache_front, msg.payload)
-    adam_step(client.front.flat, grads_front, client.opt_front)
+    backward(client.front, cache_front, msg.payload)
+    adam_step(client.flat, client.grad, client.opt)
 
 
 def _train_batch_local(client: ClientState, xb, yb) -> None:
     """FL: the full model lives in client.front and trains in place."""
     probs, cache = forward(client.front, xb)
-    _, dprobs = bce_loss(probs, yb)
-    grads, _ = backward(client.front, cache, dprobs)
-    adam_step(client.front.flat, grads, client.opt_front)
+    backward(client.front, cache, bce_grad(probs, yb))
+    adam_step(client.flat, client.grad, client.opt)
 
 
 def _send_param_blob(bus, sender, receiver, rnd, model: SequentialModel) -> None:

@@ -12,6 +12,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,8 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHHIIB")  # magic, version, type, sender, receiver, round, seq, rank
 HEADER_LEN = _HEADER.size  # 19
+_DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(256))  # by tensor rank
+_WIRE_FLOAT = np.dtype("<f8")
 
 
 class MsgType(enum.IntEnum):
@@ -30,6 +33,9 @@ class MsgType(enum.IntEnum):
     PARAM_BLOB = 5
     LABELS = 6
     CONTROL = 7
+
+
+_MSG_TYPES = {int(t): t for t in MsgType}
 
 
 class CodecError(ValueError):
@@ -72,8 +78,9 @@ class Message:
     control: int = 0                   # control code, CONTROL messages only
 
     def __post_init__(self):
-        if self.payload is not None:
-            self.payload = np.asarray(self.payload, dtype=np.float64)
+        p = self.payload
+        if p is not None and not (type(p) is np.ndarray and p.dtype == np.float64):
+            self.payload = np.asarray(p, dtype=np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, Message):
@@ -92,7 +99,8 @@ class Message:
 
 def encode(message: Message) -> bytes:
     """Serialize to the fixed wire layout; deterministic. Raises
-    FieldOutOfRange when a header field does not fit its wire width."""
+    FieldOutOfRange when a header field does not fit its wire width.
+    The payload is copied once, straight from its buffer into the frame."""
     control = message.msg_type == MsgType.CONTROL
     tensor = message.payload
     if not control and tensor is None:
@@ -107,48 +115,51 @@ def encode(message: Message) -> bytes:
             return header + struct.pack("<B", message.control)
     except struct.error as exc:
         raise FieldOutOfRange(str(exc)) from None
-    dims = struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-    payload = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
-    return header + dims + payload
+    dims = _DIMS[tensor.ndim].pack(*tensor.shape)
+    return b"".join((header, dims, np.ascontiguousarray(tensor, dtype=_WIRE_FLOAT)))
 
 
 def decode(data: bytes) -> Message:
     """Inverse of encode; raises CorruptStream / Truncated /
-    UnsupportedMessage / TrailingBytes."""
-    if len(data) < HEADER_LEN:
+    UnsupportedMessage / TrailingBytes.
+
+    The payload is a read-only view of the frame, not a copy (a mutable
+    frame is copied to bytes first), so writing to it raises."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    size = len(data)
+    if size < HEADER_LEN:
         raise Truncated("frame shorter than header")
     magic, version, type_code, sender, receiver, rnd, seq, rank = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise CorruptStream(f"bad magic {magic!r}")
     if version != VERSION:
         raise CorruptStream(f"unsupported version {version}")
-    try:
-        msg_type = MsgType(type_code)
-    except ValueError:
-        raise UnsupportedMessage(f"unknown msg_type {type_code}") from None
+    msg_type = _MSG_TYPES.get(type_code)
+    if msg_type is None:
+        raise UnsupportedMessage(f"unknown msg_type {type_code}")
     off = HEADER_LEN
     if msg_type == MsgType.CONTROL:
-        if len(data) < off + 1:
+        if size < off + 1:
             raise Truncated("missing control code")
-        if len(data) > off + 1:
+        if size > off + 1:
             raise TrailingBytes("bytes after the control code")
         (control,) = struct.unpack_from("<B", data, off)
         return Message(msg_type, sender, receiver, rnd, seq, None, control)
-    if len(data) < off + 4 * rank:
+    if size < off + 4 * rank:
         raise Truncated("missing dims")
-    shape = struct.unpack_from(f"<{rank}I", data, off)
+    shape = _DIMS[rank].unpack_from(data, off)
     off += 4 * rank
-    count = math.prod(shape)
-    if len(data) < off + 8 * count:
+    end = off + 8 * math.prod(shape)
+    if size < end:
         raise Truncated("payload shorter than declared dims product")
-    if len(data) > off + 8 * count:
+    if size > end:
         raise TrailingBytes("bytes after the declared payload")
-    tensor = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+    tensor = np.ndarray(shape, _WIRE_FLOAT, data, off)
     return Message(msg_type, sender, receiver, rnd, seq, tensor)
 
 
-@dataclass
-class LogRecord:
+class LogRecord(NamedTuple):
     round: int
     seq: int
     sender: int
@@ -160,11 +171,13 @@ class LogRecord:
 @dataclass
 class ChannelBus:
     """FIFO queues keyed by (sender, receiver), with exact byte counters
-    per direction and an optional message log."""
+    per direction and per message type, and a message log."""
 
     queues: dict = field(default_factory=dict)
     byte_counts: dict = field(default_factory=dict)
     seq_counts: dict = field(default_factory=dict)
+    type_bytes: dict = field(default_factory=dict)
+    type_counts: dict = field(default_factory=dict)
     log: list = field(default_factory=list)
 
     def send(self, message: Message) -> int:
@@ -174,11 +187,18 @@ class ChannelBus:
         message.seq = self.seq_counts.get(key, 0)
         data = encode(message)  # may raise: commit nothing before it
         self.seq_counts[key] = message.seq + 1
-        self.queues.setdefault(key, deque()).append(data)
-        self.byte_counts[key] = self.byte_counts.get(key, 0) + len(data)
+        queue = self.queues.get(key)
+        if queue is None:
+            queue = self.queues[key] = deque()
+        queue.append(data)
+        n = len(data)
+        self.byte_counts[key] = self.byte_counts.get(key, 0) + n
+        t = message.msg_type
+        self.type_bytes[t] = self.type_bytes.get(t, 0) + n
+        self.type_counts[t] = self.type_counts.get(t, 0) + 1
         self.log.append(LogRecord(message.round, message.seq, message.sender,
-                                  message.receiver, message.msg_type, len(data)))
-        return len(data)
+                                  message.receiver, t, n))
+        return n
 
     def recv(self, receiver: int, sender: int) -> Message:
         """Pop the oldest pending message from sender to receiver; raises
@@ -199,10 +219,10 @@ class ChannelBus:
         return total
 
     def bytes_by_type(self, msg_type: MsgType) -> int:
-        return sum(rec.nbytes for rec in self.log if rec.msg_type == msg_type)
+        return self.type_bytes.get(msg_type, 0)
 
     def count_by_type(self, msg_type: MsgType) -> int:
-        return sum(1 for rec in self.log if rec.msg_type == msg_type)
+        return self.type_counts.get(msg_type, 0)
 
     def dump_log(self, path) -> None:
         """One line per message: round seq sender receiver type bytes."""

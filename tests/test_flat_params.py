@@ -124,3 +124,68 @@ def test_average_bit_equals_per_array_reference(widths, n, data):
     avg = average_models(models, counts)
     assert avg.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
     assert all(not np.shares_memory(avg.flat, m.flat) for _, m in models)
+
+
+sizes_st = st.integers(0, 2 * nn.CHUNK + 3)  # zero, one and several chunks
+
+
+@settings(max_examples=40, deadline=None)
+@given(front=sizes_st, tail=sizes_st, seed=st.integers(0, 2**31), steps=st.integers(1, 3),
+       lr=st.sampled_from([1e-4, 3e-3]))
+@example(front=nn.CHUNK - 1, tail=2, seed=0, steps=2, lr=1e-3)
+def test_fused_adam_equals_two_separate_steps(front, tail, seed, steps, lr):
+    rng = np.random.default_rng(seed)
+    params = rng.normal(size=front + tail)
+    grad_steps = [rng.normal(size=front + tail) for _ in range(steps)]
+
+    parts = [params[:front].copy(), params[front:].copy()]
+    states = [nn.AdamState.for_params(p, lr=lr) for p in parts]
+    fused = params.copy()
+    fused_state = nn.AdamState.for_params(fused, lr=lr)
+    for g in grad_steps:
+        nn.adam_step(parts[1], g[front:].copy(), states[1])  # tail first, as before
+        nn.adam_step(parts[0], g[:front].copy(), states[0])
+        nn.adam_step(fused, g, fused_state)
+    assert fused.tobytes() == np.concatenate(parts).tobytes()
+    assert fused_state.m.tobytes() == np.concatenate([s.m for s in states]).tobytes()
+    assert fused_state.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=widths_st, seed=st.integers(0, 2**31))
+def test_backward_reuses_the_gradient_buffer(widths, seed):
+    model = nn.init_model(widths, seed)
+    rng = np.random.default_rng(seed)
+    batches = [rng.normal(size=(3, widths[0])) for _ in range(2)]
+    out_grad = rng.normal(size=(3, 1))
+
+    first, _ = nn.backward(model, nn.forward(model, batches[0])[1], out_grad)
+    kept = first.copy()  # what a caller must do to keep it past the next call
+    second, _ = nn.backward(model, nn.forward(model, batches[1])[1], out_grad)
+    assert second is first is model.grad
+    for layer, (d_weights, d_bias) in zip(model.layers, model.grad_views):
+        assert np.shares_memory(d_weights, model.grad) and np.shares_memory(d_bias, model.grad)
+        assert d_weights.shape == layer.weights.shape
+
+    # each call's values are those of a model that never ran backward
+    for x, expected in zip(batches, (kept, second)):
+        fresh = model.clone()
+        grads, _ = nn.backward(fresh, nn.forward(fresh, x)[1], out_grad)
+        assert grads is not model.grad
+        assert grads.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=5).map(lambda w: w + [1]),
+       data=st.data())
+def test_pack_lays_models_end_to_end(widths, data):
+    n_layers = len(widths) - 1
+    front_cut = data.draw(st.integers(1, n_layers - 1))
+    tail_cut = data.draw(st.integers(front_cut, n_layers - 1))
+    seg = split_model(nn.init_model(widths, 0), SplitConfig(U_SHAPED, front_cut, tail_cut))
+    flat, grad, (front, tail) = nn.pack([seg.front, seg.tail])
+    assert flat.tobytes() == np.concatenate([seg.front.flat, seg.tail.flat]).tobytes()
+    assert not np.shares_memory(flat, seg.front.flat)
+    assert front.flat.base is flat and tail.flat.base is flat
+    assert front.grad.base is grad and tail.grad.base is grad
+    assert front.grad.size + tail.grad.size == grad.size == flat.size

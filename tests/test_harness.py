@@ -52,6 +52,19 @@ class TestConfig:
     def test_fl_needs_no_split(self):
         assert replace(FAST, protocol="fl").split_config() is None
 
+    @pytest.mark.parametrize("changes", [
+        dict(eval_count=3), dict(eval_count=5), dict(n_clients=6), dict(n_clients=0),
+    ])
+    def test_ungeneratable_data_rejected(self, changes):
+        cfg = replace(ExperimentConfig(), **changes)
+        with pytest.raises(ConfigurationError):
+            cfg.validate()
+        with pytest.raises(ConfigurationError):
+            run_experiment(cfg)
+
+    def test_dataset_file_lifts_the_generated_cohort_bounds(self):
+        replace(ExperimentConfig(), n_clients=6, dataset_path="clients.sds").validate()
+
 
 class TestConfigFile:
     def test_round_trip_with_overrides(self, tmp_path):
@@ -413,6 +426,28 @@ class TestCli:
             assert re.fullmatch(rf"{metric}: positive drop in [012]/2 seeds, median -?\d+\.\d%",
                                 line)
 
+    @pytest.mark.parametrize("command, name", [("sweep-order", "order_sweep_seed7"),
+                                               ("sweep-clients", "client_sweep_seed7")])
+    def test_sweep_that_raises_leaves_its_manifest(self, tmp_path, command, name):
+        # the bias fixture's seed 7: probe 0 scores 0 when trained last,
+        # so the table's percent drop raises
+        argv = [command, "--config", str(BIAS_CFG), "--seed", "7", "--probe", "0"]
+        assert cli.main(argv + ["--out", str(tmp_path / "A")]) == 2
+        manifest = tmp_path / "A" / f"{name}.manifest.txt"
+        assert not (tmp_path / "A" / f"{name}.csv").exists()
+        assert config_from(parse_config_file(manifest), {}).seed == 7
+        assert cli.main([command, "--config", str(manifest), "--probe", "0",
+                         "--out", str(tmp_path / "B")]) == 2
+        assert (tmp_path / "B" / f"{name}.manifest.txt").read_text() == manifest.read_text()
+
+    def test_sweep_prints_the_table_it_writes(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+        table = (tmp_path / "out" / "order_sweep_seed0.csv").read_text()
+        assert capsys.readouterr().out == table
+
     def test_bias_fixture_order_sweep(self, tmp_path):
         a, b = tmp_path / "A", tmp_path / "B"
         assert cli.main(["sweep-order", "--config", str(BIAS_CFG), "--probe", "0",
@@ -588,6 +623,21 @@ class TestConfigProperties:
         path = tmp / "exp.cfg"
         path.write_text(f"{key} = {value}\n")
         assert cli.main(["run", "--config", str(path), "--out", str(tmp / "out")]) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_clients=st.integers(-1, 7), eval_count=st.integers(-2, 40),
+           protocol=st.sampled_from(PROTOCOLS), split_kind=st.sampled_from([VANILLA, U_SHAPED]),
+           probe=st.integers(0, 6), seed=st.integers(0, 3))
+    def test_config_runs_or_raises_configuration_error(self, n_clients, eval_count, protocol,
+                                                       split_kind, probe, seed):
+        cfg = ExperimentConfig(protocol=protocol, split_kind=split_kind, widths=(2, 3, 3, 1),
+                               front_cut=1, tail_cut=2, feature_dim=2, epochs=1,
+                               batch_size=64, lr=3e-3, n_clients=n_clients,
+                               eval_count=eval_count, probe=probe, seed=seed)
+        try:
+            run_experiment(cfg)
+        except ConfigurationError:
+            pass
 
     # out-of-range values for the fields whose gaps validate closes, and
     # eval_counts too small for the eval prevalence (the manifest rejects them)

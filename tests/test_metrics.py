@@ -155,6 +155,51 @@ class TestAuprc:
                 brute_force_auprc(scores, labels), abs=1e-12)
 
 
+def grouped_loop_auprc(scores, labels):
+    """The former auprc body: a Python walk over each score group, with
+    a per-group np.sum of its positives."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    area = 0.0
+    tp = 0
+    seen = 0
+    prev_recall = 0.0
+    i = 0
+    n = len(s)
+    while i < n:
+        j = i
+        while j < n and s[j] == s[i]:
+            j += 1
+        tp += int(np.sum(y[i:j] == 1))
+        seen += j - i
+        recall = tp / n_pos
+        precision = tp / seen
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j
+    return area
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_auprc_bit_equals_the_group_loop(data):
+    n = data.draw(st.integers(2, 60))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(
+        lambda ys: 0 < sum(ys) < n))
+    # few distinct values force ties; signed zeros are one group
+    values = data.draw(st.sampled_from([[0.0, -0.0, 0.5, 1.0],
+                                        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]]))
+    scores = data.draw(st.lists(st.sampled_from(values) | st.floats(-1e3, 1e3),
+                                min_size=n, max_size=n))
+    label_dtype = data.draw(st.sampled_from([np.int64, np.float64]))
+    ys = np.array(labels, dtype=label_dtype)
+    assert auprc(scores, ys) == grouped_loop_auprc(scores, ys)
+
+
 class TestThresholdAtSensitivity:
     def test_enumerated_case(self):
         scores = np.array([0.9, 0.8, 0.7, 0.1, 0.6, 0.5])

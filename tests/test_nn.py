@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import nn
 
@@ -270,3 +272,35 @@ class TestParamFlattening:
         m = random_model(np.random.default_rng(0))
         with pytest.raises(nn.ShapeError):
             nn.unflatten_params(m, np.zeros(3))
+
+
+def clip_bce_grad(probs, labels):
+    """The BCE gradient as bce_loss computed it with np.clip."""
+    n = probs.shape[0]
+    p = np.clip(probs[:, 0], nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
+    y = np.asarray(labels, dtype=np.float64)
+    return ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
+
+
+edge_probs = st.sampled_from([0.0, 1e-300, 1e-13, nn.PROB_CLAMP, 0.5,
+                              1.0 - nn.PROB_CLAMP, 1.0 - 1e-13, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=st.lists(edge_probs | st.floats(0.0, 1.0), min_size=1, max_size=40),
+       data=st.data(), label_dtype=st.sampled_from([np.int64, np.float64]))
+def test_bce_grad_bit_equals_bce_loss_gradient(probs, data, label_dtype):
+    probs = np.array(probs).reshape(-1, 1)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(probs),
+                                         max_size=len(probs))), dtype=label_dtype)
+    grad = nn.bce_grad(probs, labels)
+    assert grad.shape == probs.shape
+    assert grad.tobytes() == nn.bce_loss(probs, labels)[1].tobytes()
+    assert grad.tobytes() == clip_bce_grad(probs, labels).tobytes()
+
+
+def test_bce_grad_rejects_bad_shapes():
+    with pytest.raises(nn.ShapeError):
+        nn.bce_grad(np.zeros(3), np.zeros(3))
+    with pytest.raises(nn.ShapeError):
+        nn.bce_grad(np.zeros((3, 1)), np.zeros(2))

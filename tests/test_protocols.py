@@ -100,6 +100,80 @@ class TestSingleClientEquivalence:
         assert nn.models_equal(final, ref)
 
 
+def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
+    """Oracle for split training: every segment and every body replica
+    is its own model with its own Adam state, each gradient is copied
+    out before the next backward, and the tail steps right after its own
+    backward. Returns each client's (front, body, tail) vector."""
+    seg = split_model(nn.init_model(WIDTHS, seed), SPLIT_VANILLA if kind == VANILLA else SPLIT)
+    ids = [ds.client_id for ds in datasets]
+    fronts = {c: seg.front.clone() for c in ids}
+    tails = {c: seg.tail.clone() for c in ids}
+    states = {m: nn.AdamState.for_params(m.flat, lr=LR)
+              for m in [*fronts.values(), *tails.values()]}
+    replicas = protocols.SPECS[protocol].replicas
+    if replicas:
+        bodies = {c: seg.body.clone() for c in ids}
+    else:
+        bodies = dict.fromkeys(ids, seg.body.clone())
+    states.update({m: nn.AdamState.for_params(m.flat, lr=LR) for m in bodies.values()})
+
+    def step(model, grads):
+        nn.adam_step(model.flat, grads.copy(), states[model])
+
+    for _ in range(epochs):
+        for c in sorted(ids) if replicas else order:
+            ds = datasets[ids.index(c)]
+            for xb, yb in iter_batches(ds.train_x, ds.train_y, BATCH):
+                a_front, cache_front = nn.forward(fronts[c], xb)
+                a_body, cache_body = nn.forward(bodies[c], a_front)
+                if kind == U_SHAPED:
+                    probs, cache_tail = nn.forward(tails[c], a_body)
+                    grads, d_out = nn.backward(tails[c], cache_tail, nn.bce_loss(probs, yb)[1])
+                    step(tails[c], grads)
+                else:
+                    d_out = nn.bce_loss(a_body, yb)[1]
+                grads, d_smashed = nn.backward(bodies[c], cache_body, d_out)
+                step(bodies[c], grads)
+                grads, _ = nn.backward(fronts[c], cache_front, d_smashed)
+                step(fronts[c], grads)
+        if protocols.SPECS[protocol].average_bodies:
+            avg = average_models(list(bodies.items()),
+                                 {c: float(datasets[ids.index(c)].sample_count) for c in ids})
+            for body in bodies.values():
+                body.flat[...] = avg.flat
+    return {c: (fronts[c].flat, bodies[c].flat, tails[c].flat) for c in ids}
+
+
+class TestOneStepPerParticipant:
+    """A client steps front and tail in one Adam call, the body replicas
+    share one gradient buffer, and gradients are not copied: the result
+    equals training each part separately."""
+
+    @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
+    @pytest.mark.parametrize("protocol", [SL, SFV3])
+    def test_equals_separate_steps(self, protocol, kind):
+        order = (2, 0, 1)
+        datasets, model, clients, server = make_setup(3, protocol, kind, seed=0)
+        run_rounds(protocol, clients, server, order, 2, kind)
+        expected = separate_step_training(datasets, protocol, kind, order, 2)
+        for c, parts in expected.items():
+            got = composed_model(clients[c], server.bodies[c]).flat
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("protocol", [SL, SFV1])
+    def test_layout(self, protocol):
+        _, model, clients, server = make_setup(3, protocol, seed=0)
+        for client in clients.values():
+            assert client.front.flat.base is client.flat and client.tail.flat.base is client.flat
+            assert client.front.grad.base is client.grad and client.tail.grad.base is client.grad
+            assert client.opt.m.shape == client.flat.shape
+        bodies = list(server.bodies.values())
+        assert all(body.grad is bodies[0].grad for body in bodies)
+        flats = {id(body.flat) for body in bodies}
+        assert len(flats) == (3 if protocols.SPECS[protocol].replicas else 1)
+
+
 class TestMessageSequences:
     def test_u_shaped_batch_trace(self):
         datasets, model, clients, server = make_setup(1, SL)

@@ -113,6 +113,44 @@ class TestDecodeErrors:
         assert decode(encode(m)) == m
 
 
+frames = st.one_of(
+    st.builds(lambda t, shape, seed: Message(t, 1, 0, 2, 3,
+                                             np.random.default_rng(seed).normal(size=shape)),
+              st.sampled_from(TENSOR_TYPES),
+              st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
+              st.integers(0, 2**31)),
+    st.builds(lambda code: Message(MsgType.CONTROL, 1, 0, control=code), st.integers(0, 255)),
+).map(encode)
+
+
+class TestFrameBoundaries:
+    @settings(max_examples=200, deadline=None)
+    @given(frame=frames, data=st.data())
+    def test_any_truncation_or_extension_is_a_codec_error(self, frame, data):
+        cut = data.draw(st.integers(1, len(frame)))
+        with pytest.raises(CodecError):
+            decode(frame[:len(frame) - cut])
+        with pytest.raises(CodecError):
+            decode(frame + data.draw(st.binary(min_size=1, max_size=24)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.lists(st.integers(0, 5), min_size=0, max_size=3).map(tuple),
+           seed=st.integers(0, 2**31), mutable=st.booleans())
+    def test_decoded_payload_is_a_read_only_view_equal_to_the_tensor(self, shape, seed, mutable):
+        tensor = np.random.default_rng(seed).normal(size=shape)
+        frame = encode(Message(MsgType.BODY_OUTPUT, 0, 1, payload=tensor))
+        source = bytearray(frame) if mutable else frame
+        payload = decode(source).payload
+        assert payload.shape == tensor.shape
+        assert payload.tobytes() == tensor.tobytes()
+        assert not payload.flags.writeable
+        with pytest.raises(ValueError):
+            payload[...] = 0.0
+        if mutable:  # a mutable frame is copied: changing it later changes nothing
+            source[-8:] = bytes(8)
+            assert payload.tobytes() == tensor.tobytes()
+
+
 class TestEncodeErrors:
     @settings(max_examples=100, deadline=None)
     @given(field=st.sampled_from(["sender", "receiver", "round", "seq"]),
