@@ -19,9 +19,10 @@ import numpy as np
 from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA, ConfigError, SplitConfig
-from .nn import forward, init_model
-from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan,
-                        composed_model, make_clients, run_round)
+from .nn import SequentialModel, forward, init_model
+from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan, ServerState, make_clients,
+                        run_round)
+from .protocols import composed_model  # noqa: F401 - the benchmark's tracer wraps it here
 from .transport import ChannelBus, MsgType
 
 
@@ -145,12 +146,6 @@ class BestCheckpoint:
     Only the best epoch's models are kept: `offer` builds a snapshot only
     when the loss is strictly below the best so far, so ties keep the
     earliest epoch. A non-finite loss raises DivergenceError.
-
-    The new snapshot is built before the old one is released. Releasing
-    first saves one snapshot at the peak (5 MB in a wide-body run, widths
-    8-256-256-256-64-1), but then each new snapshot maps fresh pages: a
-    warm wide-body sl run took 16.8 k minor page faults that way against
-    10.2 k this way (sfv1: 22.5 k against 13.4 k).
     """
 
     def __init__(self):
@@ -175,20 +170,64 @@ class BestCheckpoint:
         return self.epoch, self.models
 
 
-def _mean_live_val_loss(clients, server, datasets: dict[int, ClientDataset]) -> float:
-    """Mean validation loss over clients, straight from the live models
-    (front, body if any, tail in turn); bit-identical to a forward pass
-    through each composed model, because the per-layer operation
-    sequence is the same."""
+def _parts(front: SequentialModel, body: SequentialModel | None,
+           tail: SequentialModel) -> tuple[SequentialModel, ...]:
+    """A client's model as the segments an input runs through: front,
+    body (if any), tail (if not empty)."""
+    return tuple(part for part in (front, body, tail) if part is not None and part.layers)
+
+
+def _forward_parts(parts, x: np.ndarray) -> np.ndarray:
+    """x through each segment in turn; bit-identical to a forward pass
+    through the composed model, because the per-layer operation sequence
+    is the same."""
+    for part in parts:
+        x, _ = forward(part, x)
+    return x
+
+
+def _mean_live_val_loss(clients, server: ServerState,
+                        datasets: dict[int, ClientDataset]) -> float:
+    """Mean validation loss over clients, straight from the live models."""
     losses = []
     for cid in sorted(clients):
-        a = datasets[cid].val_x
-        for part in (clients[cid].front, server.bodies.get(cid), clients[cid].tail):
-            if part is not None:
-                a, _ = forward(part, a)
-        loss, _ = nn.bce_loss(a, datasets[cid].val_y)
+        client = clients[cid]
+        probs = _forward_parts(_parts(client.front, server.bodies.get(cid), client.tail),
+                               datasets[cid].val_x)
+        loss, _ = nn.bce_loss(probs, datasets[cid].val_y)
         losses.append(loss)
     return float(np.mean(losses))
+
+
+def _snapshot(clients, server: ServerState) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    """Copies of each client's parameter vectors: its packed `[front |
+    tail]` vector, and its body's (None without a body). One copy is made
+    per distinct vector: a vector that is the same object as one already
+    copied (the shared SL/SFv2 body), or bit-equal to it (averaged
+    replicas and segments), shares that copy. Bits, not values, are
+    compared: -0.0 and 0.0 are equal values."""
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (live vector, its copy)
+
+    def copy_of(vec: np.ndarray) -> np.ndarray:
+        for live, copy in kept:
+            if live is vec or (live.shape == vec.shape
+                               and np.array_equal(live.view(np.int64), vec.view(np.int64))):
+                return copy
+        kept.append((vec, vec.copy()))
+        return kept[-1][1]
+
+    return {cid: (copy_of(clients[cid].flat),
+                  None if cid not in server.bodies else copy_of(server.bodies[cid].flat))
+            for cid in sorted(clients)}
+
+
+def _snapshot_parts(client, body: SequentialModel | None, vectors) -> tuple[SequentialModel, ...]:
+    """The client's segments over a snapshot's copies of its vectors."""
+    flat, body_flat = vectors
+    n_front = client.front.flat.size  # ClientState.flat is [front | tail]
+    return _parts(SequentialModel(client.front.layers, flat[:n_front]),
+                  None if body is None else SequentialModel(body.layers, body_flat),
+                  SequentialModel(client.tail.layers, flat[n_front:]))
 
 
 def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
@@ -211,11 +250,11 @@ def run_experiment(config: ExperimentConfig,
                    keep_bus: bool = False) -> RunResult:
     """Train for config.epochs global epochs, checkpoint on least mean
     validation loss, and evaluate each client's test split with its own
-    composed model from the selected epoch.
+    model from the selected epoch, run through its segments in turn.
 
     Each epoch is scored on the live models; only the best epoch's
-    composed models are kept. Ties go to the earliest epoch, and a
-    non-finite loss raises DivergenceError."""
+    parameter vectors are kept, one copy of each distinct vector. Ties go
+    to the earliest epoch, and a non-finite loss raises DivergenceError."""
     config.validate()
     start = time.perf_counter()
     if datasets is None:
@@ -226,30 +265,29 @@ def run_experiment(config: ExperimentConfig,
     if sorted(order) != sorted(ds_by_id):
         raise ConfigurationError("order is not a permutation of the clients")
 
-    model = init_model(list(config.widths), config.seed)
-    split_cfg = config.split_config()
-    clients, server = make_clients(datasets, model, config.protocol, split_cfg, config.lr)
+    # the initial model is freed once make_clients has copied it: held for
+    # the run, it took a fresh wide-body process's first sl run from 2.9 k
+    # to about 16 k minor page faults
+    clients, server = make_clients(datasets, init_model(list(config.widths), config.seed),
+                                   config.protocol, config.split_config(), config.lr)
     bus = ChannelBus()
-
-    def snapshot():
-        return {cid: composed_model(clients[cid], server.bodies.get(cid))
-                for cid in sorted(clients)}
 
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
         plan = RoundPlan(config.protocol, tuple(order), epoch)
         run_round(clients, server, plan, bus, config.split_kind, config.batch_size)
-        checkpoint.offer(_mean_live_val_loss(clients, server, ds_by_id), snapshot)
+        checkpoint.offer(_mean_live_val_loss(clients, server, ds_by_id),
+                         lambda: _snapshot(clients, server))
 
     best_epoch, best = checkpoint.best()
     per_client = {}
     for cid in sorted(clients):
-        model_c = best[cid]
-        val_probs, _ = forward(model_c, ds_by_id[cid].val_x)
-        test_probs, _ = forward(model_c, ds_by_id[cid].test_x)
-        per_client[cid] = metrics.evaluate(
-            test_probs[:, 0], ds_by_id[cid].test_y,
-            val_probs[:, 0], ds_by_id[cid].val_y, config.sensitivity)
+        ds = ds_by_id[cid]
+        parts = _snapshot_parts(clients[cid], server.bodies.get(cid), best[cid])
+        val_probs = _forward_parts(parts, ds.val_x)
+        test_probs = _forward_parts(parts, ds.test_x)
+        per_client[cid] = metrics.evaluate(test_probs[:, 0], ds.test_y,
+                                           val_probs[:, 0], ds.val_y, config.sensitivity)
 
     return RunResult(
         config=replace(config, order=tuple(order)),

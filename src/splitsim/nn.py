@@ -217,13 +217,16 @@ def forward(model: SequentialModel, x: np.ndarray):
     return a, {"input": x, "pre": pre, "post": post, "n_layers": len(model.layers)}
 
 
-def backward(model: SequentialModel, cache, out_grad: np.ndarray):
+def backward(model: SequentialModel, cache, out_grad: np.ndarray, input_grad: bool = True):
     """Backprop through the model; returns (grads, input_grad).
 
     grads is model.grad, one flat vector laid out like model.flat; each
     layer's dW and db are written straight into their views of it. The
     next backward on this model overwrites it. cache must come from a
-    matching forward call on this model.
+    matching forward call on this model. With input_grad=False, for a
+    caller with no use for the gradient wrt the model's input, the first
+    layer's matmul that computes it is skipped and None is returned in
+    its place.
     """
     if cache.get("n_layers") != len(model.layers):
         raise StateError("cache does not match model (stale or wrong model)")
@@ -253,8 +256,9 @@ def backward(model: SequentialModel, cache, out_grad: np.ndarray):
         d_weights, d_bias = model.grad_views[i]
         np.matmul(dz.T, x_in, d_weights)
         np.add.reduce(dz, 0, None, d_bias)
-        da = dz @ layer.weights             # d input of this layer
-    return model.grad, da
+        if i or input_grad:
+            da = dz @ layer.weights         # d input of this layer
+    return model.grad, (da if input_grad else None)
 
 
 def _clamped(probs, labels):

@@ -255,14 +255,14 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
 
     # client: front backward, then one update of front and tail
     msg = _expect(bus, cw, SERVER, MsgType.SMASHED_GRAD)
-    backward(client.front, cache_front, msg.payload)
+    backward(client.front, cache_front, msg.payload, input_grad=False)
     adam_step(client.flat, client.grad, client.opt)
 
 
 def _train_batch_local(client: ClientState, xb, yb) -> None:
     """FL: the full model lives in client.front and trains in place."""
     probs, cache = forward(client.front, xb)
-    backward(client.front, cache, bce_grad(probs, yb))
+    backward(client.front, cache, bce_grad(probs, yb), input_grad=False)
     adam_step(client.flat, client.grad, client.opt)
 
 

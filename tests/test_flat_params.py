@@ -177,6 +177,21 @@ def test_backward_reuses_the_gradient_buffer(widths, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=5).map(lambda w: w + [1]),
+       seed=st.integers(0, 2**16))
+def test_backward_without_input_grad_gives_the_same_grads(widths, seed):
+    model = nn.init_model(widths, seed)
+    rng = np.random.default_rng(seed)
+    cache = nn.forward(model, rng.normal(size=(3, widths[0])))[1]
+    out_grad = rng.normal(size=(3, 1))
+    full = nn.backward(model.clone(), cache, out_grad)[0].copy()
+    grads, input_grad = nn.backward(model, cache, out_grad, input_grad=False)
+    assert grads is model.grad
+    assert input_grad is None
+    assert grads.tobytes() == full.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=5).map(lambda w: w + [1]),
        data=st.data())
 def test_pack_lays_models_end_to_end(widths, data):
     n_layers = len(widths) - 1

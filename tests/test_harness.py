@@ -242,6 +242,65 @@ class TestStreamingCheckpoint:
             w_in * w_out + w_out for w_in, w_out in zip(widths, widths[1:]))
         assert peaks[8] - peaks[2] < snapshot_bytes
 
+    @pytest.mark.parametrize("protocol", ["sl", "sfv2"])
+    def test_shared_body_is_kept_once_whatever_the_client_count(self, protocol):
+        # one shared body: three more clients add their small segments,
+        # not another copy of the body
+        widths = (8, 128, 128, 128, 8, 1)
+        peaks = {}
+        for n in (2, 5):
+            cfg = ExperimentConfig(protocol=protocol, widths=widths, n_clients=n)
+            datasets = datagen.generate_clients(datagen.desk_manifest(n), seed=0)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, datasets)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        body = zip(widths[cfg.front_cut:cfg.tail_cut], widths[cfg.front_cut + 1:cfg.tail_cut + 1])
+        body_bytes = 8 * sum(w_in * w_out + w_out for w_in, w_out in body)
+        assert peaks[5] - peaks[2] < body_bytes
+
+    # distinct parameter vectors in the kept snapshot of a 5-client run:
+    # one body under every split protocol, one client vector where the
+    # client segments (FL: the whole models) are averaged, else one each
+    @pytest.mark.parametrize("protocol, split_kind, n_vectors", [
+        ("fl", U_SHAPED, 1), ("sl", U_SHAPED, 6), ("sfv1", U_SHAPED, 2),
+        ("sfv2", VANILLA, 2), ("sfv3", U_SHAPED, 6), ("sfv3", VANILLA, 6)])
+    def test_kept_snapshot_holds_one_copy_per_distinct_vector(self, monkeypatch, protocol,
+                                                              split_kind, n_vectors):
+        kept = []
+
+        class Recording(BestCheckpoint):
+            def best(self):
+                kept.append(self.models)
+                return super().best()
+
+        monkeypatch.setattr(harness, "BestCheckpoint", Recording)
+        run_experiment(replace(FAST, protocol=protocol, split_kind=split_kind, n_clients=5))
+        (snapshot,) = kept
+        vectors = [vec for pair in snapshot.values() for vec in pair if vec is not None]
+        assert len({id(vec) for vec in vectors}) == n_vectors
+        if protocol != "fl":
+            assert len({id(body) for _, body in snapshot.values()}) == 1
+
+    def test_snapshot_shares_only_bit_equal_vectors(self):
+        # the replicas start bit-equal; a bias of replica 1 becomes -0.0,
+        # equal in value to the others' 0.0 but not in bits
+        cfg = replace(FAST, protocol="sfv1", n_clients=3)
+        datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
+        clients, server = make_clients(datasets, nn.init_model(list(cfg.widths), 0),
+                                       cfg.protocol, cfg.split_config(), cfg.lr)
+        server.bodies[1].layers[0].bias[0] = -0.0
+        snapshot = harness._snapshot(clients, server)
+        bodies = [snapshot[cid][1] for cid in range(3)]
+        assert bodies[0] is bodies[2] is not bodies[1]
+        assert bodies[1].tobytes() == server.bodies[1].flat.tobytes() != bodies[0].tobytes()
+        assert len({id(flat) for flat, _ in snapshot.values()}) == 1
+        for cid in range(3):
+            assert not np.shares_memory(bodies[cid], server.bodies[cid].flat)
+            assert not np.shares_memory(snapshot[cid][0], clients[cid].flat)
+
     @pytest.mark.parametrize("protocol", ["fl", "sl"])
     def test_divergence_raises(self, protocol):
         cfg = replace(FAST, protocol=protocol, lr=1e200, epochs=3)
