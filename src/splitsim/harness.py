@@ -12,6 +12,7 @@ import json
 import math
 import time
 import typing
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -20,8 +21,8 @@ from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA, ConfigError, SplitConfig
 from .nn import SequentialModel, forward, init_model
-from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan, ServerState, make_clients,
-                        run_round)
+from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan, ServerState, TurnStates,
+                        make_clients, run_round)
 from .protocols import composed_model  # noqa: F401 - the benchmark's tracer wraps it here
 from .transport import ChannelBus, MsgType
 
@@ -186,17 +187,18 @@ def _forward_parts(parts, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mean_live_val_loss(clients, server: ServerState,
-                        datasets: dict[int, ClientDataset]) -> float:
-    """Mean validation loss over clients, straight from the live models."""
-    losses = []
+def _live_validation(clients, server: ServerState,
+                     datasets: dict[int, ClientDataset]) -> tuple[float, dict[int, np.ndarray]]:
+    """Mean validation loss over clients, straight from the live models,
+    and each client's validation probabilities."""
+    losses, val_probs = [], {}
     for cid in sorted(clients):
         client = clients[cid]
-        probs = _forward_parts(_parts(client.front, server.bodies.get(cid), client.tail),
-                               datasets[cid].val_x)
-        loss, _ = nn.bce_loss(probs, datasets[cid].val_y)
+        val_probs[cid] = _forward_parts(_parts(client.front, server.bodies.get(cid), client.tail),
+                                        datasets[cid].val_x)
+        loss, _ = nn.bce_loss(val_probs[cid], datasets[cid].val_y)
         losses.append(loss)
-    return float(np.mean(losses))
+    return float(np.mean(losses)), val_probs
 
 
 def _snapshot(clients, server: ServerState) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
@@ -245,16 +247,77 @@ def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
                             shift_scale=config.shift_scale, seed=config.seed)
 
 
+def _run_key(config: ExperimentConfig, order) -> tuple[ExperimentConfig, tuple[int, ...]]:
+    """What a run's training depends on besides its clients' data: the
+    config without its order, probe and client count, and the order the
+    clients actually train in (the plan order against a shared body,
+    else ascending ids, where the order is inert)."""
+    order = tuple(order) if SPECS[config.protocol].shared_body else tuple(sorted(order))
+    return replace(config, order=None, probe=0, n_clients=0), order
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+class SweepStore:
+    """The work the runs of one sweep share, done once. A sweep builds one
+    from the configs of the runs it will make, in their order, passes it
+    to each of them, and drops it when it returns. Each run still returns
+    its own result; the runs share the same clients' data.
+
+    - Whole results of runs known to be equal: the same `_run_key`. A
+      later equal run returns the stored result under its own config.
+    - Round-0 prefix states (SL, SFv2): all runs start from the same
+      model, so runs whose orders start alike train the same first
+      turns. A run restores the longest stored state that starts its
+      order (`protocols.TurnStates`) and trains only the rest.
+
+    Only what a later run will use is kept, and each item is dropped
+    after its last use."""
+
+    def __init__(self, runs: list[ExperimentConfig]):
+        keys = [_run_key(cfg, cfg.order) for cfg in runs]
+        self.pending = Counter(keys)  # runs still to come, per key
+        self.results: dict[tuple, RunResult] = {}
+        self.turns: dict[ExperimentConfig, TurnStates] = {}
+        trained: dict[ExperimentConfig, list[tuple[int, ...]]] = {}
+        for base, order in dict.fromkeys(keys):  # the runs that train, in order
+            if not SPECS[base.protocol].shared_body:
+                continue
+            earlier = trained.setdefault(base, [])
+            k = max((_common_prefix(order, o) for o in earlier), default=0)
+            if k:
+                self.turns.setdefault(base, TurnStates()).uses[order[:k]] += 1
+            earlier.append(order)
+
+    def take_result(self, key) -> RunResult | None:
+        """Count a run of `key` as made; the stored result of an equal
+        earlier run, if any."""
+        self.pending[key] -= 1
+        if self.pending[key] > 0:
+            return self.results.get(key)
+        return self.results.pop(key, None)
+
+    def keep_result(self, key, result: RunResult) -> None:
+        if self.pending[key] > 0:
+            self.results[key] = result
+
+
 def run_experiment(config: ExperimentConfig,
                    datasets: list[ClientDataset] | None = None,
-                   keep_bus: bool = False) -> RunResult:
+                   keep_bus: bool = False, store: SweepStore | None = None) -> RunResult:
     """Train for config.epochs global epochs, checkpoint on least mean
     validation loss, and evaluate each client's test split with its own
     model from the selected epoch, run through its segments in turn.
 
     Each epoch is scored on the live models; only the best epoch's
-    parameter vectors are kept, one copy of each distinct vector. Ties go
-    to the earliest epoch, and a non-finite loss raises DivergenceError."""
+    parameter vectors and validation probabilities are kept, one copy of
+    each distinct vector. Ties go to the earliest epoch, and a non-finite
+    loss raises DivergenceError.
+
+    `store` is the sweep's shared work (`SweepStore`); the result is the
+    same with it or without it. It cannot be combined with `keep_bus`."""
     config.validate()
     start = time.perf_counter()
     if datasets is None:
@@ -264,32 +327,47 @@ def run_experiment(config: ExperimentConfig,
     order = config.order or tuple(sorted(ds_by_id))
     if sorted(order) != sorted(ds_by_id):
         raise ConfigurationError("order is not a permutation of the clients")
+    turns = None
+    if store is not None:
+        if keep_bus:
+            raise ValueError("a run that shares a sweep's work cannot keep its bus")
+        key = _run_key(config, order)
+        known = store.take_result(key)
+        if known is not None:
+            return replace(known, config=replace(config, order=tuple(order)),
+                           per_client=dict(known.per_client),
+                           val_losses=list(known.val_losses),
+                           duration=time.perf_counter() - start)
+        turns = store.turns.get(key[0])
 
     # the initial model is freed once make_clients has copied it: held for
     # the run, it took a fresh wide-body process's first sl run from 2.9 k
     # to about 16 k minor page faults
     clients, server = make_clients(datasets, init_model(list(config.widths), config.seed),
                                    config.protocol, config.split_config(), config.lr)
-    bus = ChannelBus()
+    bus = ChannelBus(record=keep_bus)
 
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
         plan = RoundPlan(config.protocol, tuple(order), epoch)
-        run_round(clients, server, plan, bus, config.split_kind, config.batch_size)
-        checkpoint.offer(_mean_live_val_loss(clients, server, ds_by_id),
-                         lambda: _snapshot(clients, server))
+        run_round(clients, server, plan, bus, config.split_kind, config.batch_size,
+                  turns=turns if epoch == 0 else None)
+        loss, val_probs = _live_validation(clients, server, ds_by_id)
+        checkpoint.offer(loss, lambda: _snapshot(clients, server))
+        if checkpoint.epoch == epoch:
+            best_val_probs = val_probs
 
     best_epoch, best = checkpoint.best()
     per_client = {}
     for cid in sorted(clients):
         ds = ds_by_id[cid]
         parts = _snapshot_parts(clients[cid], server.bodies.get(cid), best[cid])
-        val_probs = _forward_parts(parts, ds.val_x)
         test_probs = _forward_parts(parts, ds.test_x)
         per_client[cid] = metrics.evaluate(test_probs[:, 0], ds.test_y,
-                                           val_probs[:, 0], ds.val_y, config.sensitivity)
+                                           best_val_probs[cid][:, 0], ds.val_y,
+                                           config.sensitivity)
 
-    return RunResult(
+    result = RunResult(
         config=replace(config, order=tuple(order)),
         per_client=per_client,
         checkpoint_epoch=best_epoch,
@@ -300,6 +378,9 @@ def run_experiment(config: ExperimentConfig,
         duration=time.perf_counter() - start,
         bus=bus if keep_bus else None,
     )
+    if store is not None:
+        store.keep_result(key, result)
+    return result
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -321,54 +402,66 @@ class ReportTable:
     rows: list[ReportRow] = field(default_factory=list)
 
 
-def _orders_for_probe(client_ids, probe: int):
+def _probe_pair(config: ExperimentConfig, probe: int, datasets) -> tuple[ExperimentConfig, ...]:
+    """The configs of the probe-first and probe-last runs, the others in
+    ascending id. The clients are the first config.n_clients datasets, or
+    ids 0..n_clients-1 when none are given."""
+    client_ids = (range(config.n_clients) if datasets is None
+                  else [ds.client_id for ds in datasets[:config.n_clients]])
     rest = tuple(cid for cid in sorted(client_ids) if cid != probe)
-    return (probe, *rest), (*rest, probe)
+    return (replace(config, order=(probe, *rest), probe=probe),
+            replace(config, order=(*rest, probe), probe=probe))
 
 
 def run_probe_pair(config: ExperimentConfig, probe: int,
-                   datasets=None) -> ReportRow:
+                   datasets=None, store: SweepStore | None = None) -> ReportRow:
     """Run the config twice, probe placed first then last; report the
-    probe client's metrics from each. The clients are the first
-    config.n_clients datasets, or ids 0..n_clients-1 when none are given."""
-    client_ids = (range(config.n_clients) if datasets is None
-                  else [ds.client_id for ds in datasets[:config.n_clients]])
-    first_order, last_order = _orders_for_probe(client_ids, probe)
-    res_first = run_experiment(replace(config, order=first_order, probe=probe), datasets)
-    res_last = run_experiment(replace(config, order=last_order, probe=probe), datasets)
-    return ReportRow(key=f"client{probe}",
-                     first=res_first.per_client[probe],
-                     last=res_last.per_client[probe])
+    probe client's metrics from each. The two runs share their work
+    through `store` (the calling sweep's, or one of their own): under FL,
+    SFv1 and SFv3, where the order is inert, they are one training."""
+    runs = _probe_pair(config, probe, datasets)
+    if store is None:
+        store = SweepStore(runs)
+    first, last = (run_experiment(cfg, datasets, store=store).per_client[probe]
+                   for cfg in runs)
+    return ReportRow(key=f"client{probe}", first=first, last=last)
 
 
 def sweep_order(config: ExperimentConfig, datasets=None,
                 probe_only: bool = False) -> ReportTable:
-    """Probe-first vs probe-last for each client (or just config.probe)."""
+    """Probe-first vs probe-last for each client (or just config.probe).
+    The runs share one `SweepStore`."""
     config.validate()
     if config.n_clients < 2:
         raise ConfigurationError("order sweep needs at least 2 clients")
     if datasets is None:
         datasets = load_or_generate(config)
     probes = [config.probe] if probe_only else list(range(config.n_clients))
-    return ReportTable([run_probe_pair(config, p, datasets) for p in probes])
+    store = SweepStore([cfg for p in probes for cfg in _probe_pair(config, p, datasets)])
+    return ReportTable([run_probe_pair(config, p, datasets, store) for p in probes])
 
 
 def sweep_client_count(config: ExperimentConfig, datasets=None) -> ReportTable:
     """Probe-first vs probe-last at each client-count setting; clients
-    beyond the probe are added incrementally in ascending id order."""
+    beyond the probe are added incrementally in ascending id order. The
+    runs share one `SweepStore`: a setting's first turns are the smaller
+    settings' turns."""
     config.validate()
     if max(config.sweep_sizes) > config.n_clients:
         raise ConfigurationError("sweep size exceeds available clients")
     if datasets is None:
         datasets = load_or_generate(config)
     others = [cid for cid in range(config.n_clients) if cid != config.probe]
-    rows = []
+    settings = []
     for n in config.sweep_sizes:
         participating = sorted([config.probe] + others[:n - 1])
-        subset = [ds for ds in datasets if ds.client_id in participating]
-        row = run_probe_pair(replace(config, n_clients=n), config.probe, subset)
-        rows.append(replace(row, key=f"{n} client setting"))
-    return ReportTable(rows)
+        settings.append((n, replace(config, n_clients=n),
+                         [ds for ds in datasets if ds.client_id in participating]))
+    store = SweepStore([cfg for _, sub_cfg, subset in settings
+                        for cfg in _probe_pair(sub_cfg, config.probe, subset)])
+    return ReportTable([
+        replace(run_probe_pair(sub_cfg, config.probe, subset, store), key=f"{n} client setting")
+        for n, sub_cfg, subset in settings])
 
 
 def trend_series(table: ReportTable, metric: str = "kappa") -> list[tuple[str, float]]:

@@ -21,6 +21,7 @@ replica and never averaged; they persist across rounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,12 @@ class ProtocolSpec:
     replicas: bool          # one body replica per client, else one body shared by all
     average_bodies: bool    # body replicas averaged at round end
     average_segments: bool  # client segments go up as ParamBlobs, are averaged, come back down
+
+    @property
+    def shared_body(self) -> bool:
+        """Clients train one after another against one body (SL, SFv2),
+        so the plan order matters."""
+        return self.split and not self.replicas
 
 
 SPECS = {
@@ -275,29 +282,111 @@ def _recv_param_blob(bus, receiver, sender, model: SequentialModel) -> None:
     nn.unflatten_params(model, msg.payload)
 
 
+# --- round-0 turn states ---------------------------------------------------
+
+def _copy_params(flat: np.ndarray, opt: AdamState) -> tuple:
+    return flat.copy(), opt.m.copy(), opt.v.copy(), opt.step
+
+
+def _put_params(saved: tuple, flat: np.ndarray, opt: AdamState) -> None:
+    flat[...], opt.m[...], opt.v[...], opt.step = saved
+
+
+@dataclass(frozen=True)
+class TurnState:
+    """Copies of what the first client turns of round 0 against a shared
+    body change: each of those clients' `[front | tail]` vector and Adam
+    state (m, v, step), the body and its Adam state, and the bus
+    counters. Every other client is still as `make_clients` dealt it."""
+
+    clients: dict[int, tuple]
+    body: tuple
+    counters: tuple[dict, dict, dict, dict]
+
+    @classmethod
+    def capture(cls, turns, clients, server: ServerState, bus: ChannelBus) -> "TurnState":
+        return cls({cid: _copy_params(clients[cid].flat, clients[cid].opt) for cid in turns},
+                   _copy_params(server.bodies[turns[0]].flat, server.opts[turns[0]]),
+                   bus.counters())
+
+    def restore(self, clients, server: ServerState, bus: ChannelBus) -> None:
+        for cid, saved in self.clients.items():
+            _put_params(saved, clients[cid].flat, clients[cid].opt)
+        cid = next(iter(self.clients))
+        _put_params(self.body, server.bodies[cid].flat, server.opts[cid])
+        bus.restore_counters(self.counters)
+
+
+class TurnStates:
+    """Round-0 states shared by runs that start from the same model, data
+    and hyperparameters and differ in their client order, keyed by the
+    order prefix whose turns led to them.
+
+    `uses` counts, per prefix, the restores still to come: a state is
+    captured only while it has some, and dropped after its last."""
+
+    def __init__(self):
+        self.uses: Counter[tuple[int, ...]] = Counter()
+        self.states: dict[tuple[int, ...], TurnState] = {}
+
+    def restore(self, order: tuple[int, ...], clients, server: ServerState,
+                bus: ChannelBus) -> int:
+        """Restore the state of the longest stored prefix of `order`;
+        returns its length, 0 when none is stored."""
+        for k in range(len(order), 0, -1):
+            prefix = order[:k]
+            if prefix in self.states:
+                self.states[prefix].restore(clients, server, bus)
+                self.uses[prefix] -= 1
+                if self.uses[prefix] <= 0:
+                    del self.states[prefix]
+                return k
+        return 0
+
+    def offer(self, prefix: tuple[int, ...], clients, server: ServerState,
+              bus: ChannelBus) -> None:
+        """Capture the state after `prefix`'s turns if a later run will
+        restore it."""
+        if self.uses[prefix] > 0 and prefix not in self.states:
+            self.states[prefix] = TurnState.capture(prefix, clients, server, bus)
+
+
 # --- round engine ---------------------------------------------------------
 
 def run_round(clients: dict[int, ClientState], server: ServerState,
-              plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int) -> None:
+              plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int,
+              turns: TurnStates | None = None) -> None:
     """One global epoch of plan.protocol as its SPECS row describes it.
 
     Clients train one after another: in plan order against a shared
     body (SL, SFv2), in ascending id against replicas or without a body
     (FL, SFv1, SFv3), where the plan order is inert. Then the bodies
-    and the client segments are averaged as the row says."""
+    and the client segments are averaged as the row says.
+
+    `turns` (round 0 against a shared body only) holds the states other
+    runs reached after the first turns of this round: the longest one
+    whose turns start this order is restored and its turns are skipped,
+    and the state after each turn trained here is offered to it."""
     plan.validate(clients.keys())
     spec = SPECS[plan.protocol]
     rnd = plan.round_index
-    shared_body = spec.split and not spec.replicas
-    for cid in plan.order if shared_body else sorted(clients):
-        client = clients[cid]
+    order = plan.order if spec.shared_body else tuple(sorted(clients))
+    done = 0
+    if turns is not None:
+        if rnd != 0 or not spec.shared_body:
+            raise PlanError("turn states exist only for round 0 against a shared body")
+        done = turns.restore(order, clients, server, bus)
+    for k in range(done, len(order)):
+        client = clients[order[k]]
         for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,
                                    batch_size):
             if spec.split:
-                _train_batch_split(client, server.bodies[cid], server.opts[cid],
+                _train_batch_split(client, server.bodies[client.id], server.opts[client.id],
                                    xb, yb, bus, kind, rnd)
             else:
                 _train_batch_local(client, xb, yb)
+        if turns is not None:
+            turns.offer(order[:k + 1], clients, server, bus)
     if spec.average_bodies:
         _average_bodies(clients, server)
     if spec.average_segments:
@@ -311,6 +400,13 @@ def _average_bodies(clients, server: ServerState) -> None:
         server.bodies[cid].flat[...] = avg.flat
 
 
+def _received_segment(bus, sender, like: SequentialModel) -> SequentialModel:
+    """The next ParamBlob from sender, as a model over the read-only
+    decoded payload (no copy), laid out like `like`."""
+    msg = _expect(bus, SERVER, sender, MsgType.PARAM_BLOB)
+    return SequentialModel(like.layers, msg.payload)
+
+
 def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:
     """Client fronts (and tails, if any) transit to the server as
     ParamBlobs, get averaged, and transit back."""
@@ -322,13 +418,9 @@ def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:
             _send_param_blob(bus, wire_id(cid), SERVER, rnd, clients[cid].tail)
     fronts, tails = [], []
     for cid in sorted(clients):
-        front = clients[cid].front.clone()
-        _recv_param_blob(bus, SERVER, wire_id(cid), front)
-        fronts.append((cid, front))
+        fronts.append((cid, _received_segment(bus, wire_id(cid), clients[cid].front)))
         if has_tail:
-            tail = clients[cid].tail.clone()
-            _recv_param_blob(bus, SERVER, wire_id(cid), tail)
-            tails.append((cid, tail))
+            tails.append((cid, _received_segment(bus, wire_id(cid), clients[cid].tail)))
     avg_front = average_models(fronts, weights)
     avg_tail = average_models(tails, weights) if has_tail else None
     for cid in sorted(clients):

@@ -171,8 +171,10 @@ class LogRecord(NamedTuple):
 @dataclass
 class ChannelBus:
     """FIFO queues keyed by (sender, receiver), with exact byte counters
-    per direction and per message type, and a message log."""
+    per direction and per message type. A bus built with `record=True`
+    also keeps a log, one `LogRecord` per message sent."""
 
+    record: bool = False
     queues: dict = field(default_factory=dict)
     byte_counts: dict = field(default_factory=dict)
     seq_counts: dict = field(default_factory=dict)
@@ -196,8 +198,9 @@ class ChannelBus:
         t = message.msg_type
         self.type_bytes[t] = self.type_bytes.get(t, 0) + n
         self.type_counts[t] = self.type_counts.get(t, 0) + 1
-        self.log.append(LogRecord(message.round, message.seq, message.sender,
-                                  message.receiver, t, n))
+        if self.record:
+            self.log.append(LogRecord(message.round, message.seq, message.sender,
+                                      message.receiver, t, n))
         return n
 
     def recv(self, receiver: int, sender: int) -> Message:
@@ -224,8 +227,25 @@ class ChannelBus:
     def count_by_type(self, msg_type: MsgType) -> int:
         return self.type_counts.get(msg_type, 0)
 
+    def counters(self) -> tuple[dict, dict, dict, dict]:
+        """Copies of the per-channel sequence and byte counters and the
+        per-type byte and message counters."""
+        return (dict(self.seq_counts), dict(self.byte_counts),
+                dict(self.type_bytes), dict(self.type_counts))
+
+    def restore_counters(self, counters: tuple[dict, dict, dict, dict]) -> None:
+        """Set the counters to copies of a `counters()` result. Only for a
+        bus with nothing queued and no log, which could not hold the
+        messages those counts stand for."""
+        if self.record or any(self.queues.values()):
+            raise ValueError("cannot restore the counters of a recording or busy bus")
+        self.seq_counts, self.byte_counts, self.type_bytes, self.type_counts = (
+            dict(c) for c in counters)
+
     def dump_log(self, path) -> None:
         """One line per message: round seq sender receiver type bytes."""
+        if not self.record:
+            raise ValueError("the bus was not built to record its log")
         with open(path, "w") as f:
             for rec in self.log:
                 f.write(f"{rec.round} {rec.seq} {rec.sender} {rec.receiver} "

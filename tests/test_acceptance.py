@@ -34,11 +34,17 @@ SEEDS = range(10)
 BIAS_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "bias.cfg"
 
 
-def _probe_drops(seed, n_clients):
-    """Probe client 0 scheduled first vs last on the bias fixture's first
-    n_clients clients; percent drop per metric."""
+@pytest.fixture(scope="module")
+def client_count_tables():
+    """The bias fixture's client-count sweep (probe client 0 scheduled
+    first vs last on its first n clients, n = 2..5), one table per seed."""
     bias = harness.config_from(harness.parse_config_file(BIAS_CFG), {})
-    row = harness.run_probe_pair(replace(bias, n_clients=n_clients, seed=seed), 0)
+    return {seed: harness.sweep_client_count(replace(bias, seed=seed)) for seed in SEEDS}
+
+
+def _probe_drops(tables, seed, n_clients):
+    """Percent drop per metric of the seed's n_clients setting."""
+    (row,) = [row for row in tables[seed].rows if row.key == f"{n_clients} client setting"]
     return {m: percent_drop_or_worst(getattr(row.first, m), getattr(row.last, m))
             for m in ("auprc", "f1", "kappa")}
 
@@ -76,11 +82,11 @@ def test_parallel_protocols_order_invariant():
           "bit-identical reports)")
 
 
-def test_sequential_order_biases_probe_client():
+def test_sequential_order_biases_probe_client(client_count_tables):
     """SL, 5 non-IID clients, 10 seeds: training the probe first instead
     of last costs it AUPRC in at least 8 seeds, and the median drop is
     positive for all three metrics."""
-    drops = [_probe_drops(seed, 5) for seed in SEEDS]
+    drops = [_probe_drops(client_count_tables, seed, 5) for seed in SEEDS]
     positive_auprc = sum(d["auprc"] > 0 for d in drops)
     medians = {m: statistics.median(d[m] for d in drops)
                for m in ("auprc", "f1", "kappa")}
@@ -93,14 +99,14 @@ def test_sequential_order_biases_probe_client():
           f"kappa {medians['kappa']:.1f}%)")
 
 
-def test_bias_grows_with_client_count():
+def test_bias_grows_with_client_count(client_count_tables):
     """Median SL kappa drop over 10 seeds is non-decreasing in the
     number of clients (one inversion allowed) with positive Spearman
     rank correlation."""
     sizes = (2, 3, 4, 5)
     medians = []
     for n in sizes:
-        per_seed = [_probe_drops(seed, n)["kappa"] for seed in SEEDS]
+        per_seed = [_probe_drops(client_count_tables, seed, n)["kappa"] for seed in SEEDS]
         medians.append(statistics.median(per_seed))
     inversions = sum(a > b for a, b in zip(medians, medians[1:]))
     assert inversions <= 1, f"medians not monotone: {medians}"

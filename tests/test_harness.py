@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from splitsim import cli, datagen, harness, metrics, nn
+from splitsim import cli, datagen, harness, metrics, nn, protocols
 from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               DivergenceError, ExperimentConfig, ReportRow,
                               ReportTable, config_from, parse_config_file,
@@ -380,6 +380,112 @@ class TestSweeps:
     def test_sweep_size_exceeding_clients_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep_client_count(replace(FAST, sweep_sizes=(2, 3)))
+
+
+def _recording_runs(monkeypatch):
+    """Wrap harness.run_experiment the way the benchmark's
+    counting_wire_bytes does; returns the list of (args, kwargs, result)
+    of every call made through the name the sweeps look up."""
+    original, calls = harness.run_experiment, []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(harness, "run_experiment", recorded)
+    return calls
+
+
+def _report_bits(report: MetricReport) -> list[str]:
+    # repr round-trips a float exactly and tells -0.0 from 0.0
+    return [repr(getattr(report, f.name)) for f in fields(report)]
+
+
+class TestSweepStore:
+    """A sweep's runs share one SweepStore; every table cell and every
+    run's result must be what a standalone run gives."""
+
+    @pytest.mark.parametrize("split_kind", [VANILLA, U_SHAPED])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_shared_sweeps_equal_standalone_runs(self, monkeypatch, protocol, split_kind):
+        cfg = replace(FAST, protocol=protocol, split_kind=split_kind, n_clients=4, probe=1,
+                      batch_size=16, sweep_sizes=(2, 3, 4))
+        datasets = harness.load_or_generate(cfg)
+        for sweep in (sweep_order, sweep_client_count):
+            calls = _recording_runs(monkeypatch)
+            table = sweep(cfg, datasets)
+            monkeypatch.undo()
+            assert all(kwargs["store"] is calls[0][1]["store"] for _, kwargs, _ in calls)
+            # the runs again, each with no store; the table cells in call order
+            alone = [run_experiment(*args) for args, _, _ in calls]
+            assert ([_report_bits(r) for row in table.rows for r in (row.first, row.last)]
+                    == [_report_bits(res.per_client[args[0].probe])
+                        for (args, _, _), res in zip(calls, alone)])
+            for (_, _, shared), res in zip(calls, alone):
+                assert shared.to_json() == res.to_json()
+                assert shared.total_bytes == res.total_bytes
+
+    @pytest.mark.parametrize("protocol", ["sl", "fl"])
+    def test_counting_wrapper_sees_every_cell(self, monkeypatch, protocol):
+        # shaped like bench/workloads.counting_wire_bytes: one call per
+        # table cell, and the wire bytes of standalone runs
+        cfg = replace(FAST, protocol=protocol, n_clients=4, sweep_sizes=(2, 3, 4))
+        for sweep in (sweep_order, sweep_client_count):
+            calls = _recording_runs(monkeypatch)
+            table = sweep(cfg)
+            monkeypatch.undo()
+            assert len(calls) == 2 * len(table.rows)
+            alone = [run_experiment(*args).total_bytes for args, _, _ in calls]
+            assert sum(res.total_bytes for _, _, res in calls) == sum(alone)
+
+    def _count_steps(self, monkeypatch, fn, *args):
+        steps = [0]
+        original = protocols.adam_step
+
+        def counted(*a):
+            steps[0] += 1
+            return original(*a)
+
+        monkeypatch.setattr(protocols, "adam_step", counted)
+        fn(*args)
+        monkeypatch.undo()
+        return steps[0]
+
+    def test_bias_sweeps_train_shared_turns_once(self, monkeypatch):
+        # batch 4 gives 46/95/29/22/28 batches per client and epoch, two
+        # Adam steps per batch; standalone runs take 8,800 and 5,784 steps
+        bias = config_from(parse_config_file(BIAS_CFG), {})
+        assert self._count_steps(monkeypatch, sweep_order, bias) == 7016
+        assert self._count_steps(monkeypatch, sweep_client_count, bias) == 4048
+
+    @pytest.mark.parametrize("protocol", ["fl", "sfv1", "sfv3"])
+    def test_order_sweep_is_one_training_where_order_is_inert(self, monkeypatch, protocol):
+        cfg = replace(config_from(parse_config_file(BIAS_CFG), {}), protocol=protocol)
+        one_run = self._count_steps(monkeypatch, run_experiment, cfg)
+        assert self._count_steps(monkeypatch, sweep_order, cfg) == one_run
+        row = run_probe_pair(cfg, probe=2)
+        assert row.first == row.last and metrics.percent_drop(row.first.kappa,
+                                                              row.last.kappa) == 0.0
+
+    def test_store_keeps_only_what_a_later_run_restores(self):
+        cfg = replace(FAST, n_clients=4)
+        datasets = harness.load_or_generate(cfg)
+        runs = [c for p in range(4) for c in harness._probe_pair(cfg, p, datasets)]
+        assert [c.order for c in runs[-2:]] == [(3, 0, 1, 2), (0, 1, 2, 3)]
+        store = harness.SweepStore(runs)
+        (turns,) = store.turns.values()
+        # (1, 0, 2, 3) restores (1,), (0, 2, 3, 1) restores (0,), (0, 1, 3, 2)
+        # restores (0, 1); the last run equals the first
+        assert dict(turns.uses) == {(1,): 1, (0,): 1, (0, 1): 1}
+        live = []
+        for run in runs:
+            run_experiment(run, datasets, store=store)
+            live.append(sorted(turns.states))
+        assert live[:2] == [[(0,), (0, 1)], [(0,), (0, 1), (1,)]]
+        assert live[-1] == [] and store.results == {}
+        with pytest.raises(ValueError):
+            run_experiment(runs[0], datasets, keep_bus=True, store=store)
 
 
 class TestRenderTable:

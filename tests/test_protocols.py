@@ -29,7 +29,7 @@ def make_setup(n_clients, protocol, kind=U_SHAPED, seed=0, shift=0.6):
 
 
 def run_rounds(protocol, clients, server, order, epochs, kind=U_SHAPED, bus=None):
-    bus = bus or ChannelBus()
+    bus = bus or ChannelBus(record=True)
     for e in range(epochs):
         run_round(clients, server, RoundPlan(protocol, tuple(order), e), bus, kind, BATCH)
     return bus
@@ -300,6 +300,15 @@ class TestAveragingPlacement:
         bodies = {nn.flatten_params(server.bodies[c]).tobytes() for c in clients}
         fronts = {nn.flatten_params(clients[c].front).tobytes() for c in clients}
         assert len(bodies) == 1 and len(fronts) == 1
+
+    @pytest.mark.parametrize("protocol", [FL, SFV1, SFV2])
+    def test_segments_averaged_from_the_received_blobs(self, monkeypatch, protocol):
+        # the averages read the decoded payloads; no client model is copied
+        _, model, clients, server = make_setup(3, protocol, seed=3)
+        monkeypatch.setattr(nn.SequentialModel, "clone", None)
+        run_rounds(protocol, clients, server, (0, 1, 2), 1)
+        fronts = {clients[c].front.flat.tobytes() for c in clients}
+        assert len(fronts) == 1
 
 
 class TestLabelPrivacy:

@@ -226,14 +226,14 @@ class TestBus:
         assert bus.bytes_sent() == 150
 
     def test_log_records(self):
-        bus = ChannelBus()
+        bus = ChannelBus(record=True)
         bus.send(tensor_message(shape=(2, 3), round=4))
         rec = bus.log[0]
         assert (rec.round, rec.sender, rec.receiver, rec.nbytes) == (4, 1, 0, 75)
         assert rec.msg_type == MsgType.SMASHED_ACTIVATIONS
 
     def test_rejected_send_commits_nothing(self):
-        bus = ChannelBus()
+        bus = ChannelBus(record=True)
         bus.send(tensor_message(sender=1, receiver=0))
         with pytest.raises(FieldOutOfRange):
             bus.send(tensor_message(sender=2, receiver=0, round=2**33))
@@ -245,8 +245,33 @@ class TestBus:
             bus.recv(0, 2)
 
     def test_dump_log(self, tmp_path):
-        bus = ChannelBus()
+        bus = ChannelBus(record=True)
         bus.send(tensor_message(shape=(2, 3), round=1))
         path = tmp_path / "messages.log"
         bus.dump_log(path)
         assert path.read_text() == "1 0 1 0 SMASHED_ACTIVATIONS 75\n"
+
+    def test_log_kept_only_when_recording(self, tmp_path):
+        bus = ChannelBus()
+        bus.send(tensor_message(shape=(2, 3)))
+        assert bus.log == []
+        assert bus.bytes_by_type(MsgType.SMASHED_ACTIVATIONS) == 75
+        assert bus.count_by_type(MsgType.SMASHED_ACTIVATIONS) == 1
+        with pytest.raises(ValueError):
+            bus.dump_log(tmp_path / "messages.log")
+
+    def test_counters_restore_into_a_fresh_bus(self):
+        bus = ChannelBus()
+        bus.send(tensor_message(sender=1, receiver=0, shape=(2, 3)))
+        bus.recv(0, 1)
+        saved = bus.counters()
+        bus.send(tensor_message(sender=1, receiver=0))
+        fresh = ChannelBus()
+        fresh.restore_counters(saved)
+        assert fresh.counters() == saved and fresh.bytes_sent() == 75
+        fresh.send(tensor_message(sender=1, receiver=0))
+        assert fresh.recv(0, 1).seq == 1
+        with pytest.raises(ValueError):  # a message is queued
+            bus.restore_counters(saved)
+        with pytest.raises(ValueError):  # its log would lack those messages
+            ChannelBus(record=True).restore_counters(saved)
