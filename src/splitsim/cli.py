@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 
 from . import datagen, harness
 from .harness import ConfigurationError, ExperimentConfig
-from .metrics import percent_drop_or_worst
+from .metrics import percent_drop_or_worst, sign_test_p
 from .model_split import U_SHAPED, VANILLA
 from .protocols import PROTOCOLS
 from .transport import CodecError
@@ -99,7 +99,8 @@ def cmd_sweep_order(args) -> int:
                 drops = [percent_drop_or_worst(getattr(row.first, metric),
                                                getattr(row.last, metric)) for row in rows]
                 print(f"{metric}: positive drop in {sum(d > 0 for d in drops)}/{len(drops)} "
-                      f"seeds, median {statistics.median(drops):.1f}%")
+                      f"seeds, median {statistics.median(drops):.1f}%, "
+                      f"sign test p = {sign_test_p(drops):.3g}")
     return 0
 
 

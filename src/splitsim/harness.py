@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import typing
 from collections import Counter
@@ -304,6 +305,74 @@ class SweepStore:
             self.results[key] = result
 
 
+# --- training a sweep's groups ahead, in forked workers ----------------------
+
+_worker_groups: list = []  # in a forked worker: the groups of the sweep that forked it
+
+
+def _adopt_groups(groups: list) -> None:
+    global _worker_groups
+    _worker_groups = groups
+
+
+def _train_group(index: int) -> list[RunResult]:
+    """Train one group's runs in order, in a worker, sharing their round-0
+    prefixes through a store of the group's own."""
+    group = _worker_groups[index]
+    store = SweepStore([cfg for cfg, _ in group])
+    return [run_experiment(cfg, datasets, store=store) for cfg, datasets in group]
+
+
+def _sweep_store(runs) -> SweepStore:
+    """The `SweepStore` of a sweep's runs, `[(config, datasets)]` in call
+    order, holding their results trained ahead in up to one forked worker
+    per usable CPU: each call is then a stored-result hit, as an equal
+    run's is, and returns the same result.
+
+    The runs are split into groups that share no work: by the first client
+    of the order they train in. Equal runs and runs that share a round-0
+    prefix start with the same client, so no sharing is lost. Each group's
+    distinct runs train in one worker, handed out in call order as workers
+    come free. That order starts with the costliest group: the group of an
+    order sweep's first run holds one distinct run per client but one, the
+    others one or two, and a client-count sweep's two groups cost the same.
+    With one usable CPU or one group, or in a daemonic process (another
+    pool's worker), nothing is trained ahead, and the calls train
+    in-process.
+
+    A group whose worker raised or died is left to the calls: they train
+    it in-process, so the sweep raises the error of its first failing run
+    in call order."""
+    store = SweepStore([cfg for cfg, _ in runs])
+    groups: dict[tuple, dict[tuple, tuple]] = {}
+    for cfg, datasets in runs:
+        key = _run_key(cfg, cfg.order)
+        groups.setdefault((key[0], key[1][0]), {}).setdefault(key, (cfg, datasets))
+    groups = [list(group.values()) for group in groups.values()]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(groups))
+    if workers < 2:
+        return store
+    # imported here, not at the top: about 1 MB of RSS a single run never needs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if multiprocessing.current_process().daemon:  # a pool's worker may not start processes
+        return store
+    # fork hands the workers the datasets without pickling them; named, as it
+    # is not the default everywhere (forkserver from Python 3.14). Unlike
+    # multiprocessing.Pool, the executor fails a task whose worker was killed
+    # instead of waiting for it forever.
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_adopt_groups, initargs=(groups,)) as pool:
+        futures = [pool.submit(_train_group, i) for i in range(len(groups))]
+    for group, future in zip(groups, futures):
+        if future.exception() is None:
+            for (cfg, _), result in zip(group, future.result()):
+                store.results[_run_key(cfg, cfg.order)] = result
+    return store
+
+
 def run_experiment(config: ExperimentConfig,
                    datasets: list[ClientDataset] | None = None,
                    keep_bus: bool = False, store: SweepStore | None = None) -> RunResult:
@@ -419,9 +488,12 @@ def run_probe_pair(config: ExperimentConfig, probe: int,
     probe client's metrics from each. The two runs share their work
     through `store` (the calling sweep's, or one of their own): under FL,
     SFv1 and SFv3, where the order is inert, they are one training."""
+    if store is None and datasets is None:  # generated once, for both runs
+        config.validate()
+        datasets = load_or_generate(config)
     runs = _probe_pair(config, probe, datasets)
     if store is None:
-        store = SweepStore(runs)
+        store = _sweep_store([(cfg, datasets) for cfg in runs])
     first, last = (run_experiment(cfg, datasets, store=store).per_client[probe]
                    for cfg in runs)
     return ReportRow(key=f"client{probe}", first=first, last=last)
@@ -437,7 +509,8 @@ def sweep_order(config: ExperimentConfig, datasets=None,
     if datasets is None:
         datasets = load_or_generate(config)
     probes = [config.probe] if probe_only else list(range(config.n_clients))
-    store = SweepStore([cfg for p in probes for cfg in _probe_pair(config, p, datasets)])
+    store = _sweep_store([(cfg, datasets) for p in probes
+                          for cfg in _probe_pair(config, p, datasets)])
     return ReportTable([run_probe_pair(config, p, datasets, store) for p in probes])
 
 
@@ -457,8 +530,8 @@ def sweep_client_count(config: ExperimentConfig, datasets=None) -> ReportTable:
         participating = sorted([config.probe] + others[:n - 1])
         settings.append((n, replace(config, n_clients=n),
                          [ds for ds in datasets if ds.client_id in participating]))
-    store = SweepStore([cfg for _, sub_cfg, subset in settings
-                        for cfg in _probe_pair(sub_cfg, config.probe, subset)])
+    store = _sweep_store([(cfg, subset) for _, sub_cfg, subset in settings
+                          for cfg in _probe_pair(sub_cfg, config.probe, subset)])
     return ReportTable([
         replace(run_probe_pair(sub_cfg, config.probe, subset, store), key=f"{n} client setting")
         for n, sub_cfg, subset in settings])

@@ -9,6 +9,7 @@ absent: it is misleading at 10% test prevalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,16 @@ def percent_drop_or_worst(first: float, last: float) -> float:
     if last == 0:
         return float("-inf") if first > 0 else 0.0
     return percent_drop(first, last)
+
+
+def sign_test_p(drops) -> float:
+    """Exact two-sided sign-test p-value against "a drop is as likely
+    positive as negative": twice the smaller Binomial(n, 1/2) tail, at
+    most 1. Zero drops are left out of n; with none left, p is 1."""
+    positive = sum(d > 0 for d in drops)
+    n = positive + sum(d < 0 for d in drops)
+    k = min(positive, n - positive)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
 
 
 def evaluate(test_scores: np.ndarray, test_labels: np.ndarray,

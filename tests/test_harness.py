@@ -1,7 +1,12 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import pathlib
 import re
 import string
+import subprocess
+import sys
 import tracemalloc
 import typing
 from dataclasses import fields, replace
@@ -440,17 +445,20 @@ class TestSweepStore:
             assert sum(res.total_bytes for _, _, res in calls) == sum(alone)
 
     def _count_steps(self, monkeypatch, fn, *args):
-        steps = [0]
+        # in shared memory: a sweep's forked workers inherit the counter
+        # with the wrapper, so the steps they take are counted here too
+        steps = multiprocessing.get_context("fork").Value("q", 0)
         original = protocols.adam_step
 
         def counted(*a):
-            steps[0] += 1
+            with steps.get_lock():
+                steps.value += 1
             return original(*a)
 
         monkeypatch.setattr(protocols, "adam_step", counted)
         fn(*args)
         monkeypatch.undo()
-        return steps[0]
+        return steps.value
 
     def test_bias_sweeps_train_shared_turns_once(self, monkeypatch):
         # batch 4 gives 46/95/29/22/28 batches per client and epoch, two
@@ -486,6 +494,143 @@ class TestSweepStore:
         assert live[-1] == [] and store.results == {}
         with pytest.raises(ValueError):
             run_experiment(runs[0], datasets, keep_bus=True, store=store)
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Make the sweeps see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pool_sizes(monkeypatch) -> list:
+    """Spy on the process pools the sweeps make; returns the list of their
+    worker counts. Each must fork its workers."""
+    original, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+    def spied(max_workers, mp_context, *args, **kwargs):
+        assert mp_context.get_start_method() == "fork"
+        sizes.append(max_workers)
+        return original(max_workers, mp_context, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spied)
+    return sizes
+
+
+class Injected(RuntimeError):
+    pass
+
+
+class AlsoInjected(RuntimeError):
+    pass
+
+
+class TestParallelSweeps:
+    """A sweep's groups train ahead in forked workers; every call, table
+    cell and error is what the in-process path gives."""
+
+    CFG = replace(FAST, n_clients=4, probe=1, batch_size=16, sweep_sizes=(2, 3, 4))
+
+    @pytest.mark.parametrize("split_kind", [VANILLA, U_SHAPED])
+    @pytest.mark.parametrize("protocol", ["sl", "sfv2"])
+    def test_workers_equal_the_in_process_path(self, monkeypatch, protocol, split_kind):
+        cfg = replace(self.CFG, protocol=protocol, split_kind=split_kind)
+        datasets = harness.load_or_generate(cfg)
+        for sweep in (sweep_order, sweep_client_count):
+            outputs = []
+            for cpus in (1, 2):
+                _cpus(monkeypatch, cpus)
+                pools = _pool_sizes(monkeypatch)
+                calls = _recording_runs(monkeypatch)
+                table = sweep(cfg, datasets)
+                monkeypatch.undo()
+                assert pools == ([] if cpus == 1 else [2])
+                outputs.append(([_report_bits(r) for row in table.rows
+                                 for r in (row.first, row.last)],
+                                [(res.to_json(), res.total_bytes) for _, _, res in calls]))
+            assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("failing", [
+        {(2, 0, 1, 3): Injected},
+        # two groups fail: the run that comes first in the sweep's calls wins,
+        # whichever group finishes first
+        {(2, 0, 1, 3): Injected, (1, 0, 2, 3): AlsoInjected},
+        {(3, 0, 1, 2): Injected, (0, 2, 3, 1): AlsoInjected},
+    ])
+    def test_a_worker_error_is_raised_by_its_call(self, monkeypatch, failing):
+        calls_in_order = [(0, 1, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3), (0, 2, 3, 1),
+                          (2, 0, 1, 3), (0, 1, 3, 2), (3, 0, 1, 2), (0, 1, 2, 3)]
+        first = min(failing, key=calls_in_order.index)
+        original = harness.run_round
+
+        def failing_round(clients, server, plan, *args, **kwargs):
+            if plan.order in failing:
+                raise failing[plan.order](plan.order)
+            return original(clients, server, plan, *args, **kwargs)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "run_round", failing_round)  # the workers inherit it
+        pools = _pool_sizes(monkeypatch)
+        calls = _recording_runs(monkeypatch)
+        with pytest.raises(failing[first]) as raised:
+            sweep_order(self.CFG)
+        assert pools == [2] and raised.value.args == (first,)
+        assert [args[0].order for args, _, _ in calls] == calls_in_order[:calls_in_order.index(first)]
+
+    def test_a_killed_worker_leaves_its_group_to_the_calls(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        alone = sweep_order(self.CFG)
+        monkeypatch.undo()
+        parent, original = os.getpid(), harness.run_round
+
+        def dies_in_a_worker(clients, server, plan, *args, **kwargs):
+            if plan.order == (1, 0, 2, 3) and os.getpid() != parent:
+                os._exit(9)  # as a worker the kernel kills ends
+            return original(clients, server, plan, *args, **kwargs)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "run_round", dies_in_a_worker)
+        pools = _pool_sizes(monkeypatch)
+        assert sweep_order(self.CFG) == alone and pools == [2]
+
+    @pytest.mark.parametrize("cpus, protocol, sweep, workers", [
+        (8, "sl", sweep_client_count, [2]),   # groups: probe first, probe last
+        (3, "sl", sweep_order, [3]),          # 4 groups, one per first client
+        (2, "sfv2", sweep_order, [2]),
+        (1, "sl", sweep_order, []),           # in-process
+        (2, "fl", sweep_order, []),           # one group: the order is inert
+        (2, "sfv1", sweep_client_count, []),
+    ])
+    def test_pool_has_at_most_one_worker_per_cpu_and_group(self, monkeypatch, cpus, protocol,
+                                                           sweep, workers):
+        _cpus(monkeypatch, cpus)
+        pools = _pool_sizes(monkeypatch)
+        sweep(replace(self.CFG, protocol=protocol))
+        assert pools == workers
+
+    def test_probe_pair_alone_trains_each_run_in_a_worker(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        pools = _pool_sizes(monkeypatch)
+        row = run_probe_pair(self.CFG, probe=2)
+        monkeypatch.undo()
+        assert pools == [2]
+        _cpus(monkeypatch, 1)
+        assert run_probe_pair(self.CFG, probe=2) == row
+
+    def test_a_sweep_in_another_pool_s_worker_runs_in_process(self, monkeypatch):
+        # a daemonic process may not start workers of its own
+        _cpus(monkeypatch, 2)
+        pools = _pool_sizes(monkeypatch)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            (table,) = pool.map(sweep_order, [self.CFG])
+        assert table == sweep_order(self.CFG) and pools == [2]
+
+    def test_single_runs_do_not_import_multiprocessing(self):
+        code = ("import sys\n"
+                "from splitsim import cli, harness\n"
+                "harness.run_experiment(harness.ExperimentConfig(epochs=1))\n"
+                "sys.exit('multiprocessing' in sys.modules)\n")
+        src = pathlib.Path(harness.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestRenderTable:
@@ -588,8 +733,8 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-4] == "client1 over 2 seeds:"
         for line, metric in zip(lines[-3:], ("auprc", "f1", "kappa")):
-            assert re.fullmatch(rf"{metric}: positive drop in [012]/2 seeds, median -?\d+\.\d%",
-                                line)
+            assert re.fullmatch(rf"{metric}: positive drop in [012]/2 seeds, median -?\d+\.\d%, "
+                                r"sign test p = (0\.5|1)", line)
 
     @pytest.mark.parametrize("command, name", [("sweep-order", "order_sweep_seed7"),
                                                ("sweep-clients", "client_sweep_seed7")])

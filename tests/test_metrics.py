@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from splitsim.metrics import (ConfusionCounts, MetricError, UndefinedKappa,
                               auprc, cohen_kappa, confusion, evaluate, f1,
                               percent_drop, percent_drop_or_worst,
-                              threshold_at_sensitivity)
+                              sign_test_p, threshold_at_sensitivity)
 
 # First/Last/%drop rows of the two reference result tables
 # (client rows, then client-count-setting rows).
@@ -270,6 +270,22 @@ class TestPercentDrop:
         assert percent_drop(a_f, a_l) == pytest.approx(a_d, abs=0.02)
         assert percent_drop(f_f, f_l) == pytest.approx(f_d, abs=0.02)
         assert percent_drop(k_f, k_l) == pytest.approx(k_d, abs=0.02)
+
+
+class TestSignTest:
+    # hand-computed: twice the smaller Binomial(n, 1/2) tail
+    @pytest.mark.parametrize("drops, p", [
+        ([5.0] * 6 + [-1.0], 0.125),                  # 6 of 7: 2 * (1 + 7) / 128
+        ([-5.0] * 6 + [1.0], 0.125),                  # 1 of 7, the other tail
+        ([3.0] * 10, 2 / 1024),                       # 10 of 10: 2 * 1 / 1024
+        ([2.0] * 8 + [-2.0] * 2, 0.109375),           # 8 of 10: 2 * (1 + 10 + 45) / 1024
+        ([], 1.0),                                    # 0 of 0
+        ([0.0, 0.0, 0.0], 1.0),                       # zero drops are left out
+        ([5.0] * 6 + [0.0, 0.0] + [float("-inf")], 0.125),
+        ([1.0, -1.0], 1.0),                           # 2 * 3 / 4, capped at 1
+    ])
+    def test_exact_two_sided_p(self, drops, p):
+        assert sign_test_p(drops) == p
 
 
 class TestEvaluate:
