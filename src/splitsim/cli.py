@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import statistics
 import sys
@@ -16,7 +17,7 @@ from dataclasses import fields, replace
 
 from . import datagen, harness
 from .harness import ConfigurationError, ExperimentConfig
-from .metrics import percent_drop_or_worst, sign_test_p
+from .metrics import sign_test_p
 from .model_split import U_SHAPED, VANILLA
 from .protocols import PROTOCOLS
 from .transport import CodecError
@@ -80,45 +81,52 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep_order(args) -> int:
+def _print_summary(drops) -> None:
+    """Per row over the seeds, for each metric: the seeds whose drop is
+    positive (the probe is worse off training first), the median drop,
+    the sign-test p-value, and the undefined drops counted as worst."""
+    for key, per_metric in drops.items():
+        print(f"{key} over {len(per_metric['kappa'])} seeds:")
+        for metric, ds in per_metric.items():
+            worst = sum(d == -math.inf for d in ds)
+            print(f"{metric}: positive drop in {sum(d > 0 for d in ds)}/{len(ds)} seeds, "
+                  f"median {statistics.median(ds):.1f}%, sign test p = {sign_test_p(ds):.3g}"
+                  + (f", {worst} undefined counted as worst" if worst else ""))
+
+
+def _sweep(args, kind: str, name: str, **options) -> dict:
+    """Run the sweep at every seed, writing each seed's manifest, then its
+    table once its runs are made, and printing the table; then, over
+    several seeds, the summary. Returns the drops over the seeds."""
     cfg = _build_config(args)
-    per_seed_rows = {}
-    for seed in range(cfg.seed, cfg.seed + args.seeds):
-        cfg_s = replace(cfg, seed=seed)
-        table = harness.sweep_order(cfg_s, probe_only=args.probe is not None)
-        csv_path, _ = harness.emit_report(table, args.out, name=f"order_sweep_seed{seed}",
-                                          config=cfg_s)
-        for row in table.rows:
-            per_seed_rows.setdefault(row.key, []).append(row)
+    seeds = range(cfg.seed, cfg.seed + args.seeds)
+    pending, tables = harness.sweep(kind, cfg, seeds, **options), []
+
+    def next_table():
+        tables.append(next(pending))
+        return tables[-1]
+
+    for seed in seeds:
+        csv_path, _ = harness.emit_report(next_table, args.out, replace(cfg, seed=seed),
+                                          name=f"{name}_seed{seed}")
         print(csv_path.read_text(), end="")
+    drops = harness.drops_over_seeds(tables)
     if args.seeds > 1:
-        # positive drops mean the probe is worse off training first
-        for key, rows in per_seed_rows.items():
-            print(f"{key} over {len(rows)} seeds:")
-            for metric in ("auprc", "f1", "kappa"):
-                drops = [percent_drop_or_worst(getattr(row.first, metric),
-                                               getattr(row.last, metric)) for row in rows]
-                print(f"{metric}: positive drop in {sum(d > 0 for d in drops)}/{len(drops)} "
-                      f"seeds, median {statistics.median(drops):.1f}%, "
-                      f"sign test p = {sign_test_p(drops):.3g}")
+        _print_summary(drops)
+    return drops
+
+
+def cmd_sweep_order(args) -> int:
+    _sweep(args, "order", "order_sweep", probe_only=args.probe is not None)
     return 0
 
 
 def cmd_sweep_clients(args) -> int:
-    cfg = _build_config(args)
-    per_seed_kappa = {}
-    for seed in range(cfg.seed, cfg.seed + args.seeds):
-        cfg_s = replace(cfg, seed=seed)
-        table = harness.sweep_client_count(cfg_s)
-        csv_path, _ = harness.emit_report(table, args.out, name=f"client_sweep_seed{seed}",
-                                          config=cfg_s)
-        for key, drop in harness.trend_series(table):
-            per_seed_kappa.setdefault(key, []).append(drop)
-        print(csv_path.read_text(), end="")
+    drops = _sweep(args, "client_count", "client_sweep")
     if args.seeds > 1:
-        lines = ["setting,median_kappa_drop"]
-        for key, drops in per_seed_kappa.items():
-            lines.append(f"{key},{statistics.median(drops):.2f}")
+        lines = ["setting,median_kappa_drop"] + [
+            f"{key},{statistics.median(per_metric['kappa']):.2f}"
+            for key, per_metric in drops.items()]
         (args.out / "client_sweep_trend.csv").write_text("\n".join(lines) + "\n")
         print("\n".join(lines))
     return 0

@@ -80,7 +80,7 @@ class ExperimentConfig:
             raise ConfigurationError("first width must equal feature_dim")
         if not (math.isfinite(self.shift_scale) and self.shift_scale >= 0):
             raise ConfigurationError("shift_scale must be finite and >= 0")
-        # not bounded by n_clients: sweep_client_count validates each
+        # not bounded by n_clients: the client-count sweep validates each
         # setting's sub-config, whose n_clients is that setting's size
         if not self.sweep_sizes or min(self.sweep_sizes) < 1:
             raise ConfigurationError("sweep_sizes must be non-empty, each >= 1")
@@ -329,12 +329,13 @@ def _sweep_store(runs) -> SweepStore:
     per usable CPU: each call is then a stored-result hit, as an equal
     run's is, and returns the same result.
 
-    The runs are split into groups that share no work: by the first client
-    of the order they train in. Equal runs and runs that share a round-0
-    prefix start with the same client, so no sharing is lost. Each group's
-    distinct runs train in one worker, handed out in call order as workers
-    come free. That order starts with the costliest group: the group of an
-    order sweep's first run holds one distinct run per client but one, the
+    The runs are split into groups that share no work: by their config
+    (seed included) and the first client of the order they train in.
+    Equal runs and runs that share a round-0 prefix start with the same
+    client, so no sharing is lost. Each group's distinct runs train in one
+    worker, handed out in call order as workers come free. That order
+    starts each seed with its costliest group: the group of an order
+    sweep's first run holds one distinct run per client but one, the
     others one or two, and a client-count sweep's two groups cost the same.
     With one usable CPU or one group, or in a daemonic process (another
     pool's worker), nothing is trained ahead, and the calls train
@@ -454,6 +455,9 @@ def run_experiment(config: ExperimentConfig,
 
 # --- sweeps ---------------------------------------------------------------
 
+METRICS = ("auprc", "f1", "kappa")
+
+
 @dataclass(frozen=True)
 class ReportRow:
     key: str
@@ -461,9 +465,11 @@ class ReportRow:
     last: metrics.MetricReport
 
     def drops(self) -> dict[str, float]:
-        return {name: metrics.percent_drop(getattr(self.first, name),
-                                           getattr(self.last, name))
-                for name in ("auprc", "f1", "kappa")}
+        """Each metric's percent drop, a last-place score of 0 counted as
+        `metrics.percent_drop_or_worst` counts it."""
+        return {name: metrics.percent_drop_or_worst(getattr(self.first, name),
+                                                    getattr(self.last, name))
+                for name in METRICS}
 
 
 @dataclass
@@ -499,46 +505,82 @@ def run_probe_pair(config: ExperimentConfig, probe: int,
     return ReportRow(key=f"client{probe}", first=first, last=last)
 
 
-def sweep_order(config: ExperimentConfig, datasets=None,
-                probe_only: bool = False) -> ReportTable:
-    """Probe-first vs probe-last for each client (or just config.probe).
-    The runs share one `SweepStore`."""
-    config.validate()
+def _order_pairs(config: ExperimentConfig, datasets, probe_only: bool = False) -> list:
+    """An order sweep's rows, `(key, config, probe, datasets)`: each
+    client's probe pair, or config.probe's alone."""
     if config.n_clients < 2:
         raise ConfigurationError("order sweep needs at least 2 clients")
-    if datasets is None:
-        datasets = load_or_generate(config)
-    probes = [config.probe] if probe_only else list(range(config.n_clients))
-    store = _sweep_store([(cfg, datasets) for p in probes
-                          for cfg in _probe_pair(config, p, datasets)])
-    return ReportTable([run_probe_pair(config, p, datasets, store) for p in probes])
+    probes = [config.probe] if probe_only else range(config.n_clients)
+    return [(f"client{p}", config, p, datasets) for p in probes]
+
+
+def _client_count_pairs(config: ExperimentConfig, datasets) -> list:
+    """A client-count sweep's rows: the probe pair at each setting, with
+    clients beyond the probe added incrementally in ascending id order. A
+    setting's first turns are the smaller settings' turns."""
+    if max(config.sweep_sizes) > config.n_clients:
+        raise ConfigurationError("sweep size exceeds available clients")
+    others = [cid for cid in range(config.n_clients) if cid != config.probe]
+    rows = []
+    for n in config.sweep_sizes:
+        participating = sorted([config.probe] + others[:n - 1])
+        rows.append((f"{n} client setting", replace(config, n_clients=n), config.probe,
+                     [ds for ds in datasets if ds.client_id in participating]))
+    return rows
+
+
+SWEEP_KINDS = {"order": _order_pairs, "client_count": _client_count_pairs}
+
+
+def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
+          **options) -> typing.Iterator[ReportTable]:
+    """The `kind` sweep ("order", which takes `probe_only`, or
+    "client_count") of the config at each seed: one table per seed, in
+    seed order.
+
+    Each seed's data (or `datasets`, for every seed) is made first, and
+    all seeds' runs share one `SweepStore`: their groups train ahead in
+    one pool (runs of different seeds share no work, as a run's key holds
+    its seed). The tables are then made lazily, seed by seed, and each
+    `run_experiment` call returns its stored result; a failing run raises
+    when its seed's table is asked for."""
+    pairs = []
+    for seed in seeds:
+        cfg = replace(config, seed=seed)
+        cfg.validate()
+        pairs.append(SWEEP_KINDS[kind](
+            cfg, load_or_generate(cfg) if datasets is None else datasets, **options))
+    store = _sweep_store([(run, ds) for seed_pairs in pairs
+                          for _, pair_cfg, probe, ds in seed_pairs
+                          for run in _probe_pair(pair_cfg, probe, ds)])
+    return (ReportTable([replace(run_probe_pair(pair_cfg, probe, ds, store), key=key)
+                         for key, pair_cfg, probe, ds in seed_pairs]) for seed_pairs in pairs)
+
+
+def sweep_order(config: ExperimentConfig, datasets=None, probe_only: bool = False) -> ReportTable:
+    """Probe-first vs probe-last for each client (or just config.probe) at
+    config.seed: `sweep` with one seed."""
+    (table,) = sweep("order", config, [config.seed], datasets, probe_only=probe_only)
+    return table
 
 
 def sweep_client_count(config: ExperimentConfig, datasets=None) -> ReportTable:
-    """Probe-first vs probe-last at each client-count setting; clients
-    beyond the probe are added incrementally in ascending id order. The
-    runs share one `SweepStore`: a setting's first turns are the smaller
-    settings' turns."""
-    config.validate()
-    if max(config.sweep_sizes) > config.n_clients:
-        raise ConfigurationError("sweep size exceeds available clients")
-    if datasets is None:
-        datasets = load_or_generate(config)
-    others = [cid for cid in range(config.n_clients) if cid != config.probe]
-    settings = []
-    for n in config.sweep_sizes:
-        participating = sorted([config.probe] + others[:n - 1])
-        settings.append((n, replace(config, n_clients=n),
-                         [ds for ds in datasets if ds.client_id in participating]))
-    store = _sweep_store([(cfg, subset) for _, sub_cfg, subset in settings
-                          for cfg in _probe_pair(sub_cfg, config.probe, subset)])
-    return ReportTable([
-        replace(run_probe_pair(sub_cfg, config.probe, subset, store), key=f"{n} client setting")
-        for n, sub_cfg, subset in settings])
+    """Probe-first vs probe-last at each client-count setting at
+    config.seed: `sweep` with one seed."""
+    (table,) = sweep("client_count", config, [config.seed], datasets)
+    return table
 
 
-def trend_series(table: ReportTable, metric: str = "kappa") -> list[tuple[str, float]]:
-    return [(row.key, row.drops()[metric]) for row in table.rows]
+def drops_over_seeds(tables) -> dict[str, dict[str, list[float]]]:
+    """Each row key's percent drops (`ReportRow.drops`) over the tables,
+    per metric."""
+    drops = {}
+    for table in tables:
+        for row in table.rows:
+            per_metric = drops.setdefault(row.key, {name: [] for name in METRICS})
+            for name, drop in row.drops().items():
+                per_metric[name].append(drop)
+    return drops
 
 
 # --- reports --------------------------------------------------------------
@@ -547,32 +589,34 @@ REPORT_HEADER = ("row,auprc_first,auprc_last,auprc_drop,"
                  "f1_first,f1_last,f1_drop,kappa_first,kappa_last,kappa_drop")
 
 
-def render_table(table: ReportTable) -> str:
+def render_table(table: ReportTable, undefined: str | None = None) -> str:
     """CSV, scores at 4 decimals and drops at 2 (the table precision of
-    the reference results)."""
+    the reference results). A drop that `metrics.percent_drop` leaves
+    undefined (a last score of 0) raises its MetricError, or, given
+    `undefined`, is written as that text."""
     lines = [REPORT_HEADER]
     for row in table.rows:
-        drops = row.drops()
         cells = [row.key]
-        for name in ("auprc", "f1", "kappa"):
-            cells.append(f"{getattr(row.first, name):.4f}")
-            cells.append(f"{getattr(row.last, name):.4f}")
-            cells.append(f"{drops[name]:.2f}")
+        for name in METRICS:
+            first, last = getattr(row.first, name), getattr(row.last, name)
+            cells += [f"{first:.4f}", f"{last:.4f}",
+                      undefined if last == 0 and undefined is not None
+                      else f"{metrics.percent_drop(first, last):.2f}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def emit_report(table: ReportTable, out_dir, config: ExperimentConfig,
-                name: str = "report") -> list:
-    """Write the config's manifest, then the CSV table; returns the paths.
-    The manifest goes first, so a table that cannot be rendered still
-    leaves the config to rerun it from."""
+def emit_report(make_table, out_dir, config: ExperimentConfig, name: str = "report") -> list:
+    """Write the config's manifest, then the CSV of the table that
+    `make_table()` returns, with an undefined drop written as `undefined`;
+    returns the paths. The table is made once the manifest is written, so
+    a table whose runs raise still leaves the config to rerun it from."""
     import pathlib
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / f"{name}.csv", out / f"{name}.manifest.txt"]
     paths[1].write_text(render_manifest(config))
-    paths[0].write_text(render_table(table))
+    paths[0].write_text(render_table(make_table(), "undefined"))
     return paths
 
 

@@ -39,7 +39,7 @@ def client_count_tables():
     """The bias fixture's client-count sweep (probe client 0 scheduled
     first vs last on its first n clients, n = 2..5), one table per seed."""
     bias = harness.config_from(harness.parse_config_file(BIAS_CFG), {})
-    return {seed: harness.sweep_client_count(replace(bias, seed=seed)) for seed in SEEDS}
+    return dict(zip(SEEDS, harness.sweep("client_count", bias, SEEDS)))
 
 
 def _probe_drops(tables, seed, n_clients):

@@ -21,8 +21,7 @@ from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               DivergenceError, ExperimentConfig, ReportRow,
                               ReportTable, config_from, parse_config_file,
                               render_manifest, render_table, run_experiment,
-                              run_probe_pair, sweep_client_count, sweep_order,
-                              trend_series)
+                              run_probe_pair, sweep, sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
 from splitsim.model_split import U_SHAPED, VANILLA
 from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, composed_model,
@@ -366,8 +365,10 @@ class TestSweeps:
         cfg = replace(FAST, epochs=1, n_clients=3, sweep_sizes=(2, 3))
         table = sweep_client_count(cfg)
         assert [r.key for r in table.rows] == ["2 client setting", "3 client setting"]
-        series = trend_series(table)
-        assert len(series) == 2 and all(isinstance(v, float) for _, v in series)
+        drops = harness.drops_over_seeds([table])
+        assert list(drops) == ["2 client setting", "3 client setting"]
+        assert all(isinstance(v, float) for per_metric in drops.values()
+                   for (v,) in per_metric.values())
 
     @pytest.mark.parametrize("probe", [0, 3])
     def test_client_count_sweep_rows_are_probe_pairs(self, probe):
@@ -633,6 +634,46 @@ class TestParallelSweeps:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+class TestMultiSeedSweep:
+    """`sweep` trains every seed's runs in one pool; each seed's table is
+    what that seed's one-seed sweep gives."""
+
+    CFG = TestParallelSweeps.CFG
+    SEEDS = (0, 1, 2)
+
+    @staticmethod
+    def _bits(table):
+        return [[row.key] + _report_bits(row.first) + _report_bits(row.last)
+                for row in table.rows]
+
+    @pytest.mark.parametrize("cpus", [1, None])  # None: the CPUs the process has
+    @pytest.mark.parametrize("kind, one_seed", [("order", sweep_order),
+                                                ("client_count", sweep_client_count)])
+    def test_each_table_equals_its_one_seed_sweep(self, monkeypatch, kind, one_seed, cpus):
+        alone = [self._bits(one_seed(replace(self.CFG, seed=s))) for s in self.SEEDS]
+        if cpus is not None:
+            _cpus(monkeypatch, cpus)
+        assert [self._bits(t) for t in sweep(kind, self.CFG, self.SEEDS)] == alone
+
+    @pytest.mark.parametrize("kind, runs_per_seed", [("order", 8), ("client_count", 6)])
+    def test_one_pool_per_call_and_calls_in_seed_order(self, monkeypatch, kind, runs_per_seed):
+        _cpus(monkeypatch, 2)
+        pools = _pool_sizes(monkeypatch)
+        calls = _recording_runs(monkeypatch)
+        tables = list(sweep(kind, self.CFG, self.SEEDS))
+        assert pools == [2] and len(tables) == len(self.SEEDS)
+        assert [args[0].seed for args, _, _ in calls] == [
+            s for s in self.SEEDS for _ in range(runs_per_seed)]
+
+    def test_tables_are_made_as_they_are_asked_for(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        calls = _recording_runs(monkeypatch)
+        tables = sweep("order", self.CFG, self.SEEDS, probe_only=True)
+        assert calls == []
+        next(tables)
+        assert [args[0].seed for args, _, _ in calls] == [0, 0]
+
+
 class TestRenderTable:
     def test_formatting_rules(self):
         same = MetricReport(auprc=0.51234, f1=0.4, kappa=0.3, threshold=0.5)
@@ -653,10 +694,19 @@ class TestRenderTable:
         assert drops["f1"] == pytest.approx(-100.0)
         assert drops["kappa"] == 0.0
 
+    def test_undefined_drop_raises_unless_given_its_text(self):
+        first = MetricReport(auprc=0.4, f1=0.2, kappa=0.1, threshold=0.5)
+        last = MetricReport(auprc=0.5, f1=0.0, kappa=0.0, threshold=0.5)
+        table = ReportTable([ReportRow("x", first, last)])
+        with pytest.raises(metrics.MetricError):
+            render_table(table)
+        assert render_table(table, "undefined").splitlines()[1] == (
+            "x,0.4000,0.5000,20.00,0.2000,0.0000,undefined,0.1000,0.0000,undefined")
+
     def test_emit_and_reread_identical(self, tmp_path):
         rep = MetricReport(auprc=0.6, f1=0.5, kappa=0.4, threshold=0.5)
         table = ReportTable([ReportRow("client0", rep, rep)])
-        paths = harness.emit_report(table, tmp_path, config=FAST)
+        paths = harness.emit_report(lambda: table, tmp_path, config=FAST)
         assert paths[0].read_text() == render_table(table)
         assert "protocol = sl" in paths[1].read_text()
 
@@ -738,17 +788,74 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name", [("sweep-order", "order_sweep_seed7"),
                                                ("sweep-clients", "client_sweep_seed7")])
-    def test_sweep_that_raises_leaves_its_manifest(self, tmp_path, command, name):
-        # the bias fixture's seed 7: probe 0 scores 0 when trained last,
-        # so the table's percent drop raises
-        argv = [command, "--config", str(BIAS_CFG), "--seed", "7", "--probe", "0"]
-        assert cli.main(argv + ["--out", str(tmp_path / "A")]) == 2
-        manifest = tmp_path / "A" / f"{name}.manifest.txt"
-        assert not (tmp_path / "A" / f"{name}.csv").exists()
+    def test_sweep_that_raises_leaves_its_manifest(self, tmp_path, monkeypatch, command, name):
+        # a run of seed 7 raises: seed 6 keeps its table, seed 7 its manifest
+        argv = [command, "--config", str(BIAS_CFG), "--probe", "0", "--seed", "6"]
+        assert cli.main(argv + ["--out", str(tmp_path / "alone")]) == 0
+        original = harness.run_experiment
+
+        def fails_at_seed_7(config, *args, **kwargs):
+            if config.seed == 7:
+                raise Injected(config.order)
+            return original(config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_experiment", fails_at_seed_7)
+        out, stem = tmp_path / "A", name.removesuffix("7")
+        assert cli.main(argv + ["--seeds", "3", "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{stem}6.csv", f"{stem}6.manifest.txt", f"{name}.manifest.txt"]
+        assert (out / f"{stem}6.csv").read_bytes() == (
+            tmp_path / "alone" / f"{stem}6.csv").read_bytes()
+        manifest = out / f"{name}.manifest.txt"
         assert config_from(parse_config_file(manifest), {}).seed == 7
         assert cli.main([command, "--config", str(manifest), "--probe", "0",
                          "--out", str(tmp_path / "B")]) == 2
         assert (tmp_path / "B" / f"{name}.manifest.txt").read_text() == manifest.read_text()
+
+    def test_undefined_drop_is_written_not_raised(self, tmp_path):
+        # the bias fixture's seed 7: probe 0 scores kappa 0 when trained
+        # last at 4 and 5 clients
+        out = tmp_path / "out"
+        assert cli.main(["sweep-clients", "--config", str(BIAS_CFG), "--seed", "7",
+                         "--out", str(out)]) == 0
+        rows = (out / "client_sweep_seed7.csv").read_text().splitlines()
+        assert [row.endswith(",0.0000,undefined") for row in rows[1:]] == [
+            False, False, True, True]
+        bias = config_from(parse_config_file(BIAS_CFG), {"seed": 7})
+        with pytest.raises(metrics.MetricError):
+            render_table(sweep_client_count(bias))
+
+    def test_summary_counts_undefined_drops_as_worst(self, capsys):
+        def report(kappa):
+            return MetricReport(auprc=0.5, f1=0.5, kappa=kappa, threshold=0.5)
+
+        tables = [ReportTable([ReportRow("client0", report(first), report(last))])
+                  for first, last in ((0.2, 0.0), (0.1, 0.2), (-0.1, 0.0))]
+        cli._print_summary(harness.drops_over_seeds(tables))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "client0 over 3 seeds:"
+        assert lines[1] == "auprc: positive drop in 0/3 seeds, median 0.0%, sign test p = 1"
+        assert lines[3] == ("kappa: positive drop in 1/3 seeds, median 0.0%, "
+                            "sign test p = 1, 1 undefined counted as worst")
+
+    def test_sweep_clients_summarises_each_setting(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, "n_clients = 3\nsweep_sizes = 2,3\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli.main(["sweep-clients", "--config", str(cfg), "--epochs", "1",
+                         "--seeds", "2", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        tables = [harness.sweep_client_count(config_from(parse_config_file(cfg),
+                                                         {"epochs": 1, "seed": s}))
+                  for s in (0, 1)]
+        drops = harness.drops_over_seeds(tables)
+        for key in ("2 client setting", "3 client setting"):
+            at = lines.index(f"{key} over 2 seeds:")
+            assert [line.split(":")[0] for line in lines[at + 1:at + 4]] == ["auprc", "f1", "kappa"]
+        trend = (out / "client_sweep_trend.csv").read_text().splitlines()
+        assert trend == ["setting,median_kappa_drop"] + [
+            f"{key},{(d['kappa'][0] + d['kappa'][1]) / 2:.2f}" for key, d in drops.items()]
+        assert lines[-3:] == trend
 
     def test_sweep_prints_the_table_it_writes(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
