@@ -84,14 +84,15 @@ def cmd_run(args) -> int:
 def _print_summary(drops) -> None:
     """Per row over the seeds, for each metric: the seeds whose drop is
     positive (the probe is worse off training first), the median drop,
-    the sign-test p-value, and the undefined drops counted as worst."""
+    the sign-test p-value, and the undefined drops counted as +inf and
+    as -inf."""
     for key, per_metric in drops.items():
         print(f"{key} over {len(per_metric['kappa'])} seeds:")
         for metric, ds in per_metric.items():
-            worst = sum(d == -math.inf for d in ds)
+            up, down = ds.count(math.inf), ds.count(-math.inf)
             print(f"{metric}: positive drop in {sum(d > 0 for d in ds)}/{len(ds)} seeds, "
                   f"median {statistics.median(ds):.1f}%, sign test p = {sign_test_p(ds):.3g}"
-                  + (f", {worst} undefined counted as worst" if worst else ""))
+                  + (f", {up} undefined counted as +inf, {down} as -inf" if up or down else ""))
 
 
 def _sweep(args, kind: str, name: str, **options) -> dict:

@@ -13,7 +13,6 @@ import math
 import os
 import time
 import typing
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -34,6 +33,11 @@ class ConfigurationError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Training diverged: an epoch's mean validation loss is not finite."""
+
+
+class SaturationError(DivergenceError):
+    """Training saturated: in an epoch, every validation probability of
+    every client sits at a clamp bound (`nn.PROB_CLAMP`)."""
 
 
 @dataclass(frozen=True)
@@ -261,155 +265,47 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
-class SweepStore:
-    """The work the runs of one sweep share, done once. A sweep builds one
-    from the configs of the runs it will make, in their order, passes it
-    to each of them, and drops it when it returns. Each run still returns
-    its own result; the runs share the same clients' data.
-
-    - Whole results of runs known to be equal: the same `_run_key`. A
-      later equal run returns the stored result under its own config.
-    - Round-0 prefix states (SL, SFv2): all runs start from the same
-      model, so runs whose orders start alike train the same first
-      turns. A run restores the longest stored state that starts its
-      order (`protocols.TurnStates`) and trains only the rest.
-
-    Only what a later run will use is kept, and each item is dropped
-    after its last use."""
-
-    def __init__(self, runs: list[ExperimentConfig]):
-        keys = [_run_key(cfg, cfg.order) for cfg in runs]
-        self.pending = Counter(keys)  # runs still to come, per key
-        self.results: dict[tuple, RunResult] = {}
-        self.turns: dict[ExperimentConfig, TurnStates] = {}
-        trained: dict[ExperimentConfig, list[tuple[int, ...]]] = {}
-        for base, order in dict.fromkeys(keys):  # the runs that train, in order
-            if not SPECS[base.protocol].shared_body:
-                continue
-            earlier = trained.setdefault(base, [])
-            k = max((_common_prefix(order, o) for o in earlier), default=0)
-            if k:
-                self.turns.setdefault(base, TurnStates()).uses[order[:k]] += 1
-            earlier.append(order)
-
-    def take_result(self, key) -> RunResult | None:
-        """Count a run of `key` as made; the stored result of an equal
-        earlier run, if any."""
-        self.pending[key] -= 1
-        if self.pending[key] > 0:
-            return self.results.get(key)
-        return self.results.pop(key, None)
-
-    def keep_result(self, key, result: RunResult) -> None:
-        if self.pending[key] > 0:
-            self.results[key] = result
-
-
-# --- training a sweep's groups ahead, in forked workers ----------------------
-
-_worker_groups: list = []  # in a forked worker: the groups of the sweep that forked it
-
-
-def _adopt_groups(groups: list) -> None:
-    global _worker_groups
-    _worker_groups = groups
-
-
-def _train_group(index: int) -> list[RunResult]:
-    """Train one group's runs in order, in a worker, sharing their round-0
-    prefixes through a store of the group's own."""
-    group = _worker_groups[index]
-    store = SweepStore([cfg for cfg, _ in group])
-    return [run_experiment(cfg, datasets, store=store) for cfg, datasets in group]
-
-
-def _sweep_store(runs) -> SweepStore:
-    """The `SweepStore` of a sweep's runs, `[(config, datasets)]` in call
-    order, holding their results trained ahead in up to one forked worker
-    per usable CPU: each call is then a stored-result hit, as an equal
-    run's is, and returns the same result.
-
-    The runs are split into groups that share no work: by their config
-    (seed included) and the first client of the order they train in.
-    Equal runs and runs that share a round-0 prefix start with the same
-    client, so no sharing is lost. Each group's distinct runs train in one
-    worker, handed out in call order as workers come free. That order
-    starts each seed with its costliest group: the group of an order
-    sweep's first run holds one distinct run per client but one, the
-    others one or two, and a client-count sweep's two groups cost the same.
-    With one usable CPU or one group, or in a daemonic process (another
-    pool's worker), nothing is trained ahead, and the calls train
-    in-process.
-
-    A group whose worker raised or died is left to the calls: they train
-    it in-process, so the sweep raises the error of its first failing run
-    in call order."""
-    store = SweepStore([cfg for cfg, _ in runs])
-    groups: dict[tuple, dict[tuple, tuple]] = {}
-    for cfg, datasets in runs:
-        key = _run_key(cfg, cfg.order)
-        groups.setdefault((key[0], key[1][0]), {}).setdefault(key, (cfg, datasets))
-    groups = [list(group.values()) for group in groups.values()]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(groups))
-    if workers < 2:
-        return store
-    # imported here, not at the top: about 1 MB of RSS a single run never needs
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if multiprocessing.current_process().daemon:  # a pool's worker may not start processes
-        return store
-    # fork hands the workers the datasets without pickling them; named, as it
-    # is not the default everywhere (forkserver from Python 3.14). Unlike
-    # multiprocessing.Pool, the executor fails a task whose worker was killed
-    # instead of waiting for it forever.
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_adopt_groups, initargs=(groups,)) as pool:
-        futures = [pool.submit(_train_group, i) for i in range(len(groups))]
-    for group, future in zip(groups, futures):
-        if future.exception() is None:
-            for (cfg, _), result in zip(group, future.result()):
-                store.results[_run_key(cfg, cfg.order)] = result
-    return store
-
-
 def run_experiment(config: ExperimentConfig,
                    datasets: list[ClientDataset] | None = None,
-                   keep_bus: bool = False, store: SweepStore | None = None) -> RunResult:
+                   keep_bus: bool = False, store: dict | None = None) -> RunResult:
     """Train for config.epochs global epochs, checkpoint on least mean
     validation loss, and evaluate each client's test split with its own
     model from the selected epoch, run through its segments in turn.
 
     Each epoch is scored on the live models; only the best epoch's
     parameter vectors and validation probabilities are kept, one copy of
-    each distinct vector. Ties go to the earliest epoch, and a non-finite
-    loss raises DivergenceError.
+    each distinct vector. Ties go to the earliest epoch. A non-finite loss
+    raises DivergenceError, and an epoch whose every validation
+    probability sits at a clamp bound raises SaturationError.
 
-    `store` is the sweep's shared work (`SweepStore`); the result is the
-    same with it or without it. It cannot be combined with `keep_bus`."""
+    `store` holds a sweep's results trained ahead (`_train_ahead`), by
+    `_run_key`. A run found there returns that result under its own
+    config, which is what training it gives; a run that keeps its bus,
+    or is not found, trains."""
     config.validate()
     start = time.perf_counter()
     if datasets is None:
         datasets = load_or_generate(config)
     datasets = datasets[:config.n_clients]
-    ds_by_id = {ds.client_id: ds for ds in datasets}
-    order = config.order or tuple(sorted(ds_by_id))
-    if sorted(order) != sorted(ds_by_id):
+    client_ids = sorted(ds.client_id for ds in datasets)
+    order = tuple(config.order or client_ids)
+    if sorted(order) != client_ids:
         raise ConfigurationError("order is not a permutation of the clients")
-    turns = None
-    if store is not None:
-        if keep_bus:
-            raise ValueError("a run that shares a sweep's work cannot keep its bus")
-        key = _run_key(config, order)
-        known = store.take_result(key)
-        if known is not None:
-            return replace(known, config=replace(config, order=tuple(order)),
-                           per_client=dict(known.per_client),
-                           val_losses=list(known.val_losses),
-                           duration=time.perf_counter() - start)
-        turns = store.turns.get(key[0])
+    config = replace(config, order=order)
+    known = None if store is None or keep_bus else store.get(_run_key(config, order))
+    if known is None:
+        return _train(config, datasets, keep_bus)
+    return replace(known, config=config, per_client=dict(known.per_client),
+                   val_losses=list(known.val_losses), duration=time.perf_counter() - start)
 
+
+def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bool = False,
+           turns: TurnStates | None = None) -> RunResult:
+    """`run_experiment`'s training, for a config that names its order and
+    the datasets of its clients. `turns` (SL, SFv2) holds the round-0
+    states that the runs of its group share (`_train_group`)."""
+    start = time.perf_counter()
+    ds_by_id = {ds.client_id: ds for ds in datasets}
     # the initial model is freed once make_clients has copied it: held for
     # the run, it took a fresh wide-body process's first sl run from 2.9 k
     # to about 16 k minor page faults
@@ -419,10 +315,13 @@ def run_experiment(config: ExperimentConfig,
 
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
-        plan = RoundPlan(config.protocol, tuple(order), epoch)
+        plan = RoundPlan(config.protocol, config.order, epoch)
         run_round(clients, server, plan, bus, config.split_kind, config.batch_size,
                   turns=turns if epoch == 0 else None)
         loss, val_probs = _live_validation(clients, server, ds_by_id)
+        if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
+               for p in val_probs.values()):
+            raise SaturationError(f"epoch {epoch}: every validation probability is at a clamp bound")
         checkpoint.offer(loss, lambda: _snapshot(clients, server))
         if checkpoint.epoch == epoch:
             best_val_probs = val_probs
@@ -437,8 +336,8 @@ def run_experiment(config: ExperimentConfig,
                                            best_val_probs[cid][:, 0], ds.val_y,
                                            config.sensitivity)
 
-    result = RunResult(
-        config=replace(config, order=tuple(order)),
+    return RunResult(
+        config=config,
         per_client=per_client,
         checkpoint_epoch=best_epoch,
         val_losses=checkpoint.losses,
@@ -448,9 +347,87 @@ def run_experiment(config: ExperimentConfig,
         duration=time.perf_counter() - start,
         bus=bus if keep_bus else None,
     )
-    if store is not None:
-        store.keep_result(key, result)
-    return result
+
+
+# --- training a sweep's runs ahead of its calls -------------------------------
+
+def _train_group(group) -> list[RunResult] | None:
+    """Train one group's runs, `[(config, datasets)]` with distinct run
+    keys, in order; None if a run raised. Under SL and SFv2 a run restores
+    the round-0 state after the longest prefix of its order that an
+    earlier run of the group trained, and trains only the rest
+    (`protocols.TurnStates`); each state is captured only if a later run
+    restores it, and dropped after that."""
+    turns, earlier = TurnStates(), []
+    for cfg, _ in group:
+        k = max((_common_prefix(cfg.order, o) for o in earlier), default=0)
+        if k:
+            turns.uses[cfg.order[:k]] += 1
+        earlier.append(cfg.order)
+    shared = SPECS[group[0][0].protocol].shared_body
+    try:
+        return [_train(cfg, datasets[:cfg.n_clients], turns=turns if shared else None)
+                for cfg, datasets in group]
+    except Exception:  # noqa: BLE001 - the group's calls train it again and raise
+        return None
+
+
+def _pool(groups: int):
+    """A pool of forked workers to train `groups` groups in, one per
+    usable CPU and at most one per group; None (train in-process) below 2
+    workers, and in a daemonic process (another pool's worker), which may
+    not start processes."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if min(cpus, groups) < 2:
+        return None
+    # imported here, not at the top: about 1 MB of RSS a single run never needs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if multiprocessing.current_process().daemon:
+        return None
+    # fork: a worker starts as a copy of the parent, its modules imported;
+    # named, as it is not the default everywhere (forkserver from Python
+    # 3.14). Unlike multiprocessing.Pool, the executor fails a task whose
+    # worker was killed instead of waiting for it forever.
+    return ProcessPoolExecutor(min(cpus, groups), multiprocessing.get_context("fork"))
+
+
+def _train_ahead(runs) -> dict[tuple, RunResult]:
+    """Train a sweep's runs, `[(config, datasets)]` in call order, before
+    its calls: `{run key: result}` for `run_experiment(..., store=)`.
+
+    Equal runs (the same `_run_key`) train once. The distinct runs split
+    into groups that share no work, by their config (seed included) and
+    the first client of the order they train in: equal runs and runs that
+    share a round-0 prefix start with the same client. Each group trains
+    through `_train_group`, in forked workers (`_pool`), handed out in
+    call order as workers come free, or else in-process, one after
+    another. That order starts each seed with its costliest group: the
+    group of an order sweep's first run holds one distinct run per client
+    but one, the others one or two.
+
+    A group that raised, or whose worker died, is left out: its calls
+    train it again, so a sweep raises the error of its first failing run
+    in call order."""
+    groups: dict[tuple, dict[tuple, tuple]] = {}
+    for cfg, datasets in runs:
+        key = _run_key(cfg, cfg.order)
+        groups.setdefault((key[0], key[1][0]), {}).setdefault(key, (cfg, datasets))
+    groups = [list(group.values()) for group in groups.values()]
+    pool = _pool(len(groups))
+    if pool is None:
+        trained = [_train_group(group) for group in groups]
+    else:
+        with pool:
+            futures = [pool.submit(_train_group, group) for group in groups]
+        # None where a worker died
+        trained = [f.result() if f.exception() is None else None for f in futures]
+    store = {}
+    for group, results in zip(groups, trained):
+        for (cfg, _), result in zip(group, results or ()):
+            store[_run_key(cfg, cfg.order)] = result
+    return store
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -489,17 +466,17 @@ def _probe_pair(config: ExperimentConfig, probe: int, datasets) -> tuple[Experim
 
 
 def run_probe_pair(config: ExperimentConfig, probe: int,
-                   datasets=None, store: SweepStore | None = None) -> ReportRow:
+                   datasets=None, store: dict | None = None) -> ReportRow:
     """Run the config twice, probe placed first then last; report the
-    probe client's metrics from each. The two runs share their work
-    through `store` (the calling sweep's, or one of their own): under FL,
-    SFv1 and SFv3, where the order is inert, they are one training."""
+    probe client's metrics from each. The runs are trained ahead with
+    their sweep's (`store`), or together on their own: under FL, SFv1 and
+    SFv3, where the order is inert, they are one training."""
     if store is None and datasets is None:  # generated once, for both runs
         config.validate()
         datasets = load_or_generate(config)
     runs = _probe_pair(config, probe, datasets)
     if store is None:
-        store = _sweep_store([(cfg, datasets) for cfg in runs])
+        store = _train_ahead([(cfg, datasets) for cfg in runs])
     first, last = (run_experiment(cfg, datasets, store=store).per_client[probe]
                    for cfg in runs)
     return ReportRow(key=f"client{probe}", first=first, last=last)
@@ -539,18 +516,18 @@ def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
     seed order.
 
     Each seed's data (or `datasets`, for every seed) is made first, and
-    all seeds' runs share one `SweepStore`: their groups train ahead in
-    one pool (runs of different seeds share no work, as a run's key holds
-    its seed). The tables are then made lazily, seed by seed, and each
-    `run_experiment` call returns its stored result; a failing run raises
-    when its seed's table is asked for."""
+    all seeds' runs train ahead together (`_train_ahead`; runs of
+    different seeds share no work, as a run's key holds its seed). The
+    tables are then made lazily, seed by seed, and each `run_experiment`
+    call returns its result trained ahead; a failing run raises when its
+    seed's table is asked for."""
     pairs = []
     for seed in seeds:
         cfg = replace(config, seed=seed)
         cfg.validate()
         pairs.append(SWEEP_KINDS[kind](
             cfg, load_or_generate(cfg) if datasets is None else datasets, **options))
-    store = _sweep_store([(run, ds) for seed_pairs in pairs
+    store = _train_ahead([(run, ds) for seed_pairs in pairs
                           for _, pair_cfg, probe, ds in seed_pairs
                           for run in _probe_pair(pair_cfg, probe, ds)])
     return (ReportTable([replace(run_probe_pair(pair_cfg, probe, ds, store), key=key)

@@ -144,11 +144,12 @@ def percent_drop(first: float, last: float) -> float:
 
 def percent_drop_or_worst(first: float, last: float) -> float:
     """percent_drop, extended to the degenerate last == 0 case for
-    multi-seed sweeps: a probe that scores 0 when trained last counts as
-    the worst possible outcome (-inf) if it scored above 0 when trained
-    first, and as no change (0.0) otherwise."""
+    multi-seed sweeps: the limit of the drop, infinite with the sign of
+    `last - first`. A probe that scores 0 when trained last is infinitely
+    worse off last (-inf) if it scored above 0 first, infinitely worse off
+    first (+inf) if it scored below 0 first, and unchanged (0.0) at 0."""
     if last == 0:
-        return float("-inf") if first > 0 else 0.0
+        return math.copysign(math.inf, last - first) if first != last else 0.0
     return percent_drop(first, last)
 
 

@@ -292,42 +292,21 @@ def _put_params(saved: tuple, flat: np.ndarray, opt: AdamState) -> None:
     flat[...], opt.m[...], opt.v[...], opt.step = saved
 
 
-@dataclass(frozen=True)
-class TurnState:
-    """Copies of what the first client turns of round 0 against a shared
-    body change: each of those clients' `[front | tail]` vector and Adam
-    state (m, v, step), the body and its Adam state, and the bus
-    counters. Every other client is still as `make_clients` dealt it."""
-
-    clients: dict[int, tuple]
-    body: tuple
-    counters: tuple[dict, dict, dict, dict]
-
-    @classmethod
-    def capture(cls, turns, clients, server: ServerState, bus: ChannelBus) -> "TurnState":
-        return cls({cid: _copy_params(clients[cid].flat, clients[cid].opt) for cid in turns},
-                   _copy_params(server.bodies[turns[0]].flat, server.opts[turns[0]]),
-                   bus.counters())
-
-    def restore(self, clients, server: ServerState, bus: ChannelBus) -> None:
-        for cid, saved in self.clients.items():
-            _put_params(saved, clients[cid].flat, clients[cid].opt)
-        cid = next(iter(self.clients))
-        _put_params(self.body, server.bodies[cid].flat, server.opts[cid])
-        bus.restore_counters(self.counters)
-
-
 class TurnStates:
     """Round-0 states shared by runs that start from the same model, data
     and hyperparameters and differ in their client order, keyed by the
-    order prefix whose turns led to them.
+    order prefix whose turns led to them. A state holds copies of what
+    those turns against a shared body change: each of their clients'
+    `[front | tail]` vector and Adam state (m, v, step), the body and its
+    Adam state, and the bus counters. Every other client is still as
+    `make_clients` dealt it.
 
     `uses` counts, per prefix, the restores still to come: a state is
     captured only while it has some, and dropped after its last."""
 
     def __init__(self):
         self.uses: Counter[tuple[int, ...]] = Counter()
-        self.states: dict[tuple[int, ...], TurnState] = {}
+        self.states: dict[tuple[int, ...], tuple] = {}
 
     def restore(self, order: tuple[int, ...], clients, server: ServerState,
                 bus: ChannelBus) -> int:
@@ -336,10 +315,14 @@ class TurnStates:
         for k in range(len(order), 0, -1):
             prefix = order[:k]
             if prefix in self.states:
-                self.states[prefix].restore(clients, server, bus)
+                saved_clients, body, counters = self.states[prefix]
                 self.uses[prefix] -= 1
                 if self.uses[prefix] <= 0:
                     del self.states[prefix]
+                for cid, saved in zip(prefix, saved_clients):
+                    _put_params(saved, clients[cid].flat, clients[cid].opt)
+                _put_params(body, server.bodies[order[0]].flat, server.opts[order[0]])
+                bus.restore_counters(counters)
                 return k
         return 0
 
@@ -348,7 +331,10 @@ class TurnStates:
         """Capture the state after `prefix`'s turns if a later run will
         restore it."""
         if self.uses[prefix] > 0 and prefix not in self.states:
-            self.states[prefix] = TurnState.capture(prefix, clients, server, bus)
+            self.states[prefix] = (
+                [_copy_params(clients[cid].flat, clients[cid].opt) for cid in prefix],
+                _copy_params(server.bodies[prefix[0]].flat, server.opts[prefix[0]]),
+                bus.counters())
 
 
 # --- round engine ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from splitsim import cli, datagen, harness, metrics, nn, protocols
 from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               DivergenceError, ExperimentConfig, ReportRow,
-                              ReportTable, config_from, parse_config_file,
+                              ReportTable, SaturationError, config_from, parse_config_file,
                               render_manifest, render_table, run_experiment,
                               run_probe_pair, sweep, sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
@@ -311,6 +312,33 @@ class TestStreamingCheckpoint:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_saturation_raises(self, protocol):
+        # lr 10 pins every validation probability at 0 or 1 in round 0
+        cfg = replace(FAST, protocol=protocol, lr=10.0)
+        with np.errstate(all="ignore"), pytest.raises(SaturationError, match="epoch 0"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("off", [None, 2e-12, 0.5, 1 - 2e-12])
+    def test_saturation_needs_every_probability_at_a_bound(self, monkeypatch, off):
+        # every validation probability at a clamp bound, or all but one
+        original = harness._live_validation
+
+        def pinned(*args):
+            loss, val_probs = original(*args)
+            val_probs = {cid: np.where(p < 0.5, nn.PROB_CLAMP, 1.0)
+                         for cid, p in val_probs.items()}
+            if off is not None:
+                val_probs[1][0, 0] = off
+            return loss, val_probs
+
+        monkeypatch.setattr(harness, "_live_validation", pinned)
+        if off is None:
+            with pytest.raises(SaturationError, match="epoch 0"):
+                run_experiment(FAST)
+        else:
+            run_experiment(FAST)
+
 
 class TestRunExperiment:
     def test_byte_identical_reruns(self):
@@ -409,7 +437,8 @@ def _report_bits(report: MetricReport) -> list[str]:
 
 
 class TestSweepStore:
-    """A sweep's runs share one SweepStore; every table cell and every
+    """A sweep's runs train ahead together (`harness._train_ahead`) and its
+    calls read their results from one store; every table cell and every
     run's result must be what a standalone run gives."""
 
     @pytest.mark.parametrize("split_kind", [VANILLA, U_SHAPED])
@@ -461,12 +490,52 @@ class TestSweepStore:
         monkeypatch.undo()
         return steps.value
 
+    @staticmethod
+    @functools.cache
+    def _small_data(n_clients):
+        return datagen.generate_clients(datagen.desk_manifest(n_clients, 20), seed=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(orders=st.integers(3, 4).flatmap(lambda n: st.lists(
+               st.permutations(range(n)).map(tuple), min_size=1, max_size=6, unique=True)),
+           protocol=st.sampled_from(["sl", "sfv2"]),
+           split_kind=st.sampled_from([VANILLA, U_SHAPED]), epochs=st.integers(1, 2))
+    def test_runs_trained_ahead_equal_standalone_runs(self, orders, protocol, split_kind,
+                                                       epochs):
+        n = len(orders[0])
+        datasets = self._small_data(n)
+        cfg = replace(FAST, protocol=protocol, split_kind=split_kind, epochs=epochs,
+                      n_clients=n)
+        runs = [(replace(cfg, order=order), datasets) for order in orders]
+        steps, original = [], protocols.adam_step
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 1)
+            mp.setattr(protocols, "adam_step", lambda *a: steps.append(a) or original(*a))
+            trained = harness._train_ahead(runs)
+        assert len(trained) == len(runs)
+        for run, _ in runs:
+            alone = run_experiment(run, datasets)
+            ahead = trained[harness._run_key(run, run.order)]
+            assert (ahead.to_json(), ahead.total_bytes) == (alone.to_json(), alone.total_bytes)
+        # round 0 trains each node of the orders' prefix tree once, every
+        # later round each run's every turn; a batch takes two Adam steps,
+        # the client's and the body's
+        batches = {ds.client_id: -(-ds.sample_count // cfg.batch_size) for ds in datasets}
+        nodes = {order[:k] for order in orders for k in range(1, n + 1)}
+        later = (epochs - 1) * len(orders) * sum(batches.values())
+        assert len(steps) == 2 * (sum(batches[node[-1]] for node in nodes) + later)
+
     def test_bias_sweeps_train_shared_turns_once(self, monkeypatch):
         # batch 4 gives 46/95/29/22/28 batches per client and epoch, two
-        # Adam steps per batch; standalone runs take 8,800 and 5,784 steps
+        # Adam steps per batch; standalone runs take 8,800 and 5,784 steps.
+        # In-process and in workers alike.
         bias = config_from(parse_config_file(BIAS_CFG), {})
-        assert self._count_steps(monkeypatch, sweep_order, bias) == 7016
-        assert self._count_steps(monkeypatch, sweep_client_count, bias) == 4048
+        for cpus in (1, 2):
+            for sweep, steps in ((sweep_order, 7016), (sweep_client_count, 4048)):
+                _cpus(monkeypatch, cpus)
+                pools = _pool_sizes(monkeypatch)
+                assert self._count_steps(monkeypatch, sweep, bias) == steps
+                assert pools == ([] if cpus == 1 else [2])
 
     @pytest.mark.parametrize("protocol", ["fl", "sfv1", "sfv3"])
     def test_order_sweep_is_one_training_where_order_is_inert(self, monkeypatch, protocol):
@@ -477,24 +546,39 @@ class TestSweepStore:
         assert row.first == row.last and metrics.percent_drop(row.first.kappa,
                                                               row.last.kappa) == 0.0
 
-    def test_store_keeps_only_what_a_later_run_restores(self):
+    def test_store_keeps_only_what_a_later_run_restores(self, monkeypatch):
         cfg = replace(FAST, n_clients=4)
         datasets = harness.load_or_generate(cfg)
         runs = [c for p in range(4) for c in harness._probe_pair(cfg, p, datasets)]
         assert [c.order for c in runs[-2:]] == [(3, 0, 1, 2), (0, 1, 2, 3)]
-        store = harness.SweepStore(runs)
-        (turns,) = store.turns.values()
-        # (1, 0, 2, 3) restores (1,), (0, 2, 3, 1) restores (0,), (0, 1, 3, 2)
-        # restores (0, 1); the last run equals the first
-        assert dict(turns.uses) == {(1,): 1, (0,): 1, (0, 1): 1}
-        live = []
-        for run in runs:
-            run_experiment(run, datasets, store=store)
-            live.append(sorted(turns.states))
-        assert live[:2] == [[(0,), (0, 1)], [(0,), (0, 1), (1,)]]
-        assert live[-1] == [] and store.results == {}
-        with pytest.raises(ValueError):
-            run_experiment(runs[0], datasets, keep_bus=True, store=store)
+        # after each run trained: its order, the prefixes whose restores are
+        # still to come, and the states alive
+        original, live = harness._train, []
+
+        def train(config, datasets, keep_bus=False, turns=None):
+            result = original(config, datasets, keep_bus, turns)
+            live.append((config.order, +turns.uses, sorted(turns.states)))
+            return result
+
+        monkeypatch.setattr(harness, "_train", train)
+        _cpus(monkeypatch, 1)
+        store = harness._train_ahead([(run, datasets) for run in runs])
+        # groups by first client, in call order; in group 0, (0, 2, 3, 1)
+        # restores (0,) and (0, 1, 3, 2) restores (0, 1); in group 1,
+        # (1, 0, 2, 3) restores (1,); the last run equals the first
+        assert live == [
+            ((0, 1, 2, 3), {(0,): 1, (0, 1): 1}, [(0,), (0, 1)]),
+            ((0, 2, 3, 1), {(0, 1): 1}, [(0, 1)]),
+            ((0, 1, 3, 2), {}, []),
+            ((1, 2, 3, 0), {(1,): 1}, [(1,)]),
+            ((1, 0, 2, 3), {}, []),
+            ((2, 0, 1, 3), {}, []),
+            ((3, 0, 1, 2), {}, [])]
+        assert sorted(order for _, order in store) == sorted(order for order, _, _ in live)
+        monkeypatch.undo()
+        # a run that keeps its bus trains: a stored result has none
+        kept = run_experiment(runs[0], datasets, keep_bus=True, store=store)
+        assert kept.bus is not None and kept.to_json() == run_experiment(runs[0]).to_json()
 
 
 def _cpus(monkeypatch, n: int) -> None:
@@ -835,8 +919,9 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "client0 over 3 seeds:"
         assert lines[1] == "auprc: positive drop in 0/3 seeds, median 0.0%, sign test p = 1"
-        assert lines[3] == ("kappa: positive drop in 1/3 seeds, median 0.0%, "
-                            "sign test p = 1, 1 undefined counted as worst")
+        # (-0.1, 0.0): the probe is worse off first, an undefined drop of +inf
+        assert lines[3] == ("kappa: positive drop in 2/3 seeds, median 50.0%, "
+                            "sign test p = 1, 1 undefined counted as +inf, 1 as -inf")
 
     def test_sweep_clients_summarises_each_setting(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, "n_clients = 3\nsweep_sizes = 2,3\n")
@@ -905,6 +990,14 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert cli.main(["run", "--config", str(cfg), "--out",
                              str(tmp_path / "out")]) == 2
+
+    def test_saturation_exits_2_and_names_the_epoch(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, "lr = 10\n")
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", "--config", str(cfg), "--out",
+                             str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: epoch 0: every validation probability is at a clamp bound\n")
 
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1

@@ -260,7 +260,7 @@ class TestPercentDrop:
     def test_or_worst_defines_zero_last(self):
         assert percent_drop_or_worst(0.5, 0.0) == float("-inf")
         assert percent_drop_or_worst(0.0, 0.0) == 0.0
-        assert percent_drop_or_worst(-0.2, 0.0) == 0.0
+        assert percent_drop_or_worst(-0.2, 0.0) == float("inf")  # worse off first
         assert percent_drop_or_worst(0.4318, 0.5833) == percent_drop(0.4318, 0.5833)
 
     @pytest.mark.parametrize("row", ORDER_TABLE + SETTING_TABLE,
