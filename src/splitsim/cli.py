@@ -11,13 +11,12 @@ import argparse
 import json
 import math
 import pathlib
-import statistics
 import sys
 from dataclasses import fields, replace
 
 from . import datagen, harness
 from .harness import ConfigurationError, ExperimentConfig
-from .metrics import sign_test_p
+from .metrics import median_drop, sign_test_p
 from .model_split import U_SHAPED, VANILLA
 from .protocols import PROTOCOLS
 from .transport import CodecError
@@ -91,7 +90,7 @@ def _print_summary(drops) -> None:
         for metric, ds in per_metric.items():
             up, down = ds.count(math.inf), ds.count(-math.inf)
             print(f"{metric}: positive drop in {sum(d > 0 for d in ds)}/{len(ds)} seeds, "
-                  f"median {statistics.median(ds):.1f}%, sign test p = {sign_test_p(ds):.3g}"
+                  f"median {median_drop(ds, '{:.1f}%')}, sign test p = {sign_test_p(ds):.3g}"
                   + (f", {up} undefined counted as +inf, {down} as -inf" if up or down else ""))
 
 
@@ -126,7 +125,7 @@ def cmd_sweep_clients(args) -> int:
     drops = _sweep(args, "client_count", "client_sweep")
     if args.seeds > 1:
         lines = ["setting,median_kappa_drop"] + [
-            f"{key},{statistics.median(per_metric['kappa']):.2f}"
+            f"{key},{median_drop(per_metric['kappa'], '{:.2f}')}"
             for key, per_metric in drops.items()]
         (args.out / "client_sweep_trend.csv").write_text("\n".join(lines) + "\n")
         print("\n".join(lines))

@@ -255,14 +255,9 @@ def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
 def _run_key(config: ExperimentConfig, order) -> tuple[ExperimentConfig, tuple[int, ...]]:
     """What a run's training depends on besides its clients' data: the
     config without its order, probe and client count, and the order the
-    clients actually train in (the plan order against a shared body,
-    else ascending ids, where the order is inert)."""
-    order = tuple(order) if SPECS[config.protocol].shared_body else tuple(sorted(order))
-    return replace(config, order=None, probe=0, n_clients=0), order
-
-
-def _common_prefix(a: tuple, b: tuple) -> int:
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    clients really train in (`ProtocolSpec.training_order`)."""
+    return (replace(config, order=None, probe=0, n_clients=0),
+            SPECS[config.protocol].training_order(order))
 
 
 def run_experiment(config: ExperimentConfig,
@@ -353,21 +348,12 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
 
 def _train_group(group) -> list[RunResult] | None:
     """Train one group's runs, `[(config, datasets)]` with distinct run
-    keys, in order; None if a run raised. Under SL and SFv2 a run restores
-    the round-0 state after the longest prefix of its order that an
-    earlier run of the group trained, and trains only the rest
-    (`protocols.TurnStates`); each state is captured only if a later run
-    restores it, and dropped after that."""
-    turns, earlier = TurnStates(), []
-    for cfg, _ in group:
-        k = max((_common_prefix(cfg.order, o) for o in earlier), default=0)
-        if k:
-            turns.uses[cfg.order[:k]] += 1
-        earlier.append(cfg.order)
+    keys, in order; None if a run raised. Under SL and SFv2 the runs share
+    their round-0 turns (`protocols.TurnStates`)."""
     shared = SPECS[group[0][0].protocol].shared_body
+    turns = TurnStates([cfg.order for cfg, _ in group]) if shared else None
     try:
-        return [_train(cfg, datasets[:cfg.n_clients], turns=turns if shared else None)
-                for cfg, datasets in group]
+        return [_train(cfg, datasets[:cfg.n_clients], turns=turns) for cfg, datasets in group]
     except Exception:  # noqa: BLE001 - the group's calls train it again and raise
         return None
 
@@ -442,10 +428,8 @@ class ReportRow:
     last: metrics.MetricReport
 
     def drops(self) -> dict[str, float]:
-        """Each metric's percent drop, a last-place score of 0 counted as
-        `metrics.percent_drop_or_worst` counts it."""
-        return {name: metrics.percent_drop_or_worst(getattr(self.first, name),
-                                                    getattr(self.last, name))
+        """Each metric's percent drop (`metrics.percent_drop`)."""
+        return {name: metrics.percent_drop(getattr(self.first, name), getattr(self.last, name))
                 for name in METRICS}
 
 
@@ -456,42 +440,23 @@ class ReportTable:
 
 def _probe_pair(config: ExperimentConfig, probe: int, datasets) -> tuple[ExperimentConfig, ...]:
     """The configs of the probe-first and probe-last runs, the others in
-    ascending id. The clients are the first config.n_clients datasets, or
-    ids 0..n_clients-1 when none are given."""
-    client_ids = (range(config.n_clients) if datasets is None
-                  else [ds.client_id for ds in datasets[:config.n_clients]])
-    rest = tuple(cid for cid in sorted(client_ids) if cid != probe)
+    ascending id. The clients are the first config.n_clients datasets."""
+    client_ids = sorted(ds.client_id for ds in datasets[:config.n_clients])
+    rest = tuple(cid for cid in client_ids if cid != probe)
     return (replace(config, order=(probe, *rest), probe=probe),
             replace(config, order=(*rest, probe), probe=probe))
 
 
-def run_probe_pair(config: ExperimentConfig, probe: int,
-                   datasets=None, store: dict | None = None) -> ReportRow:
-    """Run the config twice, probe placed first then last; report the
-    probe client's metrics from each. The runs are trained ahead with
-    their sweep's (`store`), or together on their own: under FL, SFv1 and
-    SFv3, where the order is inert, they are one training."""
-    if store is None and datasets is None:  # generated once, for both runs
-        config.validate()
-        datasets = load_or_generate(config)
-    runs = _probe_pair(config, probe, datasets)
-    if store is None:
-        store = _train_ahead([(cfg, datasets) for cfg in runs])
-    first, last = (run_experiment(cfg, datasets, store=store).per_client[probe]
-                   for cfg in runs)
-    return ReportRow(key=f"client{probe}", first=first, last=last)
-
-
-def _order_pairs(config: ExperimentConfig, datasets, probe_only: bool = False) -> list:
-    """An order sweep's rows, `(key, config, probe, datasets)`: each
-    client's probe pair, or config.probe's alone."""
+def _order_rows(config: ExperimentConfig, datasets, probe_only: bool = False) -> list:
+    """An order sweep's rows, `(key, probe-first config, probe-last
+    config, datasets)`: each client's probe pair, or config.probe's alone."""
     if config.n_clients < 2:
         raise ConfigurationError("order sweep needs at least 2 clients")
     probes = [config.probe] if probe_only else range(config.n_clients)
-    return [(f"client{p}", config, p, datasets) for p in probes]
+    return [(f"client{p}", *_probe_pair(config, p, datasets), datasets) for p in probes]
 
 
-def _client_count_pairs(config: ExperimentConfig, datasets) -> list:
+def _client_count_rows(config: ExperimentConfig, datasets) -> list:
     """A client-count sweep's rows: the probe pair at each setting, with
     clients beyond the probe added incrementally in ascending id order. A
     setting's first turns are the smaller settings' turns."""
@@ -501,19 +466,21 @@ def _client_count_pairs(config: ExperimentConfig, datasets) -> list:
     rows = []
     for n in config.sweep_sizes:
         participating = sorted([config.probe] + others[:n - 1])
-        rows.append((f"{n} client setting", replace(config, n_clients=n), config.probe,
-                     [ds for ds in datasets if ds.client_id in participating]))
+        subset = [ds for ds in datasets if ds.client_id in participating]
+        rows.append((f"{n} client setting",
+                     *_probe_pair(replace(config, n_clients=n), config.probe, subset), subset))
     return rows
 
 
-SWEEP_KINDS = {"order": _order_pairs, "client_count": _client_count_pairs}
+SWEEP_KINDS = {"order": _order_rows, "client_count": _client_count_rows}
 
 
 def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
           **options) -> typing.Iterator[ReportTable]:
     """The `kind` sweep ("order", which takes `probe_only`, or
     "client_count") of the config at each seed: one table per seed, in
-    seed order.
+    seed order. A row reports its probe's metrics from its probe-first
+    and its probe-last run.
 
     Each seed's data (or `datasets`, for every seed) is made first, and
     all seeds' runs train ahead together (`_train_ahead`; runs of
@@ -521,22 +488,26 @@ def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
     tables are then made lazily, seed by seed, and each `run_experiment`
     call returns its result trained ahead; a failing run raises when its
     seed's table is asked for."""
-    pairs = []
+    rows = []
     for seed in seeds:
         cfg = replace(config, seed=seed)
         cfg.validate()
-        pairs.append(SWEEP_KINDS[kind](
+        rows.append(SWEEP_KINDS[kind](
             cfg, load_or_generate(cfg) if datasets is None else datasets, **options))
-    store = _train_ahead([(run, ds) for seed_pairs in pairs
-                          for _, pair_cfg, probe, ds in seed_pairs
-                          for run in _probe_pair(pair_cfg, probe, ds)])
-    return (ReportTable([replace(run_probe_pair(pair_cfg, probe, ds, store), key=key)
-                         for key, pair_cfg, probe, ds in seed_pairs]) for seed_pairs in pairs)
+    store = _train_ahead([(run, ds) for seed_rows in rows
+                          for _, first, last, ds in seed_rows for run in (first, last)])
+
+    def cell(run, ds):  # the probe's metrics from one run
+        return run_experiment(run, ds, store=store).per_client[run.probe]
+
+    return (ReportTable([ReportRow(key, cell(first, ds), cell(last, ds))
+                         for key, first, last, ds in seed_rows]) for seed_rows in rows)
 
 
 def sweep_order(config: ExperimentConfig, datasets=None, probe_only: bool = False) -> ReportTable:
     """Probe-first vs probe-last for each client (or just config.probe) at
-    config.seed: `sweep` with one seed."""
+    config.seed: `sweep` with one seed. One probe pair alone is
+    `sweep_order(replace(config, probe=p), probe_only=True)`."""
     (table,) = sweep("order", config, [config.seed], datasets, probe_only=probe_only)
     return table
 
@@ -568,17 +539,18 @@ REPORT_HEADER = ("row,auprc_first,auprc_last,auprc_drop,"
 
 def render_table(table: ReportTable, undefined: str | None = None) -> str:
     """CSV, scores at 4 decimals and drops at 2 (the table precision of
-    the reference results). A drop that `metrics.percent_drop` leaves
-    undefined (a last score of 0) raises its MetricError, or, given
-    `undefined`, is written as that text."""
+    the reference results). A drop is undefined where the last score is
+    0: it raises MetricError, or, given `undefined`, is written as that
+    text."""
     lines = [REPORT_HEADER]
     for row in table.rows:
         cells = [row.key]
         for name in METRICS:
             first, last = getattr(row.first, name), getattr(row.last, name)
+            if last == 0 and undefined is None:
+                raise metrics.MetricError(f"{name} drop undefined for last == 0")
             cells += [f"{first:.4f}", f"{last:.4f}",
-                      undefined if last == 0 and undefined is not None
-                      else f"{metrics.percent_drop(first, last):.2f}"]
+                      undefined if last == 0 else f"{metrics.percent_drop(first, last):.2f}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

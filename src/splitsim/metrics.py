@@ -10,6 +10,7 @@ absent: it is misleading at 10% test prevalence.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,21 +137,24 @@ def threshold_at_sensitivity(scores: np.ndarray, labels: np.ndarray,
 
 def percent_drop(first: float, last: float) -> float:
     """100 * (last - first) / last: the relative performance change of a
-    client between training first and training last in a round."""
+    client between training first and training last in a round.
+
+    At last == 0, where the ratio is undefined, its limit: infinite with
+    the sign of `last - first`. A probe that scores 0 when trained last is
+    infinitely worse off last (-inf) if it scored above 0 first,
+    infinitely worse off first (+inf) if it scored below 0 first, and
+    unchanged (0.0) at 0."""
     if last == 0:
-        raise MetricError("percent_drop undefined for last == 0")
+        return math.copysign(math.inf, last - first) if first != last else 0.0
     return 100.0 * (last - first) / last
 
 
-def percent_drop_or_worst(first: float, last: float) -> float:
-    """percent_drop, extended to the degenerate last == 0 case for
-    multi-seed sweeps: the limit of the drop, infinite with the sign of
-    `last - first`. A probe that scores 0 when trained last is infinitely
-    worse off last (-inf) if it scored above 0 first, infinitely worse off
-    first (+inf) if it scored below 0 first, and unchanged (0.0) at 0."""
-    if last == 0:
-        return math.copysign(math.inf, last - first) if first != last else 0.0
-    return percent_drop(first, last)
+def median_drop(drops, template: str) -> str:
+    """The median of percent drops, formatted by `template`; `undefined`,
+    as a table writes an undefined drop, when the two middle drops are
+    -inf and +inf, whose mean is nan."""
+    median = statistics.median(drops)
+    return "undefined" if math.isnan(median) else template.format(median)
 
 
 def sign_test_p(drops) -> float:

@@ -45,8 +45,7 @@ SFV3 = "sfv3"
 @dataclass(frozen=True)
 class ProtocolSpec:
     split: bool             # cut around a server body (False: FL trains the whole model locally)
-    replicas: bool          # one body replica per client, else one body shared by all
-    average_bodies: bool    # body replicas averaged at round end
+    replicas: bool          # a body replica per client, averaged at round end; else one body
     average_segments: bool  # client segments go up as ParamBlobs, are averaged, come back down
 
     @property
@@ -55,13 +54,19 @@ class ProtocolSpec:
         so the plan order matters."""
         return self.split and not self.replicas
 
+    def training_order(self, order) -> tuple[int, ...]:
+        """The order a round's clients really train in: the plan order
+        against a shared body, else ascending ids, where the plan order is
+        inert."""
+        return tuple(order) if self.shared_body else tuple(sorted(order))
+
 
 SPECS = {
-    FL: ProtocolSpec(split=False, replicas=False, average_bodies=False, average_segments=True),
-    SL: ProtocolSpec(split=True, replicas=False, average_bodies=False, average_segments=False),
-    SFV1: ProtocolSpec(split=True, replicas=True, average_bodies=True, average_segments=True),
-    SFV2: ProtocolSpec(split=True, replicas=False, average_bodies=False, average_segments=True),
-    SFV3: ProtocolSpec(split=True, replicas=True, average_bodies=True, average_segments=False),
+    FL: ProtocolSpec(split=False, replicas=False, average_segments=True),
+    SL: ProtocolSpec(split=True, replicas=False, average_segments=False),
+    SFV1: ProtocolSpec(split=True, replicas=True, average_segments=True),
+    SFV2: ProtocolSpec(split=True, replicas=False, average_segments=True),
+    SFV3: ProtocolSpec(split=True, replicas=True, average_segments=False),
 }
 PROTOCOLS = tuple(SPECS)
 
@@ -301,12 +306,22 @@ class TurnStates:
     Adam state, and the bus counters. Every other client is still as
     `make_clients` dealt it.
 
-    `uses` counts, per prefix, the restores still to come: a state is
-    captured only while it has some, and dropped after its last."""
+    `orders` are the runs' orders, in the order they train: each run
+    restores the state after the longest prefix of its order that an
+    earlier run trained. `uses` counts, per prefix, the restores still to
+    come: a state is captured only while it has some, and dropped after
+    its last."""
 
-    def __init__(self):
+    def __init__(self, orders):
         self.uses: Counter[tuple[int, ...]] = Counter()
         self.states: dict[tuple[int, ...], tuple] = {}
+        trained: set[tuple[int, ...]] = set()
+        for order in orders:
+            prefixes = [order[:k] for k in range(1, len(order) + 1)]
+            restored = [prefix for prefix in prefixes if prefix in trained]
+            if restored:
+                self.uses[restored[-1]] += 1
+            trained.update(prefixes)
 
     def restore(self, order: tuple[int, ...], clients, server: ServerState,
                 bus: ChannelBus) -> int:
@@ -344,10 +359,9 @@ def run_round(clients: dict[int, ClientState], server: ServerState,
               turns: TurnStates | None = None) -> None:
     """One global epoch of plan.protocol as its SPECS row describes it.
 
-    Clients train one after another: in plan order against a shared
-    body (SL, SFv2), in ascending id against replicas or without a body
-    (FL, SFv1, SFv3), where the plan order is inert. Then the bodies
-    and the client segments are averaged as the row says.
+    Clients train one after another, in the row's `training_order` of
+    the plan order. Then the body replicas and the client segments are
+    averaged as the row says.
 
     `turns` (round 0 against a shared body only) holds the states other
     runs reached after the first turns of this round: the longest one
@@ -356,7 +370,7 @@ def run_round(clients: dict[int, ClientState], server: ServerState,
     plan.validate(clients.keys())
     spec = SPECS[plan.protocol]
     rnd = plan.round_index
-    order = plan.order if spec.shared_body else tuple(sorted(clients))
+    order = spec.training_order(plan.order)
     done = 0
     if turns is not None:
         if rnd != 0 or not spec.shared_body:
@@ -373,7 +387,7 @@ def run_round(clients: dict[int, ClientState], server: ServerState,
                 _train_batch_local(client, xb, yb)
         if turns is not None:
             turns.offer(order[:k + 1], clients, server, bus)
-    if spec.average_bodies:
+    if spec.replicas:
         _average_bodies(clients, server)
     if spec.average_segments:
         _average_client_segments(clients, bus, rnd)

@@ -17,8 +17,7 @@ import pytest
 
 from splitsim import datagen, harness, nn
 from splitsim.harness import ExperimentConfig, run_experiment
-from splitsim.metrics import (ConfusionCounts, auprc, cohen_kappa, f1,
-                              percent_drop, percent_drop_or_worst)
+from splitsim.metrics import ConfusionCounts, auprc, cohen_kappa, f1, percent_drop
 from splitsim.transport import (CorruptStream, Message, MsgType, Truncated,
                                 decode, encode)
 
@@ -45,7 +44,7 @@ def client_count_tables():
 def _probe_drops(tables, seed, n_clients):
     """Percent drop per metric of the seed's n_clients setting."""
     (row,) = [row for row in tables[seed].rows if row.key == f"{n_clients} client setting"]
-    return {m: percent_drop_or_worst(getattr(row.first, m), getattr(row.last, m))
+    return {m: percent_drop(getattr(row.first, m), getattr(row.last, m))
             for m in ("auprc", "f1", "kappa")}
 
 

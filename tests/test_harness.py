@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import itertools
 import json
 import multiprocessing
 import os
@@ -21,8 +22,8 @@ from splitsim import cli, datagen, harness, metrics, nn, protocols
 from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               DivergenceError, ExperimentConfig, ReportRow,
                               ReportTable, SaturationError, config_from, parse_config_file,
-                              render_manifest, render_table, run_experiment,
-                              run_probe_pair, sweep, sweep_client_count, sweep_order)
+                              render_manifest, render_table, run_experiment, sweep,
+                              sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
 from splitsim.model_split import U_SHAPED, VANILLA
 from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, composed_model,
@@ -377,9 +378,9 @@ class TestRunExperiment:
 
 class TestSweeps:
     def test_probe_pair_keys(self):
-        row = run_probe_pair(replace(FAST, epochs=1), probe=1)
+        (row,) = sweep_order(replace(FAST, epochs=1, probe=1), probe_only=True).rows
         assert row.key == "client1"
-        assert isinstance(row.first, MetricReport)
+        assert isinstance(row.first, MetricReport) and isinstance(row.last, MetricReport)
 
     def test_order_sweep_row_count(self):
         table = sweep_order(replace(FAST, epochs=1))
@@ -408,8 +409,12 @@ class TestSweeps:
         others = [cid for cid in range(5) if cid != probe]
         for n, row in zip(cfg.sweep_sizes, table.rows):
             subset = [ds for ds in datasets if ds.client_id in [probe] + others[:n - 1]]
-            pair = run_probe_pair(replace(cfg, n_clients=n), probe, subset)
-            assert (row.first, row.last) == (pair.first, pair.last)
+            rest = tuple(sorted(ds.client_id for ds in subset if ds.client_id != probe))
+            # two standalone runs, no store: probe first, then probe last
+            first, last = (run_experiment(replace(cfg, n_clients=n, order=order),
+                                          subset).per_client[probe]
+                           for order in ((probe, *rest), (*rest, probe)))
+            assert (row.first, row.last) == (first, last)
 
     def test_sweep_size_exceeding_clients_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -542,9 +547,35 @@ class TestSweepStore:
         cfg = replace(config_from(parse_config_file(BIAS_CFG), {}), protocol=protocol)
         one_run = self._count_steps(monkeypatch, run_experiment, cfg)
         assert self._count_steps(monkeypatch, sweep_order, cfg) == one_run
-        row = run_probe_pair(cfg, probe=2)
+        pair = []
+        assert self._count_steps(monkeypatch, lambda: pair.append(
+            sweep_order(replace(cfg, probe=2), probe_only=True))) == one_run
+        (row,) = pair[0].rows
         assert row.first == row.last and metrics.percent_drop(row.first.kappa,
                                                               row.last.kappa) == 0.0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_run_key_order_is_the_order_run_round_trains_in(self, monkeypatch, protocol):
+        datasets = self._small_data(3)
+        cfg = replace(FAST, protocol=protocol, n_clients=3)
+        trained = []
+
+        def spy(original):
+            def spied(client, *args):
+                if not trained or trained[-1] != client.id:
+                    trained.append(client.id)
+                return original(client, *args)
+            return spied
+
+        for name in ("_train_batch_split", "_train_batch_local"):
+            monkeypatch.setattr(protocols, name, spy(getattr(protocols, name)))
+        for order in itertools.permutations(range(3)):
+            trained.clear()
+            clients, server = make_clients(datasets, nn.init_model(list(cfg.widths), cfg.seed),
+                                           protocol, cfg.split_config(), cfg.lr)
+            run_round(clients, server, RoundPlan(protocol, order), ChannelBus(),
+                      cfg.split_kind, cfg.batch_size)
+            assert tuple(trained) == harness._run_key(replace(cfg, order=order), order)[1]
 
     def test_store_keeps_only_what_a_later_run_restores(self, monkeypatch):
         cfg = replace(FAST, n_clients=4)
@@ -692,13 +723,14 @@ class TestParallelSweeps:
         assert pools == workers
 
     def test_probe_pair_alone_trains_each_run_in_a_worker(self, monkeypatch):
+        lone = replace(self.CFG, probe=2)
         _cpus(monkeypatch, 4)
         pools = _pool_sizes(monkeypatch)
-        row = run_probe_pair(self.CFG, probe=2)
+        table = sweep_order(lone, probe_only=True)
         monkeypatch.undo()
         assert pools == [2]
         _cpus(monkeypatch, 1)
-        assert run_probe_pair(self.CFG, probe=2) == row
+        assert sweep_order(lone, probe_only=True) == table
 
     def test_a_sweep_in_another_pool_s_worker_runs_in_process(self, monkeypatch):
         # a daemonic process may not start workers of its own

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from splitsim.metrics import (ConfusionCounts, MetricError, UndefinedKappa,
                               auprc, cohen_kappa, confusion, evaluate, f1,
-                              percent_drop, percent_drop_or_worst,
-                              sign_test_p, threshold_at_sensitivity)
+                              median_drop, percent_drop, sign_test_p,
+                              threshold_at_sensitivity)
 
 # First/Last/%drop rows of the two reference result tables
 # (client rows, then client-count-setting rows).
@@ -253,15 +253,12 @@ class TestPercentDrop:
     def test_no_change(self):
         assert percent_drop(0.5, 0.5) == 0.0
 
-    def test_zero_last_rejected(self):
-        with pytest.raises(MetricError):
-            percent_drop(0.5, 0.0)
-
-    def test_or_worst_defines_zero_last(self):
-        assert percent_drop_or_worst(0.5, 0.0) == float("-inf")
-        assert percent_drop_or_worst(0.0, 0.0) == 0.0
-        assert percent_drop_or_worst(-0.2, 0.0) == float("inf")  # worse off first
-        assert percent_drop_or_worst(0.4318, 0.5833) == percent_drop(0.4318, 0.5833)
+    def test_zero_last_is_the_limit(self):
+        # infinite with the sign of last - first, 0 when both are 0
+        assert percent_drop(0.5, 0.0) == float("-inf")
+        assert percent_drop(0.0, 0.0) == 0.0
+        assert percent_drop(-0.2, 0.0) == float("inf")  # worse off first
+        assert percent_drop(0.5, -0.0) == float("-inf")
 
     @pytest.mark.parametrize("row", ORDER_TABLE + SETTING_TABLE,
                              ids=[r[0] for r in ORDER_TABLE] + [f"n{r[0]}" for r in SETTING_TABLE])
@@ -286,6 +283,24 @@ class TestSignTest:
     ])
     def test_exact_two_sided_p(self, drops, p):
         assert sign_test_p(drops) == p
+
+
+class TestMedianDrop:
+    INF = float("inf")
+
+    @pytest.mark.parametrize("drops, text", [
+        ([-INF, INF], "undefined"),            # statistics.median gives nan
+        ([INF, -INF, INF, -INF], "undefined"),  # the middle two, once sorted
+        ([1.0, INF], "inf"),
+        ([-INF, -INF], "-inf"),
+        ([-INF, 3.0, INF], "3.00"),            # odd count: the middle drop
+        ([4.0, 1.0, 2.0, 8.0], "3.00"),
+    ])
+    def test_median_or_undefined(self, drops, text):
+        assert median_drop(drops, "{:.2f}") == text
+
+    def test_template_formats_a_defined_median(self):
+        assert median_drop([35.71, 40.0, 30.0], "{:.1f}%") == "35.7%"
 
 
 class TestEvaluate:

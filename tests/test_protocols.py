@@ -137,7 +137,7 @@ def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
                 step(bodies[c], grads)
                 grads, _ = nn.backward(fronts[c], cache_front, d_smashed)
                 step(fronts[c], grads)
-        if protocols.SPECS[protocol].average_bodies:
+        if replicas:
             avg = average_models(list(bodies.items()),
                                  {c: float(datasets[ids.index(c)].sample_count) for c in ids})
             for body in bodies.values():
