@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim.metrics import (ConfusionCounts, MetricError, UndefinedKappa,
+from splitsim.harness import ReportRow, ReportTable, render_table
+from splitsim.metrics import (ConfusionCounts, MetricError, MetricReport, UndefinedKappa,
                               auprc, cohen_kappa, confusion, evaluate, f1,
                               median_drop, percent_drop, sign_test_p,
                               threshold_at_sensitivity)
@@ -253,12 +254,23 @@ class TestPercentDrop:
     def test_no_change(self):
         assert percent_drop(0.5, 0.5) == 0.0
 
-    def test_zero_last_is_the_limit(self):
-        # infinite with the sign of last - first, 0 when both are 0
+    def test_zero_last_rejected(self):
+        # percent_drop gives the limit at last == 0; a table rejects the
+        # cell unless it is given the text to write in its place
+        first = MetricReport(auprc=0.4, f1=0.5, kappa=0.1, threshold=0.5)
+        last = MetricReport(auprc=0.5, f1=0.0, kappa=0.2, threshold=0.5)
+        assert percent_drop(first.f1, last.f1) == float("-inf")
+        with pytest.raises(MetricError):
+            render_table(ReportTable([ReportRow("x", first, last)]))
+
+    def test_or_worst_defines_zero_last(self):
+        # the worst-case rule: infinite with the sign of last - first,
+        # 0 when both are 0, the ratio elsewhere
         assert percent_drop(0.5, 0.0) == float("-inf")
         assert percent_drop(0.0, 0.0) == 0.0
         assert percent_drop(-0.2, 0.0) == float("inf")  # worse off first
         assert percent_drop(0.5, -0.0) == float("-inf")
+        assert percent_drop(0.4318, 0.5833) == pytest.approx(25.97, abs=0.02)
 
     @pytest.mark.parametrize("row", ORDER_TABLE + SETTING_TABLE,
                              ids=[r[0] for r in ORDER_TABLE] + [f"n{r[0]}" for r in SETTING_TABLE])
