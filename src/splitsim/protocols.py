@@ -159,16 +159,17 @@ def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol
             id=ds.client_id, front=front, tail=tail, flat=flat, grad=grad, opt=opt, dataset=ds)
     if seg is None:
         return clients, server
-    body_grad = np.empty_like(seg.body.flat)
+    (body_grad,) = nn.vectors(seg.body.flat.size)
     if SPECS[protocol].replicas:
         scratch = None
         for cid in clients:
-            server.bodies[cid] = SequentialModel(seg.body.layers, seg.body.flat.copy(), body_grad)
+            server.bodies[cid] = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat),
+                                                 body_grad)
             server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr,
                                                     scratch=scratch)
             scratch = server.opts[cid].scratch
     else:
-        body = SequentialModel(seg.body.layers, seg.body.flat.copy(), body_grad)
+        body = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat), body_grad)
         opt = AdamState.for_params(body.flat, lr=lr)
         server.bodies = dict.fromkeys(clients, body)
         server.opts = dict.fromkeys(clients, opt)
@@ -198,14 +199,30 @@ def average_models(models: list[tuple[int, SequentialModel]],
         raise nn.ShapeError("models structurally different")
     if all(nn.models_equal(m, first) for _, m in ordered[1:]):
         return first.clone()
-    total = sum(weights[cid] for cid, _ in ordered)
-    avg = SequentialModel(first.layers, np.zeros_like(first.flat))
-    for lo in range(0, avg.flat.size, nn.CHUNK):  # temporaries of one chunk
-        s = slice(lo, lo + nn.CHUNK)
-        for cid, m in ordered:
-            avg.flat[s] += weights[cid] * m.flat[s]
-    avg.flat /= total
+    avg = SequentialModel(first.layers, nn.vectors(first.flat.size)[0])
+    _weighted_mean_into([avg.flat], [m.flat for _, m in ordered],
+                        [weights[cid] for cid, _ in ordered],
+                        nn.chunk_scratch(first.flat.size))
     return avg
+
+
+def _weighted_mean_into(outs: list[np.ndarray], vecs: list[np.ndarray],
+                        weights: list[float], scratch) -> None:
+    """Write sum(w * vec) / sum(w), accumulated from zero in the order
+    given, into every vector of `outs`, chunk by chunk through `scratch`
+    (`nn.chunk_scratch` of the vectors' size). `outs` may be `vecs`
+    themselves: a chunk is written only after all of it is read."""
+    total = sum(weights)
+    for lo in range(0, vecs[0].size, nn.CHUNK):
+        s = slice(lo, lo + nn.CHUNK)
+        n = vecs[0][s].size
+        acc, tmp = scratch[0][:n], scratch[1][:n]
+        acc.fill(0.0)
+        for w, vec in zip(weights, vecs):
+            acc += np.multiply(w, vec[s], out=tmp)
+        acc /= total
+        for out in outs:
+            out[s] = acc
 
 
 # --- message plumbing -----------------------------------------------------
@@ -394,10 +411,17 @@ def run_round(clients: dict[int, ClientState], server: ServerState,
 
 
 def _average_bodies(clients, server: ServerState) -> None:
-    weights = {cid: float(c.sample_count) for cid, c in clients.items()}
-    avg = average_models([(cid, server.bodies[cid]) for cid in sorted(clients)], weights)
-    for cid in sorted(clients):
-        server.bodies[cid].flat[...] = avg.flat
+    """Every body replica becomes `average_models` of them all, bit for
+    bit, written in place. The replicas' shared Adam scratch is idle
+    between rounds, so the mean goes through it."""
+    ids = sorted(clients)
+    vecs = [server.bodies[cid].flat for cid in ids]
+    if all(np.array_equal(vec, vecs[0]) for vec in vecs[1:]):
+        for vec in vecs[1:]:
+            vec[...] = vecs[0]  # the bits of the first, as its clone would be
+        return
+    _weighted_mean_into(vecs, vecs, [float(clients[cid].sample_count) for cid in ids],
+                        server.opts[ids[0]].scratch)
 
 
 def _received_segment(bus, sender, like: SequentialModel) -> SequentialModel:

@@ -2,18 +2,25 @@
 parameters in one vector, `flat`, and layers, segments and clones are
 defined by how they share (or do not share) that vector."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitsim import nn
+from splitsim import nn, protocols
 from splitsim.model_split import U_SHAPED, SplitConfig, split_model
 from splitsim.protocols import average_models
 
 widths_st = st.lists(st.integers(1, 12), min_size=1, max_size=5).map(lambda w: w + [1])
 
-# 100*100 + 100 + 100 + 1 parameters: longer than one chunk, not a multiple of it
-WIDE = [100, 100, 1]
+# 200*200 + 200 + 200 + 1 parameters: longer than one chunk, not a multiple of it
+WIDE = [200, 200, 1]
+
+
+def element_offset(view, vec):
+    """Where view starts in vec, in float64 elements."""
+    return (view.ctypes.data - vec.ctypes.data) // vec.itemsize
 
 
 def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -126,6 +133,54 @@ def test_average_bit_equals_per_array_reference(widths, n, data):
     assert all(not np.shares_memory(avg.flat, m.flat) for _, m in models)
 
 
+def replicas(vectors):
+    """Body replicas over aligned copies of vectors, with Adam states
+    that share one scratch pair, as `make_clients` deals them."""
+    layers = [nn.DenseLayer(np.zeros((1, vectors[0].size - 1)), np.zeros(1))]
+    bodies, opts, scratch = {}, {}, None
+    for cid, vec in enumerate(vectors):
+        bodies[cid] = nn.SequentialModel(layers, nn.aligned_copy(vec))
+        opts[cid] = nn.AdamState.for_params(bodies[cid].flat, scratch=scratch)
+        scratch = opts[cid].scratch
+    return protocols.ServerState(bodies, opts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5),
+       size=st.integers(1, 40) | st.sampled_from([nn.CHUNK, nn.CHUNK + 1, 2 * nn.CHUNK + 9]),
+       equal=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       counts=st.lists(st.integers(1, 400), min_size=5, max_size=5))
+@example(n=1, size=5, equal=False, seed=0, counts=[1, 2, 3, 4, 5])
+@example(n=3, size=2 * nn.CHUNK + 9, equal=True, seed=1, counts=[182, 377, 115, 88, 109])
+def test_in_place_body_average_bit_equals_average_models(n, size, equal, seed, counts):
+    # zeros of either sign in every replica: with `equal`, replicas that
+    # differ only in the signs of their zeros, so the all-equal
+    # short-circuit must hand every replica the first one's bits
+    rng = np.random.default_rng(seed)
+    base, zeros = rng.normal(size=size), rng.random(size) < 0.25
+    vectors = []
+    for _ in range(n):
+        vec = base.copy() if equal else rng.normal(size=size)
+        vec[zeros] = np.where(rng.random(size) < 0.5, 0.0, -0.0)[zeros]
+        vectors.append(vec)
+    weights = {cid: float(counts[cid]) for cid in range(n)}
+    server = replicas(vectors)
+    expected = average_models(list(server.bodies.items()), weights).flat.copy()
+    if not all(np.array_equal(vec, vectors[0]) for vec in vectors):
+        # one whole-vector pass, ascending ids, from zero: the chunked mean's oracle
+        ref = np.zeros(size)
+        for cid in range(n):
+            ref += weights[cid] * vectors[cid]
+        assert expected.tobytes() == (ref / sum(weights.values())).tobytes()
+
+    flats = {cid: body.flat for cid, body in server.bodies.items()}
+    protocols._average_bodies({cid: SimpleNamespace(sample_count=counts[cid])
+                               for cid in range(n)}, server)
+    for cid, body in server.bodies.items():
+        assert body.flat is flats[cid]
+        assert body.flat.tobytes() == expected.tobytes()
+
+
 sizes_st = st.integers(0, 2 * nn.CHUNK + 3)  # zero, one and several chunks
 
 
@@ -201,6 +256,8 @@ def test_pack_lays_models_end_to_end(widths, data):
     flat, grad, (front, tail) = nn.pack([seg.front, seg.tail])
     assert flat.tobytes() == np.concatenate([seg.front.flat, seg.tail.flat]).tobytes()
     assert not np.shares_memory(flat, seg.front.flat)
-    assert front.flat.base is flat and tail.flat.base is flat
-    assert front.grad.base is grad and tail.grad.base is grad
+    # each copy's vectors are views of the packed ones, end to end
+    for vec, (lo, hi) in ((flat, (front.flat, tail.flat)), (grad, (front.grad, tail.grad))):
+        assert np.shares_memory(lo, vec) and np.shares_memory(hi, vec)
+        assert element_offset(lo, vec) == 0 and element_offset(hi, vec) == lo.size
     assert front.grad.size + tail.grad.size == grad.size == flat.size

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -317,7 +318,8 @@ class TestStreamingCheckpoint:
     def test_saturation_raises(self, protocol):
         # lr 10 pins every validation probability at 0 or 1 in round 0
         cfg = replace(FAST, protocol=protocol, lr=10.0)
-        with np.errstate(all="ignore"), pytest.raises(SaturationError, match="epoch 0"):
+        with warnings.catch_warnings(), pytest.raises(SaturationError, match="epoch 0"):
+            warnings.simplefilter("error", RuntimeWarning)  # a saturated sigmoid warns nothing
             run_experiment(cfg)
 
     @pytest.mark.parametrize("off", [None, 2e-12, 0.5, 1 - 2e-12])
@@ -1025,7 +1027,8 @@ class TestCli:
 
     def test_saturation_exits_2_and_names_the_epoch(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, "lr = 10\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a saturated sigmoid warns nothing
             assert cli.main(["run", "--config", str(cfg), "--out",
                              str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (

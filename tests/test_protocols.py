@@ -165,13 +165,42 @@ class TestOneStepPerParticipant:
     def test_layout(self, protocol):
         _, model, clients, server = make_setup(3, protocol, seed=0)
         for client in clients.values():
-            assert client.front.flat.base is client.flat and client.tail.flat.base is client.flat
-            assert client.front.grad.base is client.grad and client.tail.grad.base is client.grad
+            # front and tail are views of the client's vectors, end to end
+            for vec, (front, tail) in ((client.flat, (client.front.flat, client.tail.flat)),
+                                       (client.grad, (client.front.grad, client.tail.grad))):
+                assert np.shares_memory(front, vec) and np.shares_memory(tail, vec)
+                assert front.ctypes.data == vec.ctypes.data
+                assert tail.ctypes.data == vec.ctypes.data + front.nbytes
+                assert front.size + tail.size == vec.size
             assert client.opt.m.shape == client.flat.shape
         bodies = list(server.bodies.values())
         assert all(body.grad is bodies[0].grad for body in bodies)
         flats = {id(body.flat) for body in bodies}
         assert len(flats) == (3 if protocols.SPECS[protocol].replicas else 1)
+
+
+class TestAlignedVectors:
+    @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_training_vectors_start_on_a_cache_line(self, protocol, kind):
+        """Every client's and body's parameter and gradient vector and
+        Adam moments and scratch start on a 64-byte line, and rounds
+        (averaging included) write into the same vectors."""
+        _, _, clients, server = make_setup(3, protocol, kind, seed=0)
+        owners = [(c.flat, c.grad, c.opt) for c in clients.values()]
+        owners += [(server.bodies[cid].flat, server.bodies[cid].grad, server.opts[cid])
+                   for cid in server.bodies]
+        assert len(server.bodies) == (0 if protocol == FL else 3)
+        vectors = [v for flat, grad, opt in owners
+                   for v in (flat, grad, opt.m, opt.v, *opt.scratch)]
+        assert all(v.ctypes.data % 64 == 0 for v in vectors)
+
+        kept = [(flat, grad, opt.m, opt.v) for flat, grad, opt in owners]
+        run_rounds(protocol, clients, server, (2, 0, 1), 2, kind)
+        now = [(c.flat, c.grad, c.opt.m, c.opt.v) for c in clients.values()]
+        now += [(server.bodies[cid].flat, server.bodies[cid].grad,
+                 server.opts[cid].m, server.opts[cid].v) for cid in server.bodies]
+        assert all(a is b for pair in zip(now, kept) for a, b in zip(*pair))
 
 
 class TestMessageSequences:
