@@ -149,7 +149,7 @@ class RunResult:
 class BestCheckpoint:
     """Running minimum of the per-epoch mean validation loss.
 
-    Only the best epoch's models are kept: `offer` builds a snapshot only
+    Only what the best epoch needs is kept: `offer` builds a snapshot only
     when the loss is strictly below the best so far, so ties keep the
     earliest epoch. A non-finite loss raises DivergenceError.
     """
@@ -157,30 +157,30 @@ class BestCheckpoint:
     def __init__(self):
         self.losses: list[float] = []
         self.epoch: int | None = None
-        self.models = None
+        self.kept = None
 
     def offer(self, loss: float, snapshot) -> None:
-        """Record the next epoch's loss; `snapshot()` builds its models."""
+        """Record the next epoch's loss; `snapshot()` builds what it keeps."""
         epoch = len(self.losses)
         if not math.isfinite(loss):
             raise DivergenceError(f"epoch {epoch}: mean validation loss is {loss}")
         self.losses.append(loss)
         if self.epoch is None or loss < self.losses[self.epoch]:
-            self.models = snapshot()
+            self.kept = snapshot()
             self.epoch = epoch
 
     def best(self):
-        """(epoch, models) of the least loss."""
+        """(epoch, snapshot) of the least loss."""
         if self.epoch is None:
             raise PlanError("no epoch was scored")
-        return self.epoch, self.models
+        return self.epoch, self.kept
 
 
-def _parts(front: SequentialModel, body: SequentialModel | None,
-           tail: SequentialModel) -> tuple[SequentialModel, ...]:
-    """A client's model as the segments an input runs through: front,
-    body (if any), tail (if not empty)."""
-    return tuple(part for part in (front, body, tail) if part is not None and part.layers)
+def _parts(client, server: ServerState) -> tuple[SequentialModel, ...]:
+    """A client's live model as the segments an input runs through:
+    front, body (if any), tail (if not empty)."""
+    return tuple(part for part in (client.front, server.bodies.get(client.id), client.tail)
+                 if part is not None and part.layers)
 
 
 def _forward_parts(parts, x: np.ndarray) -> np.ndarray:
@@ -198,43 +198,17 @@ def _live_validation(clients, server: ServerState,
     and each client's validation probabilities."""
     losses, val_probs = [], {}
     for cid in sorted(clients):
-        client = clients[cid]
-        val_probs[cid] = _forward_parts(_parts(client.front, server.bodies.get(cid), client.tail),
-                                        datasets[cid].val_x)
+        val_probs[cid] = _forward_parts(_parts(clients[cid], server), datasets[cid].val_x)
         loss, _ = nn.bce_loss(val_probs[cid], datasets[cid].val_y)
         losses.append(loss)
     return float(np.mean(losses)), val_probs
 
 
-def _snapshot(clients, server: ServerState) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    """Copies of each client's parameter vectors: its packed `[front |
-    tail]` vector, and its body's (None without a body). One copy is made
-    per distinct vector: a vector that is the same object as one already
-    copied (the shared SL/SFv2 body), or bit-equal to it (averaged
-    replicas and segments), shares that copy. Bits, not values, are
-    compared: -0.0 and 0.0 are equal values."""
-    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (live vector, its copy)
-
-    def copy_of(vec: np.ndarray) -> np.ndarray:
-        for live, copy in kept:
-            if live is vec or (live.shape == vec.shape
-                               and np.array_equal(live.view(np.int64), vec.view(np.int64))):
-                return copy
-        kept.append((vec, vec.copy()))
-        return kept[-1][1]
-
-    return {cid: (copy_of(clients[cid].flat),
-                  None if cid not in server.bodies else copy_of(server.bodies[cid].flat))
+def _live_test(clients, server: ServerState,
+               datasets: dict[int, ClientDataset]) -> dict[int, np.ndarray]:
+    """Each client's test probabilities from the live models."""
+    return {cid: _forward_parts(_parts(clients[cid], server), datasets[cid].test_x)
             for cid in sorted(clients)}
-
-
-def _snapshot_parts(client, body: SequentialModel | None, vectors) -> tuple[SequentialModel, ...]:
-    """The client's segments over a snapshot's copies of its vectors."""
-    flat, body_flat = vectors
-    n_front = client.front.flat.size  # ClientState.flat is [front | tail]
-    return _parts(SequentialModel(client.front.layers, flat[:n_front]),
-                  None if body is None else SequentialModel(body.layers, body_flat),
-                  SequentialModel(client.tail.layers, flat[n_front:]))
 
 
 def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
@@ -246,7 +220,20 @@ def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
         if width != config.feature_dim:
             raise ConfigurationError(f"dataset file has {width} features, "
                                      f"config feature_dim is {config.feature_dim}")
-        return datasets[:config.n_clients]
+        datasets = datasets[:config.n_clients]
+        for ds in datasets:  # what training and scoring need of each client's splits
+            name = f"dataset file client {ds.client_id}"
+            for split in ("train", "val", "test"):
+                x, y = ds.split(split)
+                if not np.all((y == 0) | (y == 1)):
+                    raise ConfigurationError(f"{name} {split} split has a label not in {{0, 1}}")
+                if not np.all(np.isfinite(x)):
+                    raise ConfigurationError(f"{name} {split} split has a non-finite feature")
+            if not np.any(ds.val_y == 1):
+                raise ConfigurationError(f"{name} val split has no positive")
+            if np.unique(ds.test_y).size < 2:
+                raise ConfigurationError(f"{name} test split does not hold both classes")
+        return datasets
     manifest = desk_manifest(config.n_clients, config.eval_count)
     return generate_clients(manifest, d=config.feature_dim,
                             shift_scale=config.shift_scale, seed=config.seed)
@@ -268,10 +255,10 @@ def run_experiment(config: ExperimentConfig,
     model from the selected epoch, run through its segments in turn.
 
     Each epoch is scored on the live models; only the best epoch's
-    parameter vectors and validation probabilities are kept, one copy of
-    each distinct vector. Ties go to the earliest epoch. A non-finite loss
-    raises DivergenceError, and an epoch whose every validation
-    probability sits at a clamp bound raises SaturationError.
+    validation and test probabilities are kept, the test ones computed
+    when the epoch becomes the best. Ties go to the earliest epoch. A
+    non-finite loss raises DivergenceError, and an epoch whose every
+    validation probability sits at a clamp bound raises SaturationError.
 
     `store` holds a sweep's results trained ahead (`_train_ahead`), by
     `_run_key`. A run found there returns that result under its own
@@ -317,19 +304,13 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
         if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
                for p in val_probs.values()):
             raise SaturationError(f"epoch {epoch}: every validation probability is at a clamp bound")
-        checkpoint.offer(loss, lambda: _snapshot(clients, server))
-        if checkpoint.epoch == epoch:
-            best_val_probs = val_probs
+        checkpoint.offer(loss, lambda: (val_probs, _live_test(clients, server, ds_by_id)))
 
-    best_epoch, best = checkpoint.best()
-    per_client = {}
-    for cid in sorted(clients):
-        ds = ds_by_id[cid]
-        parts = _snapshot_parts(clients[cid], server.bodies.get(cid), best[cid])
-        test_probs = _forward_parts(parts, ds.test_x)
-        per_client[cid] = metrics.evaluate(test_probs[:, 0], ds.test_y,
-                                           best_val_probs[cid][:, 0], ds.val_y,
-                                           config.sensitivity)
+    best_epoch, (val_probs, test_probs) = checkpoint.best()
+    per_client = {cid: metrics.evaluate(test_probs[cid][:, 0], ds_by_id[cid].test_y,
+                                        val_probs[cid][:, 0], ds_by_id[cid].val_y,
+                                        config.sensitivity)
+                  for cid in sorted(clients)}
 
     return RunResult(
         config=config,

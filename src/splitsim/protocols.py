@@ -186,10 +186,8 @@ def composed_model(client: ClientState, body: SequentialModel | None) -> Sequent
 def average_models(models: list[tuple[int, SequentialModel]],
                    weights: dict[int, float]) -> SequentialModel:
     """Sample-count-weighted parameter mean, accumulated in ascending
-    client id order so the result is independent of call order.
-
-    Identical inputs short-circuit to an exact copy (a weighted mean of
-    equal values must be bit-equal to them)."""
+    client id order so the result is independent of call order
+    (`_weighted_mean_into`)."""
     if not models:
         raise PlanError("cannot average zero models")
     ordered = sorted(models, key=lambda kv: kv[0])
@@ -197,8 +195,6 @@ def average_models(models: list[tuple[int, SequentialModel]],
     shapes = [layer.weights.shape for layer in first.layers]
     if any([layer.weights.shape for layer in m.layers] != shapes for _, m in ordered[1:]):
         raise nn.ShapeError("models structurally different")
-    if all(nn.models_equal(m, first) for _, m in ordered[1:]):
-        return first.clone()
     avg = SequentialModel(first.layers, nn.vectors(first.flat.size)[0])
     _weighted_mean_into([avg.flat], [m.flat for _, m in ordered],
                         [weights[cid] for cid, _ in ordered],
@@ -211,7 +207,14 @@ def _weighted_mean_into(outs: list[np.ndarray], vecs: list[np.ndarray],
     """Write sum(w * vec) / sum(w), accumulated from zero in the order
     given, into every vector of `outs`, chunk by chunk through `scratch`
     (`nn.chunk_scratch` of the vectors' size). `outs` may be `vecs`
-    themselves: a chunk is written only after all of it is read."""
+    themselves: a chunk is written only after all of it is read.
+
+    Equal vectors short-circuit to the first one's bits: a weighted mean
+    of equal values must be bit-equal to them."""
+    if all(np.array_equal(vec, vecs[0]) for vec in vecs[1:]):
+        for out in outs:
+            out[...] = vecs[0]
+        return
     total = sum(weights)
     for lo in range(0, vecs[0].size, nn.CHUNK):
         s = slice(lo, lo + nn.CHUNK)
@@ -416,10 +419,6 @@ def _average_bodies(clients, server: ServerState) -> None:
     between rounds, so the mean goes through it."""
     ids = sorted(clients)
     vecs = [server.bodies[cid].flat for cid in ids]
-    if all(np.array_equal(vec, vecs[0]) for vec in vecs[1:]):
-        for vec in vecs[1:]:
-            vec[...] = vecs[0]  # the bits of the first, as its clone would be
-        return
     _weighted_mean_into(vecs, vecs, [float(clients[cid].sample_count) for cid in ids],
                         server.opts[ids[0]].scratch)
 

@@ -268,45 +268,30 @@ class TestStreamingCheckpoint:
         body_bytes = 8 * sum(w_in * w_out + w_out for w_in, w_out in body)
         assert peaks[5] - peaks[2] < body_bytes
 
-    # distinct parameter vectors in the kept snapshot of a 5-client run:
-    # one body under every split protocol, one client vector where the
-    # client segments (FL: the whole models) are averaged, else one each
-    @pytest.mark.parametrize("protocol, split_kind, n_vectors", [
-        ("fl", U_SHAPED, 1), ("sl", U_SHAPED, 6), ("sfv1", U_SHAPED, 2),
-        ("sfv2", VANILLA, 2), ("sfv3", U_SHAPED, 6), ("sfv3", VANILLA, 6)])
+    # the kept snapshot of a 5-client run is each client's predictions at
+    # the best epoch, not copies of its parameter vectors: one (n_val, 1)
+    # and one (n_test, 1) probability array per client, and nothing else
+    @pytest.mark.parametrize("protocol, split_kind", [
+        ("fl", U_SHAPED), ("sl", U_SHAPED), ("sfv1", U_SHAPED),
+        ("sfv2", VANILLA), ("sfv3", U_SHAPED), ("sfv3", VANILLA)])
     def test_kept_snapshot_holds_one_copy_per_distinct_vector(self, monkeypatch, protocol,
-                                                              split_kind, n_vectors):
+                                                              split_kind):
         kept = []
 
         class Recording(BestCheckpoint):
             def best(self):
-                kept.append(self.models)
+                kept.append(self.kept)
                 return super().best()
 
         monkeypatch.setattr(harness, "BestCheckpoint", Recording)
-        run_experiment(replace(FAST, protocol=protocol, split_kind=split_kind, n_clients=5))
-        (snapshot,) = kept
-        vectors = [vec for pair in snapshot.values() for vec in pair if vec is not None]
-        assert len({id(vec) for vec in vectors}) == n_vectors
-        if protocol != "fl":
-            assert len({id(body) for _, body in snapshot.values()}) == 1
-
-    def test_snapshot_shares_only_bit_equal_vectors(self):
-        # the replicas start bit-equal; a bias of replica 1 becomes -0.0,
-        # equal in value to the others' 0.0 but not in bits
-        cfg = replace(FAST, protocol="sfv1", n_clients=3)
-        datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
-        clients, server = make_clients(datasets, nn.init_model(list(cfg.widths), 0),
-                                       cfg.protocol, cfg.split_config(), cfg.lr)
-        server.bodies[1].layers[0].bias[0] = -0.0
-        snapshot = harness._snapshot(clients, server)
-        bodies = [snapshot[cid][1] for cid in range(3)]
-        assert bodies[0] is bodies[2] is not bodies[1]
-        assert bodies[1].tobytes() == server.bodies[1].flat.tobytes() != bodies[0].tobytes()
-        assert len({id(flat) for flat, _ in snapshot.values()}) == 1
-        for cid in range(3):
-            assert not np.shares_memory(bodies[cid], server.bodies[cid].flat)
-            assert not np.shares_memory(snapshot[cid][0], clients[cid].flat)
+        cfg = replace(FAST, protocol=protocol, split_kind=split_kind, n_clients=5)
+        datasets = harness.load_or_generate(cfg)
+        run_experiment(cfg, datasets)
+        ((val_probs, test_probs),) = kept
+        assert sorted(val_probs) == sorted(test_probs) == [ds.client_id for ds in datasets]
+        for ds in datasets:
+            assert val_probs[ds.client_id].shape == (ds.val_y.size, 1)
+            assert test_probs[ds.client_id].shape == (ds.test_y.size, 1)
 
     @pytest.mark.parametrize("protocol", ["fl", "sl"])
     def test_divergence_raises(self, protocol):
@@ -1052,6 +1037,30 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "dataset file ends at byte 500" in capsys.readouterr().err
+
+    # a file save_clients writes, with client 1's data changed. Left to
+    # training, the label 2 trains to a scored result and the others
+    # fail only at runtime (exit 2), the one-class test split at the end
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("train_y", 0, 2, "train split has a label not in {0, 1}"),
+        ("val_x", (0, 0), np.nan, "val split has a non-finite feature"),
+        ("val_y", slice(None), 0, "val split has no positive"),
+        ("test_y", slice(None), 1, "test split does not hold both classes"),
+    ])
+    def test_bad_dataset_contents_exit_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                         field, index, value, message):
+        datasets = datagen.generate_clients(datagen.desk_manifest(2), seed=0)
+        getattr(datasets[1], field)[index] = value
+        data = tmp_path / "clients.sds"
+        datagen.save_clients(data, datasets)
+        cfg = self._write_cfg(tmp_path, f"dataset_path = {data}\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "make_clients", no_training)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"input error: dataset file client 1 {message}\n"
 
     def test_dataset_feature_width_mismatch_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data" / "clients.sds"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitsim.harness import ReportRow, ReportTable, render_table
@@ -94,6 +94,17 @@ class TestKappa:
     def test_degenerate_marginals(self):
         with pytest.raises(UndefinedKappa):
             cohen_kappa(ConfusionCounts(5, 0, 0, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tp=st.integers(0, 10**9), fp=st.integers(0, 10**9),
+           fn=st.integers(0, 10**9), tn=st.integers(0, 10**9))
+    def test_defined_whenever_both_classes_are_present(self, tp, fp, fn, tn):
+        # with a = tp + fn positives and b = tp + fp predicted positives
+        # of n, p_e * n^2 = ab + (n - a)(n - b) is linear in b, and at
+        # both ends (n(n - a) at b = 0, na at b = n) it is at most
+        # n^2 - n when 0 < a < n: p_e <= 1 - 1/n, never 1
+        assume(tp + fn >= 1 and fp + tn >= 1)
+        assert np.isfinite(cohen_kappa(ConfusionCounts(tp, fp, fn, tn)))
 
 
 class TestAgainstNaive:
