@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, desk_manifest, generate_clients
-from .model_split import U_SHAPED, VANILLA, ConfigError, SplitConfig
+from .model_split import U_SHAPED, VANILLA
 from .nn import SequentialModel, forward, init_model
 from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan, ServerState, TurnStates,
                         make_clients, run_round)
@@ -52,14 +52,21 @@ class ExperimentConfig:
     batch_size: int = 32
     lr: float = 1e-4
     n_clients: int = 5
-    feature_dim: int = 8
     shift_scale: float = 0.6
     eval_count: int = datagen.DESK_EVAL_COUNT  # val and test samples per client
     probe: int = 0
-    sensitivity: float = metrics.DEFAULT_SENSITIVITY
     order: tuple[int, ...] | None = None      # None -> ascending client ids
-    sweep_sizes: tuple[int, ...] = (2, 3, 4, 5)
     dataset_path: str | None = None
+
+    @property
+    def feature_dim(self) -> int:
+        """The input width: each client's feature count."""
+        return self.widths[0]
+
+    @property
+    def sweep_sizes(self) -> tuple[int, ...]:
+        """The client-count sweep's settings: 2 to n_clients clients."""
+        return tuple(range(2, self.n_clients + 1))
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -74,20 +81,13 @@ class ExperimentConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError("lr must be finite and > 0")
-        if not (0 <= self.sensitivity <= 1):
-            raise ConfigurationError("sensitivity must be in [0, 1]")
         if len(self.widths) < 2 or self.widths[-1] != 1 or min(self.widths) < 1:
             raise ConfigurationError("widths need an input width, end in 1 and are all >= 1")
         if self.feature_dim < 2:
-            raise ConfigurationError("feature_dim must be >= 2 (clients differ by a rotation)")
-        if self.widths[0] != self.feature_dim:
-            raise ConfigurationError("first width must equal feature_dim")
+            raise ConfigurationError("the first width (feature_dim) must be >= 2 "
+                                     "(clients differ by a rotation)")
         if not (math.isfinite(self.shift_scale) and self.shift_scale >= 0):
             raise ConfigurationError("shift_scale must be finite and >= 0")
-        # not bounded by n_clients: the client-count sweep validates each
-        # setting's sub-config, whose n_clients is that setting's size
-        if not self.sweep_sizes or min(self.sweep_sizes) < 1:
-            raise ConfigurationError("sweep_sizes must be non-empty, each >= 1")
         if self.dataset_path is None:
             # the generated cohort's client count and eval splits
             try:
@@ -96,20 +96,22 @@ class ExperimentConfig:
                 raise ConfigurationError(str(exc)) from None
         if self.probe not in (self.order or range(self.n_clients)):
             raise ConfigurationError("probe client is not a participating client")
-        split_cfg = self.split_config()
-        if split_cfg is not None:
-            try:
-                split_cfg.validate(len(self.widths) - 1)
-            except ConfigError as exc:
-                raise ConfigurationError(str(exc)) from exc
+        cuts = self.split_config()
+        if cuts is not None:
+            n_layers = len(self.widths) - 1
+            if not (1 <= cuts[0] <= cuts[1] <= n_layers):
+                raise ConfigurationError(f"cuts {cuts} invalid for {n_layers} layers")
+            if self.split_kind == U_SHAPED and cuts[1] == n_layers:
+                raise ConfigurationError("u_shaped split requires at least one tail layer")
 
-    def split_config(self) -> SplitConfig | None:
+    def split_config(self) -> tuple[int, int] | None:
+        """The cuts `(front_cut, tail_cut)` of a split protocol
+        (`model_split.split_model`); None under FL. Vanilla's tail is
+        empty: its tail cut is the layer count."""
         if not SPECS[self.protocol].split:
             return None
         n_layers = len(self.widths) - 1
-        if self.split_kind == VANILLA:
-            return SplitConfig(VANILLA, self.front_cut, n_layers)
-        return SplitConfig(U_SHAPED, self.front_cut, self.tail_cut)
+        return self.front_cut, n_layers if self.split_kind == VANILLA else self.tail_cut
 
 
 @dataclass
@@ -221,6 +223,10 @@ def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
             raise ConfigurationError(f"dataset file has {width} features, "
                                      f"config feature_dim is {config.feature_dim}")
         datasets = datasets[:config.n_clients]
+        ids = sorted(ds.client_id for ds in datasets)
+        if ids != list(range(config.n_clients)):
+            raise ConfigurationError(f"dataset file {config.dataset_path}: client ids {ids} "
+                                     f"are not 0..{config.n_clients - 1}")
         for ds in datasets:  # what training and scoring need of each client's splits
             name = f"dataset file client {ds.client_id}"
             for split in ("train", "val", "test"):
@@ -298,7 +304,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
         plan = RoundPlan(config.protocol, config.order, epoch)
-        run_round(clients, server, plan, bus, config.split_kind, config.batch_size,
+        run_round(clients, server, plan, bus, config.batch_size,
                   turns=turns if epoch == 0 else None)
         loss, val_probs = _live_validation(clients, server, ds_by_id)
         if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
@@ -308,8 +314,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
 
     best_epoch, (val_probs, test_probs) = checkpoint.best()
     per_client = {cid: metrics.evaluate(test_probs[cid][:, 0], ds_by_id[cid].test_y,
-                                        val_probs[cid][:, 0], ds_by_id[cid].val_y,
-                                        config.sensitivity)
+                                        val_probs[cid][:, 0], ds_by_id[cid].val_y)
                   for cid in sorted(clients)}
 
     return RunResult(
@@ -438,11 +443,12 @@ def _order_rows(config: ExperimentConfig, datasets, probe_only: bool = False) ->
 
 
 def _client_count_rows(config: ExperimentConfig, datasets) -> list:
-    """A client-count sweep's rows: the probe pair at each setting, with
-    clients beyond the probe added incrementally in ascending id order. A
-    setting's first turns are the smaller settings' turns."""
-    if max(config.sweep_sizes) > config.n_clients:
-        raise ConfigurationError("sweep size exceeds available clients")
+    """A client-count sweep's rows: the probe pair at each setting of
+    config.sweep_sizes, with clients beyond the probe added incrementally
+    in ascending id order. A setting's first turns are the smaller
+    settings' turns."""
+    if config.n_clients < 2:
+        raise ConfigurationError("client-count sweep needs at least 2 clients")
     others = [cid for cid in range(config.n_clients) if cid != config.probe]
     rows = []
     for n in config.sweep_sizes:

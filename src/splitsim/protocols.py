@@ -28,7 +28,7 @@ import numpy as np
 
 from . import nn
 from .datagen import ClientDataset
-from .model_split import U_SHAPED, VANILLA, SplitConfig, split_model
+from .model_split import split_model
 from .nn import AdamState, SequentialModel, adam_step, backward, bce_grad, forward
 from .nn import bce_loss  # noqa: F401 - the benchmark's tracer wraps protocols.bce_loss
 from .transport import ChannelBus, Message, MsgType
@@ -138,13 +138,15 @@ def iter_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
 
 
 def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol: str,
-                 config: SplitConfig | None, lr: float) -> tuple[dict[int, ClientState], ServerState]:
-    """Deal out per-client segments (or full copies for FL) from one
-    freshly initialized model, and the server bodies `SPECS[protocol]`
-    asks for; every client and every replica starts bit-identical."""
+                 cuts: tuple[int, int] | None, lr: float) -> tuple[dict[int, ClientState], ServerState]:
+    """Deal out per-client segments (or full copies for FL, where `cuts`
+    is None) from one freshly initialized model, and the server bodies
+    `SPECS[protocol]` asks for; every client and every replica starts
+    bit-identical. `cuts` is `(front_cut, tail_cut)`, as
+    `ExperimentConfig.split_config` returns it."""
     clients = {}
     server = ServerState()
-    seg = None if config is None else split_model(model, config)
+    seg = None if cuts is None else split_model(model, *cuts)
     # participants train one at a time, so the clients share one Adam
     # scratch buffer, and the body replicas share one gradient buffer and
     # one scratch buffer
@@ -239,24 +241,25 @@ def _expect(bus: ChannelBus, receiver: int, sender: int, msg_type: MsgType) -> M
 
 
 def _train_batch_split(client: ClientState, body: SequentialModel,
-                       opt_body: AdamState, xb, yb, bus: ChannelBus,
-                       kind: str, rnd: int) -> None:
+                       opt_body: AdamState, xb, yb, bus: ChannelBus, rnd: int) -> None:
     """One batch of split training for one client.
 
-    U-shaped exchange: SmashedActivations -> BodyOutput -> BodyOutputGrad
-    -> SmashedGrad. Vanilla: SmashedActivations + Labels -> SmashedGrad
-    (the server holds the output head and the loss).
+    U-shaped (the client holds a tail): SmashedActivations -> BodyOutput
+    -> BodyOutputGrad -> SmashedGrad. Vanilla (no tail): SmashedActivations
+    + Labels -> SmashedGrad (the server holds the output head and the
+    loss). So a client sends Labels exactly when it holds no tail.
 
     The client takes one Adam step over front and tail together, after
     the front's backward. Stepping the tail right after its own backward
     gives the same bits: Adam is elementwise, both segments share one step
     count, and nothing reads the tail's weights again in this batch."""
     cw = wire_id(client.id)
+    u_shaped = bool(client.tail.layers)
 
     # client: front forward, ship cut-layer activations
     a_front, cache_front = forward(client.front, xb)
     bus.send(Message(MsgType.SMASHED_ACTIVATIONS, cw, SERVER, rnd, payload=a_front))
-    if kind == VANILLA:
+    if not u_shaped:
         bus.send(Message(MsgType.LABELS, cw, SERVER, rnd,
                          payload=np.asarray(yb, dtype=np.float64)))
 
@@ -264,7 +267,7 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
     msg = _expect(bus, SERVER, cw, MsgType.SMASHED_ACTIVATIONS)
     a_body, cache_body = forward(body, msg.payload)
 
-    if kind == U_SHAPED:
+    if u_shaped:
         bus.send(Message(MsgType.BODY_OUTPUT, SERVER, cw, rnd, payload=a_body))
 
         # client: tail forward, loss on local labels, tail backward
@@ -375,7 +378,7 @@ class TurnStates:
 # --- round engine ---------------------------------------------------------
 
 def run_round(clients: dict[int, ClientState], server: ServerState,
-              plan: RoundPlan, bus: ChannelBus, kind: str, batch_size: int,
+              plan: RoundPlan, bus: ChannelBus, batch_size: int,
               turns: TurnStates | None = None) -> None:
     """One global epoch of plan.protocol as its SPECS row describes it.
 
@@ -402,7 +405,7 @@ def run_round(clients: dict[int, ClientState], server: ServerState,
                                    batch_size):
             if spec.split:
                 _train_batch_split(client, server.bodies[client.id], server.opts[client.id],
-                                   xb, yb, bus, kind, rnd)
+                                   xb, yb, bus, rnd)
             else:
                 _train_batch_local(client, xb, yb)
         if turns is not None:

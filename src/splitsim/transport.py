@@ -32,7 +32,6 @@ class MsgType(enum.IntEnum):
     SMASHED_GRAD = 4
     PARAM_BLOB = 5
     LABELS = 6
-    CONTROL = 7
 
 
 _MSG_TYPES = {int(t): t for t in MsgType}
@@ -55,12 +54,12 @@ class UnsupportedMessage(CodecError):
 
 
 class TrailingBytes(CodecError):
-    """Frame longer than its declared payload or control code."""
+    """Frame longer than its declared payload."""
 
 
 class FieldOutOfRange(CodecError):
-    """A header field (sender, receiver, round, seq) or the control code
-    does not fit its wire width."""
+    """A header field (sender, receiver, round, seq) does not fit its
+    wire width."""
 
 
 class EmptyChannel(Exception):
@@ -74,8 +73,7 @@ class Message:
     receiver: int
     round: int = 0
     seq: int = 0
-    payload: np.ndarray | None = None  # tensor payload; None for control
-    control: int = 0                   # control code, CONTROL messages only
+    payload: np.ndarray | None = None  # the tensor; encode rejects None
 
     def __post_init__(self):
         p = self.payload
@@ -85,9 +83,8 @@ class Message:
     def __eq__(self, other):
         if not isinstance(other, Message):
             return NotImplemented
-        if (self.msg_type, self.sender, self.receiver, self.round, self.seq,
-                self.control) != (other.msg_type, other.sender, other.receiver,
-                                  other.round, other.seq, other.control):
+        if (self.msg_type, self.sender, self.receiver, self.round, self.seq) != (
+                other.msg_type, other.sender, other.receiver, other.round, other.seq):
             return False
         if (self.payload is None) != (other.payload is None):
             return False
@@ -101,18 +98,15 @@ def encode(message: Message) -> bytes:
     """Serialize to the fixed wire layout; deterministic. Raises
     FieldOutOfRange when a header field does not fit its wire width.
     The payload is copied once, straight from its buffer into the frame."""
-    control = message.msg_type == MsgType.CONTROL
     tensor = message.payload
-    if not control and tensor is None:
+    if tensor is None:
         raise CodecError("tensor message without payload")
-    if not control and tensor.ndim > 255:
+    if tensor.ndim > 255:
         raise CodecError("tensor rank exceeds 255")
     try:
         header = _HEADER.pack(MAGIC, VERSION, int(message.msg_type),
                               message.sender, message.receiver,
-                              message.round, message.seq, 0 if control else tensor.ndim)
-        if control:
-            return header + struct.pack("<B", message.control)
+                              message.round, message.seq, tensor.ndim)
     except struct.error as exc:
         raise FieldOutOfRange(str(exc)) from None
     dims = _DIMS[tensor.ndim].pack(*tensor.shape)
@@ -139,13 +133,6 @@ def decode(data: bytes) -> Message:
     if msg_type is None:
         raise UnsupportedMessage(f"unknown msg_type {type_code}")
     off = HEADER_LEN
-    if msg_type == MsgType.CONTROL:
-        if size < off + 1:
-            raise Truncated("missing control code")
-        if size > off + 1:
-            raise TrailingBytes("bytes after the control code")
-        (control,) = struct.unpack_from("<B", data, off)
-        return Message(msg_type, sender, receiver, rnd, seq, None, control)
     if size < off + 4 * rank:
         raise Truncated("missing dims")
     shape = _DIMS[rank].unpack_from(data, off)

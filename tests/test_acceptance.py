@@ -124,7 +124,7 @@ def test_single_client_equals_centralized():
              (SFV2, U_SHAPED), (SFV3, U_SHAPED), (FL, U_SHAPED)]
     for protocol, kind in cases:
         datasets, model, clients, server = make_setup(1, protocol, kind, seed=11)
-        run_rounds(protocol, clients, server, (0,), 3, kind)
+        run_rounds(protocol, clients, server, (0,), 3)
         final = composed_model(clients[0], server.bodies.get(0))
         ref = centralized_training(datasets[0], seed=11, epochs=3)
         assert nn.models_equal(final, ref), f"{protocol}/{kind} diverged"
@@ -168,20 +168,14 @@ def test_metric_oracles():
 
 def test_codec_soundness():
     rng = np.random.default_rng(7)
-    tensor_types = [t for t in MsgType if t != MsgType.CONTROL]
     per_variant = 1000
-    for msg_type in tensor_types:
+    for msg_type in MsgType:
         for _ in range(per_variant):
             shape = tuple(int(v) for v in rng.integers(1, 6, size=rng.integers(1, 4)))
             m = Message(msg_type, int(rng.integers(0, 2 ** 16)),
                         int(rng.integers(0, 2 ** 16)), int(rng.integers(0, 2 ** 32)),
                         int(rng.integers(0, 2 ** 32)), rng.normal(size=shape))
             assert decode(encode(m)) == m
-    for _ in range(per_variant):
-        m = Message(MsgType.CONTROL, int(rng.integers(0, 2 ** 16)),
-                    int(rng.integers(0, 2 ** 16)), int(rng.integers(0, 2 ** 32)),
-                    int(rng.integers(0, 2 ** 32)), control=int(rng.integers(0, 256)))
-        assert decode(encode(m)) == m
     good = encode(Message(MsgType.SMASHED_GRAD, 1, 0, payload=rng.normal(size=(2, 3))))
     with pytest.raises(CorruptStream):
         decode(b"XXXX" + good[4:])
@@ -204,6 +198,30 @@ def test_label_privacy():
     assert v.bus.count_by_type(MsgType.LABELS) == n_batches
     print(f"label privacy: PASS (u-shaped: 0 label messages; vanilla: "
           f"{n_batches} = one per training batch)")
+
+
+def test_fl_equals_sfv1():
+    """FL and SFv1 give the same result bit for bit: Adam and the averages
+    are elementwise, and SFv1's segments run the composed model's layers
+    in the same order. Under both splits, at the default config and the
+    bias fixture, seeds 0-2; only the wire traffic differs."""
+    bias = harness.config_from(harness.parse_config_file(BIAS_CFG), {})
+    pairs = 0
+    for base in (ExperimentConfig(), bias):
+        for seed in range(3):
+            datasets = harness.load_or_generate(replace(base, seed=seed))
+            fl = run_experiment(replace(base, protocol=FL, seed=seed), datasets)
+            for split_kind in (VANILLA, U_SHAPED):
+                sfv1 = run_experiment(replace(base, protocol=SFV1, split_kind=split_kind,
+                                              seed=seed), datasets)
+                for key in ("per_client", "val_losses", "checkpoint_epoch"):
+                    # JSON writes each float's repr: exact, and -0.0 is not 0.0
+                    assert (json.dumps(fl.to_dict()[key])
+                            == json.dumps(sfv1.to_dict()[key])), (seed, split_kind, key)
+                assert fl.total_bytes != sfv1.total_bytes
+                pairs += 1
+    print(f"fl = sfv1: PASS ({pairs}/{pairs} pairs with equal metrics, validation "
+          "losses and checkpoint epoch; wire bytes differ)")
 
 
 def test_sfv1_costs_more_param_bytes_than_sfv3():

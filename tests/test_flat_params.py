@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitsim import nn, protocols
-from splitsim.model_split import U_SHAPED, SplitConfig, split_model
+from splitsim.model_split import split_model
 from splitsim.protocols import average_models
 
 widths_st = st.lists(st.integers(1, 12), min_size=1, max_size=5).map(lambda w: w + [1])
@@ -102,7 +102,7 @@ def test_split_segments_alias_parent_vector(widths, data):
     front_cut = data.draw(st.integers(1, n_layers - 1))
     tail_cut = data.draw(st.integers(front_cut, n_layers - 1))
     model = nn.init_model(widths, 0)
-    seg = split_model(model, SplitConfig(U_SHAPED, front_cut, tail_cut))
+    seg = split_model(model, front_cut, tail_cut)
     joined = np.concatenate([seg.front.flat, seg.body.flat, seg.tail.flat])
     assert joined.tobytes() == model.flat.tobytes()
     for part in (seg.front, seg.body, seg.tail):
@@ -252,7 +252,7 @@ def test_pack_lays_models_end_to_end(widths, data):
     n_layers = len(widths) - 1
     front_cut = data.draw(st.integers(1, n_layers - 1))
     tail_cut = data.draw(st.integers(front_cut, n_layers - 1))
-    seg = split_model(nn.init_model(widths, 0), SplitConfig(U_SHAPED, front_cut, tail_cut))
+    seg = split_model(nn.init_model(widths, 0), front_cut, tail_cut)
     flat, grad, (front, tail) = nn.pack([seg.front, seg.tail])
     assert flat.tobytes() == np.concatenate([seg.front.flat, seg.tail.flat]).tobytes()
     assert not np.shares_memory(flat, seg.front.flat)

@@ -44,8 +44,16 @@ class TestConfig:
             replace(FAST, protocol="gossip").validate()
 
     def test_feature_dim_width_mismatch(self):
+        # feature_dim is the first width, so the two cannot disagree
+        assert replace(FAST, widths=(5, 3, 1)).feature_dim == 5
+        with pytest.raises(TypeError):
+            replace(FAST, feature_dim=8)
         with pytest.raises(ConfigurationError):
-            replace(FAST, feature_dim=5).validate()
+            config_from({"feature_dim": 8}, {})
+
+    def test_sweep_sizes_are_2_to_n_clients(self):
+        assert [replace(FAST, n_clients=n).sweep_sizes for n in (1, 2, 5)] == [
+            (), (2,), (2, 3, 4, 5)]
 
     def test_probe_out_of_range(self):
         with pytest.raises(ConfigurationError):
@@ -53,8 +61,7 @@ class TestConfig:
 
     def test_vanilla_split_has_empty_tail(self):
         cfg = replace(FAST, split_kind="vanilla")
-        sc = cfg.split_config()
-        assert sc.tail_cut == len(cfg.widths) - 1
+        assert cfg.split_config() == (cfg.front_cut, len(cfg.widths) - 1)
 
     def test_fl_needs_no_split(self):
         assert replace(FAST, protocol="fl").split_config() is None
@@ -109,12 +116,25 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["epochs = abc", "order = None", "widths = 8,x",
                                       "lr = fast", "seed = 1.5", "sweep_sizes = 2,,3",
-                                      "eval_count = 2e2"])
+                                      "order = 0,,1", "eval_count = 2e2"])
     def test_malformed_value_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "exp.cfg"
         path.write_text("# header\nprotocol = sl\n" + line + "\n")
         with pytest.raises(ConfigurationError, match=re.escape(f"{path}:3: bad")):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("line", ["feature_dim = 8", "sensitivity = 0.8",
+                                      "sweep_sizes = 2,3,4,5"])
+    def test_0_1_0_manifest_key_is_a_bad_key(self, tmp_path, capsys, line):
+        # 0.1.0 manifests wrote these; the config now derives the first
+        # two from widths and n_clients and holds the third constant
+        path = tmp_path / "result.manifest.txt"
+        path.write_text(f"# splitsim 0.1.0\nprotocol = sl\n{line}\nepochs = 2\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}:3: bad key {key!r}")):
+            parse_config_file(path)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"input error: {path}:3: bad key {key!r}\n"
 
     def test_manifest_is_a_config_file(self, tmp_path):
         path = tmp_path / "result.manifest.txt"
@@ -199,8 +219,7 @@ def _history_reference(cfg, datasets):
     bus = ChannelBus()
     losses, snapshots = [], []
     for epoch in range(cfg.epochs):
-        run_round(clients, server, RoundPlan(cfg.protocol, order, epoch), bus,
-                  cfg.split_kind, cfg.batch_size)
+        run_round(clients, server, RoundPlan(cfg.protocol, order, epoch), bus, cfg.batch_size)
         snap = {cid: composed_model(clients[cid], server.bodies.get(cid))
                 for cid in sorted(clients)}
         losses.append(float(np.mean([
@@ -228,8 +247,7 @@ class TestStreamingCheckpoint:
         for ds in datasets:
             model = snapshots[earliest_argmin][ds.client_id]
             report = metrics.evaluate(nn.forward(model, ds.test_x)[0][:, 0], ds.test_y,
-                                      nn.forward(model, ds.val_x)[0][:, 0], ds.val_y,
-                                      cfg.sensitivity)
+                                      nn.forward(model, ds.val_x)[0][:, 0], ds.val_y)
             assert res.per_client[ds.client_id] == report
 
     @pytest.mark.parametrize("protocol", ["fl", "sl", "sfv1"])
@@ -378,7 +396,7 @@ class TestSweeps:
             sweep_order(replace(FAST, n_clients=1))
 
     def test_client_count_sweep(self):
-        cfg = replace(FAST, epochs=1, n_clients=3, sweep_sizes=(2, 3))
+        cfg = replace(FAST, epochs=1, n_clients=3)
         table = sweep_client_count(cfg)
         assert [r.key for r in table.rows] == ["2 client setting", "3 client setting"]
         drops = harness.drops_over_seeds([table])
@@ -389,7 +407,7 @@ class TestSweeps:
     @pytest.mark.parametrize("probe", [0, 3])
     def test_client_count_sweep_rows_are_probe_pairs(self, probe):
         # probe 3 is beyond the smallest setting's client count
-        cfg = replace(FAST, epochs=1, n_clients=5, probe=probe, sweep_sizes=(2, 3, 4, 5))
+        cfg = replace(FAST, epochs=1, n_clients=5, probe=probe)
         datasets = harness.load_or_generate(cfg)
         table = sweep_client_count(cfg, datasets)
         assert [r.key for r in table.rows] == [f"{n} client setting" for n in cfg.sweep_sizes]
@@ -403,9 +421,17 @@ class TestSweeps:
                            for order in ((probe, *rest), (*rest, probe)))
             assert (row.first, row.last) == (first, last)
 
-    def test_sweep_size_exceeding_clients_rejected(self):
+    def test_sweep_size_exceeding_clients_rejected(self, tmp_path):
+        # the largest setting is n_clients: a dataset file with fewer
+        # clients cannot hold it
+        data = tmp_path / "clients.sds"
+        datagen.save_clients(data, datagen.generate_clients(datagen.desk_manifest(2), seed=0))
+        with pytest.raises(ConfigurationError, match="too few clients"):
+            sweep_client_count(replace(FAST, n_clients=3, dataset_path=str(data)))
+
+    def test_client_count_sweep_needs_two_clients(self):
         with pytest.raises(ConfigurationError):
-            sweep_client_count(replace(FAST, sweep_sizes=(2, 3)))
+            sweep_client_count(replace(FAST, n_clients=1))
 
 
 def _recording_runs(monkeypatch):
@@ -437,7 +463,7 @@ class TestSweepStore:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_shared_sweeps_equal_standalone_runs(self, monkeypatch, protocol, split_kind):
         cfg = replace(FAST, protocol=protocol, split_kind=split_kind, n_clients=4, probe=1,
-                      batch_size=16, sweep_sizes=(2, 3, 4))
+                      batch_size=16)
         datasets = harness.load_or_generate(cfg)
         for sweep in (sweep_order, sweep_client_count):
             calls = _recording_runs(monkeypatch)
@@ -457,7 +483,7 @@ class TestSweepStore:
     def test_counting_wrapper_sees_every_cell(self, monkeypatch, protocol):
         # shaped like bench/workloads.counting_wire_bytes: one call per
         # table cell, and the wire bytes of standalone runs
-        cfg = replace(FAST, protocol=protocol, n_clients=4, sweep_sizes=(2, 3, 4))
+        cfg = replace(FAST, protocol=protocol, n_clients=4)
         for sweep in (sweep_order, sweep_client_count):
             calls = _recording_runs(monkeypatch)
             table = sweep(cfg)
@@ -560,8 +586,7 @@ class TestSweepStore:
             trained.clear()
             clients, server = make_clients(datasets, nn.init_model(list(cfg.widths), cfg.seed),
                                            protocol, cfg.split_config(), cfg.lr)
-            run_round(clients, server, RoundPlan(protocol, order), ChannelBus(),
-                      cfg.split_kind, cfg.batch_size)
+            run_round(clients, server, RoundPlan(protocol, order), ChannelBus(), cfg.batch_size)
             assert tuple(trained) == harness._run_key(replace(cfg, order=order), order)[1]
 
     def test_store_keeps_only_what_a_later_run_restores(self, monkeypatch):
@@ -630,7 +655,7 @@ class TestParallelSweeps:
     """A sweep's groups train ahead in forked workers; every call, table
     cell and error is what the in-process path gives."""
 
-    CFG = replace(FAST, n_clients=4, probe=1, batch_size=16, sweep_sizes=(2, 3, 4))
+    CFG = replace(FAST, n_clients=4, probe=1, batch_size=16)
 
     @pytest.mark.parametrize("split_kind", [VANILLA, U_SHAPED])
     @pytest.mark.parametrize("protocol", ["sl", "sfv2"])
@@ -822,7 +847,7 @@ class TestCli:
 
     def test_sweep_clients_probe_beyond_smallest_size(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("protocol = sl\nepochs = 1\nlr = 0.001\nsweep_sizes = 2,4\n")
+        cfg.write_text("protocol = sl\nepochs = 1\nlr = 0.001\n")
         out = tmp_path / "out"
         assert cli.main(["sweep-clients", "--config", str(cfg), "--probe", "3",
                          "--out", str(out)]) == 0
@@ -943,7 +968,7 @@ class TestCli:
                             "sign test p = 1, 1 undefined counted as +inf, 1 as -inf")
 
     def test_sweep_clients_summarises_each_setting(self, tmp_path, capsys):
-        cfg = self._write_cfg(tmp_path, "n_clients = 3\nsweep_sizes = 2,3\n")
+        cfg = self._write_cfg(tmp_path, "n_clients = 3\n")
         capsys.readouterr()
         out = tmp_path / "out"
         assert cli.main(["sweep-clients", "--config", str(cfg), "--epochs", "1",
@@ -986,6 +1011,8 @@ class TestCli:
         path.write_text("bogus = 1\n")
         assert cli.main(["run", "--config", str(path)]) == 1
 
+    # the sensitivity, feature_dim and sweep_sizes lines set keys of 0.1.0
+    # that are now derived or constant: bad keys
     @pytest.mark.parametrize("line", [
         "lr = -1", "lr = 0", "lr = nan", "lr = inf",
         "sensitivity = 1.5", "sensitivity = -0.1",
@@ -993,7 +1020,8 @@ class TestCli:
         "widths = 8", "widths = 8,16,2",
         "front_cut = 0", "tail_cut = 5", "front_cut = 3\ntail_cut = 2",
         "split_kind = vanilla\nwidths = 8,16,1\nfront_cut = 3",
-        "feature_dim = 1\nwidths = 1,16,16,16,8,1", "widths = 8,0,16,16,8,1",
+        "feature_dim = 1\nwidths = 1,16,16,16,8,1", "widths = 1,16,16,16,8,1",
+        "widths = 8,0,16,16,8,1",
         "shift_scale = -0.5", "shift_scale = nan", "shift_scale = inf",
         "sweep_sizes =", "sweep_sizes = 0,2", "seed = -1",
         "epochs = abc", "order = None", "widths = 8,x", "dataset_path = .",
@@ -1062,11 +1090,33 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"input error: dataset file client 1 {message}\n"
 
+    # a file save_clients writes, with its clients' ids changed. Left to
+    # training, a duplicated id fails a round plan (exit 2), and ids 10-14
+    # train under run but fail the sweeps' order checks
+    @pytest.mark.parametrize("command", [["run"], ["sweep-order", "--probe", "0"],
+                                         ["sweep-clients"]])
+    @pytest.mark.parametrize("ids", [(0, 0, 2, 3, 4), (10, 11, 12, 13, 14)])
+    def test_bad_client_ids_exit_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                   ids, command):
+        datasets = datagen.generate_clients(datagen.desk_manifest(5), seed=0)
+        data = tmp_path / "clients.sds"
+        datagen.save_clients(data, [replace(ds, client_id=cid)
+                                    for ds, cid in zip(datasets, ids)])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"epochs = 1\ndataset_path = {data}\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "make_clients", no_training)
+        assert cli.main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: dataset file {data}: client ids {sorted(ids)} are not 0..4\n")
+
     def test_dataset_feature_width_mismatch_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data" / "clients.sds"
         assert cli.main(["gen-data", "--out", str(data.parent)]) == 0
-        cfg = self._write_cfg(tmp_path, f"dataset_path = {data}\n"
-                                        "feature_dim = 4\nwidths = 4,8,8,8,8,1\n")
+        cfg = self._write_cfg(tmp_path, f"dataset_path = {data}\nwidths = 4,8,8,8,8,1\n")
         capsys.readouterr()
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "dataset file has 8 features" in capsys.readouterr().err
@@ -1118,8 +1168,8 @@ def valid_configs(draw):
     """Configs that validate, over every field; dataset_path is drawn from
     the text a config file can hold (no '#', line break or surrounding
     blank)."""
-    feature_dim = draw(st.integers(2, 16))
-    widths = (feature_dim, *draw(st.lists(st.integers(1, 64), min_size=1, max_size=5)), 1)
+    widths = (draw(st.integers(2, 16)),
+              *draw(st.lists(st.integers(1, 64), min_size=1, max_size=5)), 1)
     front_cut = draw(st.integers(1, len(widths) - 1))
     n_clients = draw(st.integers(1, 5))
     cfg = ExperimentConfig(
@@ -1130,13 +1180,11 @@ def valid_configs(draw):
         epochs=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64)),
         batch_size=draw(st.integers(1, 4096)),
         lr=draw(st.floats(0, 1e6, exclude_min=True)),
-        n_clients=n_clients, feature_dim=feature_dim,
+        n_clients=n_clients,
         shift_scale=draw(st.floats(0, 1e3)),
         eval_count=draw(st.integers(6, 10**6)),
         probe=draw(st.integers(0, n_clients - 1)),
-        sensitivity=draw(st.floats(0, 1)),
         order=draw(st.none() | st.permutations(range(n_clients)).map(tuple)),
-        sweep_sizes=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))),
         dataset_path=draw(st.none() | st.text(alphabet="ab/._- ", max_size=12).map(str.strip)))
     try:
         cfg.validate()
@@ -1167,12 +1215,15 @@ class TestConfigProperties:
         path.write_text(render_manifest(cfg))
         assert config_from(parse_config_file(path), {}) == cfg
 
-    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    # every field, and the keys of 0.1.0 that are now derived or constant,
+    # whose every value is a bad key
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)]
+                             + ["feature_dim", "sensitivity", "sweep_sizes"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_malformed_value_exits_1(self, tmp_path_factory, key, data):
         tmp = tmp_path_factory.mktemp("malformed")
-        hint = typing.get_type_hints(ExperimentConfig)[key]
+        hint = typing.get_type_hints(ExperimentConfig).get(key, int)
         value = data.draw(_malformed(key, hint, tmp))
         path = tmp / "exp.cfg"
         path.write_text(f"{key} = {value}\n")
@@ -1185,7 +1236,7 @@ class TestConfigProperties:
     def test_config_runs_or_raises_configuration_error(self, n_clients, eval_count, protocol,
                                                        split_kind, probe, seed):
         cfg = ExperimentConfig(protocol=protocol, split_kind=split_kind, widths=(2, 3, 3, 1),
-                               front_cut=1, tail_cut=2, feature_dim=2, epochs=1,
+                               front_cut=1, tail_cut=2, epochs=1,
                                batch_size=64, lr=3e-3, n_clients=n_clients,
                                eval_count=eval_count, probe=probe, seed=seed)
         try:
@@ -1197,11 +1248,10 @@ class TestConfigProperties:
     # eval_counts too small for the eval prevalence (the manifest rejects them)
     GAPS = {
         "eval_count": st.sampled_from([5, 4, 0, -1]),
-        "feature_dim": st.sampled_from([1, 0, -1]),
+        "input_width": st.sampled_from([1, 0, -1]),
         "hidden": st.lists(st.integers(-1, 3), min_size=1, max_size=3).filter(
             lambda h: min(h) < 1),
         "shift_scale": st.sampled_from([-0.5, -1e-300, float("nan"), float("inf")]),
-        "sweep_sizes": st.sampled_from([(), (0,), (2, -1)]),
         "seed": st.integers(-3, -1),
     }
 
@@ -1212,21 +1262,20 @@ class TestConfigProperties:
         `run` computes no percent drop, so the sweeps' degenerate-kappa
         MetricError is outside this property."""
         draw = data.draw
-        values = {"feature_dim": draw(st.integers(2, 3)),
+        values = {"input_width": draw(st.integers(2, 3)),
                   "hidden": draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)),
                   "shift_scale": draw(st.sampled_from([0.0, 0.75])),
                   "eval_count": draw(st.sampled_from([6, 50])),
-                  "sweep_sizes": tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
                   "seed": draw(st.integers(0, 2))}
         gap = draw(st.sampled_from([None, *sorted(self.GAPS)]))
         if gap is not None:
             values[gap] = draw(self.GAPS[gap])
-        hidden = values.pop("hidden")
+        hidden, input_width = values.pop("hidden"), values.pop("input_width")
         n_clients = draw(st.integers(1, 5))
         cfg = ExperimentConfig(
             protocol=draw(st.sampled_from(PROTOCOLS)),
             split_kind=draw(st.sampled_from([VANILLA, U_SHAPED])),
-            widths=(values["feature_dim"], *hidden, 1), front_cut=1, tail_cut=len(hidden),
+            widths=(input_width, *hidden, 1), front_cut=1, tail_cut=len(hidden),
             epochs=draw(st.integers(1, 2)), batch_size=draw(st.sampled_from([8, 64])),
             lr=3e-3, n_clients=n_clients, probe=draw(st.integers(0, n_clients - 1)), **values)
         tmp = tmp_path_factory.mktemp("drawn")

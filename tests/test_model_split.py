@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from splitsim import nn
-from splitsim.model_split import (U_SHAPED, VANILLA, ConfigError, SplitConfig,
-                                  split_model)
+from splitsim.harness import ConfigurationError, ExperimentConfig
+from splitsim.model_split import U_SHAPED, VANILLA, split_model
 from tests.test_nn import random_model
 
 
@@ -35,83 +35,98 @@ def chained_backward(seg, caches, grad):
     return grads, grad
 
 
+def four_layer_config(**changes):
+    """A split config over four_layer_model's widths."""
+    return ExperimentConfig(protocol="sl", widths=(4, 6, 5, 3, 1), **changes)
+
+
 class TestSplitConfig:
+    """The cuts `ExperimentConfig.split_config` derives, and the rules its
+    validate checks once, for `split_model` to cut at."""
+
     def test_u_shaped_counts(self):
-        seg = split_model(four_layer_model(), SplitConfig(U_SHAPED, 1, 3))
+        cuts = four_layer_config(split_kind=U_SHAPED, front_cut=1, tail_cut=3).split_config()
+        seg = split_model(four_layer_model(), *cuts)
         assert len(seg.front.layers) == 1
         assert len(seg.body.layers) == 2
         assert len(seg.tail.layers) == 1
 
     def test_vanilla_counts(self):
-        seg = split_model(four_layer_model(), SplitConfig(VANILLA, 2, 4))
+        cuts = four_layer_config(split_kind=VANILLA, front_cut=2).split_config()
+        seg = split_model(four_layer_model(), *cuts)
         assert len(seg.front.layers) == 2
         assert len(seg.body.layers) == 2
         assert len(seg.tail.layers) == 0
 
     def test_u_shaped_needs_tail(self):
-        with pytest.raises(ConfigError):
-            split_model(four_layer_model(), SplitConfig(U_SHAPED, 1, 4))
+        with pytest.raises(ConfigurationError, match="at least one tail layer"):
+            four_layer_config(split_kind=U_SHAPED, front_cut=1, tail_cut=4).validate()
 
     def test_vanilla_needs_empty_tail(self):
-        with pytest.raises(ConfigError):
-            split_model(four_layer_model(), SplitConfig(VANILLA, 1, 3))
+        # vanilla's tail cut is the layer count, whatever tail_cut says
+        cfg = four_layer_config(split_kind=VANILLA, front_cut=1, tail_cut=3)
+        cfg.validate()
+        assert cfg.split_config() == (1, 4)
+        assert split_model(four_layer_model(), *cfg.split_config()).tail.layers == []
 
     def test_out_of_range_cuts(self):
-        with pytest.raises(ConfigError):
-            split_model(four_layer_model(), SplitConfig(U_SHAPED, 0, 3))
-        with pytest.raises(ConfigError):
-            split_model(four_layer_model(), SplitConfig(VANILLA, 5, 5))
+        for kind in (VANILLA, U_SHAPED):
+            for front_cut in (0, 5):
+                with pytest.raises(ConfigurationError,
+                                   match=rf"cuts \({front_cut}, \d\) invalid for 4 layers"):
+                    four_layer_config(split_kind=kind, front_cut=front_cut,
+                                      tail_cut=3).validate()
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            split_model(four_layer_model(), SplitConfig("diagonal", 1, 3))
+        with pytest.raises(ConfigurationError, match="unknown split kind 'diagonal'"):
+            four_layer_config(split_kind="diagonal").validate()
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("config", [
-        SplitConfig(U_SHAPED, 1, 3),
-        SplitConfig(U_SHAPED, 2, 3),
-        SplitConfig(U_SHAPED, 1, 2),
-        SplitConfig(VANILLA, 1, 4),
-        SplitConfig(VANILLA, 3, 4),
+    @pytest.mark.parametrize("config", [  # (front_cut, tail_cut)
+        (1, 3),
+        (2, 3),
+        (1, 2),
+        (1, 4),
+        (3, 4),
     ])
     def test_split_concat_identity(self, config):
         m = four_layer_model()
-        seg = split_model(m, config)
+        seg = split_model(m, *config)
         rejoined = nn.SequentialModel([layer for part in segments(seg) for layer in part.layers])
         assert nn.models_equal(rejoined, m)
 
     def test_parameter_conservation(self):
         m = four_layer_model()
         total = m.flat.size
-        seg = split_model(m, SplitConfig(U_SHAPED, 1, 3))
+        seg = split_model(m, 1, 3)
         assert seg.front.flat.size + seg.body.flat.size + seg.tail.flat.size == total
 
     def test_parameters_moved_not_copied(self):
         m = four_layer_model()
-        seg = split_model(m, SplitConfig(U_SHAPED, 1, 3))
+        seg = split_model(m, 1, 3)
         seg.front.layers[0].weights[0, 0] = 123.0
         assert m.layers[0].weights[0, 0] == 123.0
 
 
 class TestComposedEquivalence:
-    @pytest.mark.parametrize("config", [
-        SplitConfig(U_SHAPED, 1, 3),
-        SplitConfig(U_SHAPED, 2, 3),
-        SplitConfig(VANILLA, 2, 4),
+    @pytest.mark.parametrize("config", [  # (front_cut, tail_cut)
+        (1, 3),
+        (2, 3),
+        (2, 4),
     ])
     def test_forward_bit_identical_to_uncut(self, config):
         rng = np.random.default_rng(11)
         m = four_layer_model(seed=11)
         x = rng.normal(size=(6, 4))
         ref, _ = nn.forward(m, x)
-        seg = split_model(m, config)
+        seg = split_model(m, *config)
         out, _ = chained_forward(seg, x)
         assert out.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("config", [
-        SplitConfig(U_SHAPED, 1, 3),
-        SplitConfig(VANILLA, 2, 4),
+    @pytest.mark.parametrize("config", [  # (front_cut, tail_cut)
+        (1, 3),
+        (2, 4),
     ])
     def test_backward_bit_identical_to_uncut(self, config):
         rng = np.random.default_rng(12)
@@ -123,7 +138,7 @@ class TestComposedEquivalence:
         _, dprobs = nn.bce_loss(ref_out, y)
         ref_grads, ref_dx = nn.backward(m, ref_cache, dprobs)
 
-        seg = split_model(m, config)
+        seg = split_model(m, *config)
         out, caches = chained_forward(seg, x)
         _, dprobs2 = nn.bce_loss(out, y)
         (gf, gb, gt), dx = chained_backward(seg, caches, dprobs2)
@@ -138,7 +153,7 @@ class TestComposedEquivalence:
         body_tail = random_model(np.random.default_rng(13), widths=[4, 5, 1])
         front = nn.DenseLayer(np.eye(4), np.zeros(4), "linear")
         m = nn.SequentialModel([front] + body_tail.layers)
-        seg = split_model(m, SplitConfig(U_SHAPED, 1, 2))
+        seg = split_model(m, 1, 2)
         x = np.random.default_rng(14).normal(size=(3, 4))
         out, _ = chained_forward(seg, x)
         ref, _ = nn.forward(body_tail, x)
@@ -156,6 +171,6 @@ class TestComposedEquivalence:
                 continue
             x = rng.normal(size=(4, widths[0]))
             ref, _ = nn.forward(m, x)
-            seg = split_model(m, SplitConfig(U_SHAPED, front_cut, tail_cut))
+            seg = split_model(m, front_cut, tail_cut)
             out, _ = chained_forward(seg, x)
             assert out.tobytes() == ref.tobytes()

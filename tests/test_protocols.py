@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from splitsim import datagen, nn, protocols, transport
-from splitsim.model_split import U_SHAPED, VANILLA, SplitConfig, split_model
+from splitsim.model_split import U_SHAPED, VANILLA, split_model
 from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
                                 SERVER, PlanError, ProtocolViolation, RoundPlan, average_models,
                                 composed_model, iter_batches, make_clients,
@@ -13,8 +13,8 @@ from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
 from splitsim.transport import ChannelBus, Message, MsgType
 
 WIDTHS = [8, 16, 16, 16, 8, 1]
-SPLIT = SplitConfig(U_SHAPED, 1, 4)
-SPLIT_VANILLA = SplitConfig(VANILLA, 1, 5)
+SPLIT = (1, 4)          # (front_cut, tail_cut) under U_SHAPED
+SPLIT_VANILLA = (1, 5)  # under VANILLA: no tail
 LR = 1e-3
 BATCH = 32
 
@@ -23,15 +23,15 @@ def make_setup(n_clients, protocol, kind=U_SHAPED, seed=0, shift=0.6):
     datasets = datagen.generate_clients(datagen.desk_manifest(n_clients),
                                         shift_scale=shift, seed=seed)
     model = nn.init_model(WIDTHS, seed)
-    config = None if protocol == FL else (SPLIT_VANILLA if kind == VANILLA else SPLIT)
-    clients, server = make_clients(datasets, model, protocol, config, LR)
+    cuts = None if protocol == FL else (SPLIT_VANILLA if kind == VANILLA else SPLIT)
+    clients, server = make_clients(datasets, model, protocol, cuts, LR)
     return datasets, model, clients, server
 
 
-def run_rounds(protocol, clients, server, order, epochs, kind=U_SHAPED, bus=None):
+def run_rounds(protocol, clients, server, order, epochs, bus=None):
     bus = bus or ChannelBus(record=True)
     for e in range(epochs):
-        run_round(clients, server, RoundPlan(protocol, tuple(order), e), bus, kind, BATCH)
+        run_round(clients, server, RoundPlan(protocol, tuple(order), e), bus, BATCH)
     return bus
 
 
@@ -94,7 +94,7 @@ class TestSingleClientEquivalence:
     ])
     def test_equals_centralized(self, protocol, kind):
         datasets, model, clients, server = make_setup(1, protocol, kind, seed=5)
-        run_rounds(protocol, clients, server, (0,), 3, kind)
+        run_rounds(protocol, clients, server, (0,), 3)
         final = composed_model(clients[0], server.bodies.get(0))
         ref = centralized_training(datasets[0], seed=5, epochs=3)
         assert nn.models_equal(final, ref)
@@ -105,7 +105,7 @@ def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
     is its own model with its own Adam state, each gradient is copied
     out before the next backward, and the tail steps right after its own
     backward. Returns each client's (front, body, tail) vector."""
-    seg = split_model(nn.init_model(WIDTHS, seed), SPLIT_VANILLA if kind == VANILLA else SPLIT)
+    seg = split_model(nn.init_model(WIDTHS, seed), *(SPLIT_VANILLA if kind == VANILLA else SPLIT))
     ids = [ds.client_id for ds in datasets]
     fronts = {c: seg.front.clone() for c in ids}
     tails = {c: seg.tail.clone() for c in ids}
@@ -155,7 +155,7 @@ class TestOneStepPerParticipant:
     def test_equals_separate_steps(self, protocol, kind):
         order = (2, 0, 1)
         datasets, model, clients, server = make_setup(3, protocol, kind, seed=0)
-        run_rounds(protocol, clients, server, order, 2, kind)
+        run_rounds(protocol, clients, server, order, 2)
         expected = separate_step_training(datasets, protocol, kind, order, 2)
         for c, parts in expected.items():
             got = composed_model(clients[c], server.bodies[c]).flat
@@ -196,7 +196,7 @@ class TestAlignedVectors:
         assert all(v.ctypes.data % 64 == 0 for v in vectors)
 
         kept = [(flat, grad, opt.m, opt.v) for flat, grad, opt in owners]
-        run_rounds(protocol, clients, server, (2, 0, 1), 2, kind)
+        run_rounds(protocol, clients, server, (2, 0, 1), 2)
         now = [(c.flat, c.grad, c.opt.m, c.opt.v) for c in clients.values()]
         now += [(server.bodies[cid].flat, server.bodies[cid].grad,
                  server.opts[cid].m, server.opts[cid].v) for cid in server.bodies]
@@ -215,7 +215,7 @@ class TestMessageSequences:
 
     def test_vanilla_batch_trace(self):
         datasets, model, clients, server = make_setup(1, SL, VANILLA)
-        bus = run_rounds(SL, clients, server, (0,), 1, VANILLA)
+        bus = run_rounds(SL, clients, server, (0,), 1)
         n_batches = -(-datasets[0].sample_count // BATCH)
         types = [rec.msg_type for rec in bus.log]
         expected = [MsgType.SMASHED_ACTIVATIONS, MsgType.LABELS,
@@ -228,7 +228,7 @@ class TestMessageSequences:
         """Every channel's exact (type, round, seq, bytes) sequence over
         two rounds of two clients, from batch counts and segment sizes."""
         datasets, model, clients, server = make_setup(2, protocol, kind)
-        bus = run_rounds(protocol, clients, server, (1, 0), 2, kind)
+        bus = run_rounds(protocol, clients, server, (1, 0), 2)
 
         def frame(*shape):
             return transport.HEADER_LEN + 4 * len(shape) + 8 * math.prod(shape)
@@ -236,10 +236,10 @@ class TestMessageSequences:
         if protocol == FL:
             segments = [model.flat.size]
         else:
-            seg = split_model(model, SPLIT_VANILLA if kind == VANILLA else SPLIT)
+            seg = split_model(model, *(SPLIT_VANILLA if kind == VANILLA else SPLIT))
             segments = [part.flat.size for part in (seg.front, seg.tail) if part.layers]
-        cut_w = WIDTHS[SPLIT.front_cut]       # front output, body input
-        body_w = WIDTHS[SPLIT.tail_cut]       # u-shaped body output
+        cut_w = WIDTHS[SPLIT[0]]       # front output, body input
+        body_w = WIDTHS[SPLIT[1]]      # u-shaped body output
         expected = {}
         for rnd in range(2):
             for ds in datasets:
@@ -274,9 +274,9 @@ class TestMessageSequences:
     def test_out_of_order_message_rejected(self):
         _, model, clients, server = make_setup(1, SL)
         bus = ChannelBus()
-        # stray control frame jumps the queue on the client->server channel
-        bus.send(Message(MsgType.CONTROL, protocols.wire_id(0), protocols.SERVER,
-                         control=1))
+        # a stray parameter blob jumps the queue on the client->server channel
+        bus.send(Message(MsgType.PARAM_BLOB, protocols.wire_id(0), protocols.SERVER,
+                         payload=np.zeros(3)))
         with pytest.raises(ProtocolViolation):
             run_rounds(SL, clients, server, (0,), 1, bus=bus)
 
@@ -350,7 +350,7 @@ class TestLabelPrivacy:
     def test_vanilla_ships_one_labels_message_per_batch(self):
         datasets, model, clients, server = make_setup(2, SL, VANILLA)
         epochs = 2
-        bus = run_rounds(SL, clients, server, (0, 1), epochs, VANILLA)
+        bus = run_rounds(SL, clients, server, (0, 1), epochs)
         n_batches = sum(-(-ds.sample_count // BATCH) for ds in datasets) * epochs
         assert bus.count_by_type(MsgType.LABELS) == n_batches
 

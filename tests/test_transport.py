@@ -9,7 +9,7 @@ from splitsim.transport import (HEADER_LEN, ChannelBus, CodecError, CorruptStrea
                                 TrailingBytes, Truncated, UnsupportedMessage,
                                 decode, encode)
 
-TENSOR_TYPES = [t for t in MsgType if t != MsgType.CONTROL]
+TENSOR_TYPES = list(MsgType)
 
 
 def tensor_message(msg_type=MsgType.SMASHED_ACTIVATIONS, shape=(2, 3), **kw):
@@ -20,14 +20,9 @@ def tensor_message(msg_type=MsgType.SMASHED_ACTIVATIONS, shape=(2, 3), **kw):
 
 
 class TestLayout:
-    def test_control_message_length(self):
-        msg = Message(MsgType.CONTROL, 1, 0, control=7)
-        data = encode(msg)
-        assert HEADER_LEN == 19
-        assert len(data) == 19 + 1
-
     def test_2x3_tensor_length(self):
         data = encode(tensor_message(shape=(2, 3)))
+        assert HEADER_LEN == 19
         assert len(data) == 19 + 2 * 4 + 48 == 75
 
     def test_deterministic(self):
@@ -39,10 +34,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("msg_type", TENSOR_TYPES)
     def test_tensor_variants(self, msg_type):
         m = tensor_message(msg_type, shape=(4,))
-        assert decode(encode(m)) == m
-
-    def test_control_variant(self):
-        m = Message(MsgType.CONTROL, 2, 3, round=9, seq=4, control=200)
         assert decode(encode(m)) == m
 
     @settings(max_examples=200, deadline=None)
@@ -74,10 +65,11 @@ class TestDecodeErrors:
             decode(bytes(data))
 
     def test_unknown_msg_type(self):
-        data = bytearray(encode(tensor_message()))
-        data[5] = 250
-        with pytest.raises(UnsupportedMessage):
-            decode(bytes(data))
+        for code in (0, 7, 250):  # codes no message type has
+            data = bytearray(encode(tensor_message()))
+            data[5] = code
+            with pytest.raises(UnsupportedMessage):
+                decode(bytes(data))
 
     def test_truncated_payload(self):
         data = encode(tensor_message(shape=(2, 3)))
@@ -101,11 +93,10 @@ class TestDecodeErrors:
             decode(data[:len(data) - cut])
 
     @settings(max_examples=100, deadline=None)
-    @given(extra=st.binary(min_size=1, max_size=16), control=st.booleans())
-    def test_trailing_bytes_rejected(self, extra, control):
-        msg = Message(MsgType.CONTROL, 1, 0, control=3) if control else tensor_message()
+    @given(extra=st.binary(min_size=1, max_size=16))
+    def test_trailing_bytes_rejected(self, extra):
         with pytest.raises(TrailingBytes):
-            decode(encode(msg) + extra)
+            decode(encode(tensor_message()) + extra)
 
     def test_rank_zero_round_trip(self):
         m = Message(MsgType.LABELS, 1, 0, payload=np.float64(2.5))
@@ -113,14 +104,11 @@ class TestDecodeErrors:
         assert decode(encode(m)) == m
 
 
-frames = st.one_of(
-    st.builds(lambda t, shape, seed: Message(t, 1, 0, 2, 3,
-                                             np.random.default_rng(seed).normal(size=shape)),
-              st.sampled_from(TENSOR_TYPES),
-              st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
-              st.integers(0, 2**31)),
-    st.builds(lambda code: Message(MsgType.CONTROL, 1, 0, control=code), st.integers(0, 255)),
-).map(encode)
+frames = st.builds(lambda t, shape, seed: Message(t, 1, 0, 2, 3,
+                                                  np.random.default_rng(seed).normal(size=shape)),
+                   st.sampled_from(TENSOR_TYPES),
+                   st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
+                   st.integers(0, 2**31)).map(encode)
 
 
 class TestFrameBoundaries:
@@ -154,10 +142,9 @@ class TestFrameBoundaries:
 class TestEncodeErrors:
     @settings(max_examples=100, deadline=None)
     @given(field=st.sampled_from(["sender", "receiver", "round", "seq"]),
-           value=st.one_of(st.integers(-2**40, -1), st.integers(2**32, 2**40)),
-           control=st.booleans())
-    def test_out_of_range_header_field(self, field, value, control):
-        msg = Message(MsgType.CONTROL, 1, 0) if control else tensor_message()
+           value=st.one_of(st.integers(-2**40, -1), st.integers(2**32, 2**40)))
+    def test_out_of_range_header_field(self, field, value):
+        msg = tensor_message()
         setattr(msg, field, value)
         with pytest.raises(FieldOutOfRange):
             encode(msg)
@@ -168,10 +155,6 @@ class TestEncodeErrors:
         with pytest.raises(FieldOutOfRange) as info:
             encode(msg)
         assert isinstance(info.value, CodecError)
-
-    def test_out_of_range_control_code(self):
-        with pytest.raises(FieldOutOfRange):
-            encode(Message(MsgType.CONTROL, 1, 0, control=256))
 
 
 class TestBus:
