@@ -83,13 +83,6 @@ class ClientDataset:
                 "test": (self.test_x, self.test_y)}[name]
 
 
-def prevalence(labels: np.ndarray) -> float:
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("empty split has no prevalence")
-    return float(np.mean(labels == 1))
-
-
 def _separation_vector(d: int, angle: float, separation: float) -> np.ndarray:
     # rotate the base vector (separation along axis 0) in the (0, 1) plane
     v = np.zeros(d)

@@ -213,20 +213,27 @@ def _live_test(clients, server: ServerState,
             for cid in sorted(clients)}
 
 
+def _first_clients(datasets: list[ClientDataset], n_clients: int,
+                   source: str) -> list[ClientDataset]:
+    """The first n_clients of `datasets`, which must be clients 0 to
+    n_clients - 1; `source` names the datasets in the error."""
+    if len(datasets) < n_clients:
+        raise ConfigurationError(f"{source}: too few clients ({len(datasets)} for "
+                                 f"n_clients {n_clients})")
+    ids = sorted(ds.client_id for ds in datasets[:n_clients])
+    if ids != list(range(n_clients)):
+        raise ConfigurationError(f"{source}: client ids {ids} are not 0..{n_clients - 1}")
+    return datasets[:n_clients]
+
+
 def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
     if config.dataset_path:
-        datasets = datagen.load_clients(config.dataset_path)
-        if len(datasets) < config.n_clients:
-            raise ConfigurationError("dataset file has too few clients")
+        datasets = _first_clients(datagen.load_clients(config.dataset_path),
+                                  config.n_clients, f"dataset file {config.dataset_path}")
         width = datasets[0].train_x.shape[1]
         if width != config.feature_dim:
             raise ConfigurationError(f"dataset file has {width} features, "
                                      f"config feature_dim is {config.feature_dim}")
-        datasets = datasets[:config.n_clients]
-        ids = sorted(ds.client_id for ds in datasets)
-        if ids != list(range(config.n_clients)):
-            raise ConfigurationError(f"dataset file {config.dataset_path}: client ids {ids} "
-                                     f"are not 0..{config.n_clients - 1}")
         for ds in datasets:  # what training and scoring need of each client's splits
             name = f"dataset file client {ds.client_id}"
             for split in ("train", "val", "test"):
@@ -274,6 +281,9 @@ def run_experiment(config: ExperimentConfig,
     start = time.perf_counter()
     if datasets is None:
         datasets = load_or_generate(config)
+    if len(datasets) < config.n_clients:
+        raise ConfigurationError(f"datasets: too few clients ({len(datasets)} for "
+                                 f"n_clients {config.n_clients})")
     datasets = datasets[:config.n_clients]
     client_ids = sorted(ds.client_id for ds in datasets)
     order = tuple(config.order or client_ids)
@@ -299,7 +309,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
     # to about 16 k minor page faults
     clients, server = make_clients(datasets, init_model(list(config.widths), config.seed),
                                    config.protocol, config.split_config(), config.lr)
-    bus = ChannelBus(record=keep_bus)
+    bus = ChannelBus()
 
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
@@ -469,7 +479,8 @@ def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
     seed order. A row reports its probe's metrics from its probe-first
     and its probe-last run.
 
-    Each seed's data (or `datasets`, for every seed) is made first, and
+    Each seed's data (or `datasets`, for every seed, checked as a
+    dataset file's clients are) is made first, and
     all seeds' runs train ahead together (`_train_ahead`; runs of
     different seeds share no work, as a run's key holds its seed). The
     tables are then made lazily, seed by seed, and each `run_experiment`
@@ -479,8 +490,9 @@ def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
     for seed in seeds:
         cfg = replace(config, seed=seed)
         cfg.validate()
-        rows.append(SWEEP_KINDS[kind](
-            cfg, load_or_generate(cfg) if datasets is None else datasets, **options))
+        rows.append(SWEEP_KINDS[kind](cfg, load_or_generate(cfg) if datasets is None else
+                                      _first_clients(datasets, cfg.n_clients, "datasets"),
+                                      **options))
     store = _train_ahead([(run, ds) for seed_rows in rows
                           for _, first, last, ds in seed_rows for run in (first, last)])
 

@@ -168,12 +168,11 @@ def sign_test_p(drops) -> float:
 
 
 def evaluate(test_scores: np.ndarray, test_labels: np.ndarray,
-             val_scores: np.ndarray, val_labels: np.ndarray,
-             sensitivity: float = DEFAULT_SENSITIVITY) -> MetricReport:
-    """Full report: threshold picked on validation scores at the target
-    sensitivity, then applied to the test scores for F1/kappa; AUPRC is
-    threshold-free on the test scores."""
-    thr, degenerate = threshold_at_sensitivity(val_scores, val_labels, sensitivity)
+             val_scores: np.ndarray, val_labels: np.ndarray) -> MetricReport:
+    """Full report: threshold picked on validation scores at
+    DEFAULT_SENSITIVITY, then applied to the test scores for F1/kappa;
+    AUPRC is threshold-free on the test scores."""
+    thr, degenerate = threshold_at_sensitivity(val_scores, val_labels, DEFAULT_SENSITIVITY)
     c = confusion(test_scores, test_labels, thr)
     return MetricReport(
         auprc=auprc(test_scores, test_labels),

@@ -174,10 +174,6 @@ class SequentialModel:
     def in_width(self) -> int | None:
         return self.layers[0].in_width if self.layers else None
 
-    @property
-    def out_width(self) -> int | None:
-        return self.layers[-1].out_width if self.layers else None
-
     def clone(self) -> "SequentialModel":
         """An independent copy: one vector copy, views rebound to it."""
         return SequentialModel(self.layers, aligned_copy(self.flat))
@@ -205,14 +201,7 @@ def pack(models) -> tuple[np.ndarray, np.ndarray, list[SequentialModel]]:
     return flat, grad, copies
 
 
-def models_equal(a: SequentialModel, b: SequentialModel) -> bool:
-    """Bit-exact structural and parameter equality."""
-    return ([(layer.weights.shape, layer.activation) for layer in a.layers]
-            == [(layer.weights.shape, layer.activation) for layer in b.layers]
-            and np.array_equal(a.flat, b.flat))
-
-
-def init_model(widths: list[int], seed: int, hidden_activation: str = "relu") -> SequentialModel:
+def init_model(widths: list[int], seed: int) -> SequentialModel:
     """Deterministic Glorot-uniform init, zero biases, sigmoid output head.
 
     widths = [d_in, h1, ..., 1]; the final layer always gets a sigmoid
@@ -229,7 +218,7 @@ def init_model(widths: list[int], seed: int, hidden_activation: str = "relu") ->
         weights = rng.uniform(-bound, bound, size=(w_out, w_in))
         bias = np.zeros(w_out)
         last = i == len(widths) - 2
-        layers.append(DenseLayer(weights, bias, "sigmoid" if last else hidden_activation))
+        layers.append(DenseLayer(weights, bias, "sigmoid" if last else "relu"))
     return SequentialModel(layers)
 
 

@@ -326,7 +326,7 @@ class TurnStates:
     order prefix whose turns led to them. A state holds copies of what
     those turns against a shared body change: each of their clients'
     `[front | tail]` vector and Adam state (m, v, step), the body and its
-    Adam state, and the bus counters. Every other client is still as
+    Adam state, and a copy of the bus log. Every other client is still as
     `make_clients` dealt it.
 
     `orders` are the runs' orders, in the order they train: each run
@@ -353,14 +353,14 @@ class TurnStates:
         for k in range(len(order), 0, -1):
             prefix = order[:k]
             if prefix in self.states:
-                saved_clients, body, counters = self.states[prefix]
+                saved_clients, body, log = self.states[prefix]
                 self.uses[prefix] -= 1
                 if self.uses[prefix] <= 0:
                     del self.states[prefix]
                 for cid, saved in zip(prefix, saved_clients):
                     _put_params(saved, clients[cid].flat, clients[cid].opt)
                 _put_params(body, server.bodies[order[0]].flat, server.opts[order[0]])
-                bus.restore_counters(counters)
+                bus.restore_log(log)
                 return k
         return 0
 
@@ -372,7 +372,7 @@ class TurnStates:
             self.states[prefix] = (
                 [_copy_params(clients[cid].flat, clients[cid].opt) for cid in prefix],
                 _copy_params(server.bodies[prefix[0]].flat, server.opts[prefix[0]]),
-                bus.counters())
+                list(bus.log))
 
 
 # --- round engine ---------------------------------------------------------

@@ -1,8 +1,8 @@
 """Simulated network: typed messages, a bit-exact little-endian binary
-codec, per-channel FIFO queues, and byte counters.
+codec, per-channel FIFO queues, and a log of every message sent.
 
 The bus is in-process, but every message transits the codec so the byte
-counters and the wire format stay honest for a future socket backend.
+counts and the wire format stay honest for a future socket backend.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class EmptyChannel(Exception):
     """recv on a channel with no pending message."""
 
 
-@dataclass
+@dataclass(eq=False)  # equal only to itself: an array payload has no single truth value
 class Message:
     msg_type: MsgType
     sender: int
@@ -79,19 +79,6 @@ class Message:
         p = self.payload
         if p is not None and not (type(p) is np.ndarray and p.dtype == np.float64):
             self.payload = np.asarray(p, dtype=np.float64)
-
-    def __eq__(self, other):
-        if not isinstance(other, Message):
-            return NotImplemented
-        if (self.msg_type, self.sender, self.receiver, self.round, self.seq) != (
-                other.msg_type, other.sender, other.receiver, other.round, other.seq):
-            return False
-        if (self.payload is None) != (other.payload is None):
-            return False
-        if self.payload is None:
-            return True
-        return (self.payload.shape == other.payload.shape
-                and np.array_equal(self.payload, other.payload))
 
 
 def encode(message: Message) -> bytes:
@@ -157,16 +144,12 @@ class LogRecord(NamedTuple):
 
 @dataclass
 class ChannelBus:
-    """FIFO queues keyed by (sender, receiver), with exact byte counters
-    per direction and per message type. A bus built with `record=True`
-    also keeps a log, one `LogRecord` per message sent."""
+    """FIFO queues keyed by (sender, receiver), and a log with one
+    `LogRecord` per message sent: the bus's one record of its traffic,
+    which every byte and message count reads."""
 
-    record: bool = False
     queues: dict = field(default_factory=dict)
-    byte_counts: dict = field(default_factory=dict)
     seq_counts: dict = field(default_factory=dict)
-    type_bytes: dict = field(default_factory=dict)
-    type_counts: dict = field(default_factory=dict)
     log: list = field(default_factory=list)
 
     def send(self, message: Message) -> int:
@@ -181,13 +164,8 @@ class ChannelBus:
             queue = self.queues[key] = deque()
         queue.append(data)
         n = len(data)
-        self.byte_counts[key] = self.byte_counts.get(key, 0) + n
-        t = message.msg_type
-        self.type_bytes[t] = self.type_bytes.get(t, 0) + n
-        self.type_counts[t] = self.type_counts.get(t, 0) + 1
-        if self.record:
-            self.log.append(LogRecord(message.round, message.seq, message.sender,
-                                      message.receiver, t, n))
+        self.log.append(LogRecord(message.round, message.seq, message.sender,
+                                  message.receiver, message.msg_type, n))
         return n
 
     def recv(self, receiver: int, sender: int) -> Message:
@@ -198,41 +176,27 @@ class ChannelBus:
             raise EmptyChannel(f"no message from {sender} to {receiver}")
         return decode(q.popleft())
 
-    def bytes_sent(self, sender: int | None = None, receiver: int | None = None) -> int:
-        total = 0
-        for (s, r), n in self.byte_counts.items():
-            if sender is not None and s != sender:
-                continue
-            if receiver is not None and r != receiver:
-                continue
-            total += n
-        return total
+    def bytes_sent(self) -> int:
+        return sum(rec.nbytes for rec in self.log)
 
     def bytes_by_type(self, msg_type: MsgType) -> int:
-        return self.type_bytes.get(msg_type, 0)
+        return sum(rec.nbytes for rec in self.log if rec.msg_type == msg_type)
 
     def count_by_type(self, msg_type: MsgType) -> int:
-        return self.type_counts.get(msg_type, 0)
+        return sum(rec.msg_type == msg_type for rec in self.log)
 
-    def counters(self) -> tuple[dict, dict, dict, dict]:
-        """Copies of the per-channel sequence and byte counters and the
-        per-type byte and message counters."""
-        return (dict(self.seq_counts), dict(self.byte_counts),
-                dict(self.type_bytes), dict(self.type_counts))
-
-    def restore_counters(self, counters: tuple[dict, dict, dict, dict]) -> None:
-        """Set the counters to copies of a `counters()` result. Only for a
-        bus with nothing queued and no log, which could not hold the
-        messages those counts stand for."""
-        if self.record or any(self.queues.values()):
-            raise ValueError("cannot restore the counters of a recording or busy bus")
-        self.seq_counts, self.byte_counts, self.type_bytes, self.type_counts = (
-            dict(c) for c in counters)
+    def restore_log(self, log: list) -> None:
+        """Make a copy of `log` this bus's traffic so far, and continue
+        each channel's sequence numbers after its last record. Only for
+        a bus with nothing queued, which could hold no message the log
+        lacks."""
+        if any(self.queues.values()):
+            raise ValueError("cannot restore the log of a bus with messages queued")
+        self.log = list(log)
+        self.seq_counts = {(rec.sender, rec.receiver): rec.seq + 1 for rec in self.log}
 
     def dump_log(self, path) -> None:
         """One line per message: round seq sender receiver type bytes."""
-        if not self.record:
-            raise ValueError("the bus was not built to record its log")
         with open(path, "w") as f:
             for rec in self.log:
                 f.write(f"{rec.round} {rec.seq} {rec.sender} {rec.receiver} "

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitsim import datagen, harness, nn
+from splitsim import datagen, harness
 from splitsim.harness import ExperimentConfig, run_experiment
 from splitsim.metrics import ConfusionCounts, auprc, cohen_kappa, f1, percent_drop
 from splitsim.transport import (CorruptStream, Message, MsgType, Truncated,
@@ -23,9 +23,10 @@ from splitsim.transport import (CorruptStream, Message, MsgType, Truncated,
 
 from test_metrics import (ORDER_TABLE, SETTING_TABLE, brute_force_auprc,
                           naive_f1, naive_kappa)
-from test_nn import max_grad_check_error
+from test_nn import max_grad_check_error, models_equal
 from test_protocols import centralized_training, make_setup, run_rounds
 import test_protocols as tp
+from test_transport import messages_equal
 from splitsim.protocols import FL, SFV1, SFV2, SFV3, SL, composed_model
 from splitsim.model_split import U_SHAPED, VANILLA
 
@@ -127,7 +128,7 @@ def test_single_client_equals_centralized():
         run_rounds(protocol, clients, server, (0,), 3)
         final = composed_model(clients[0], server.bodies.get(0))
         ref = centralized_training(datasets[0], seed=11, epochs=3)
-        assert nn.models_equal(final, ref), f"{protocol}/{kind} diverged"
+        assert models_equal(final, ref), f"{protocol}/{kind} diverged"
     print("single-client equivalence: PASS (6 protocol variants bit-identical "
           "to centralized training, 3 epochs)")
 
@@ -175,7 +176,7 @@ def test_codec_soundness():
             m = Message(msg_type, int(rng.integers(0, 2 ** 16)),
                         int(rng.integers(0, 2 ** 16)), int(rng.integers(0, 2 ** 32)),
                         int(rng.integers(0, 2 ** 32)), rng.normal(size=shape))
-            assert decode(encode(m)) == m
+            assert messages_equal(decode(encode(m)), m)
     good = encode(Message(MsgType.SMASHED_GRAD, 1, 0, payload=rng.normal(size=(2, 3))))
     with pytest.raises(CorruptStream):
         decode(b"XXXX" + good[4:])

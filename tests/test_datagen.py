@@ -9,8 +9,16 @@ from hypothesis import strategies as st
 from splitsim import datagen, nn
 from splitsim.datagen import (ClientDataset, ManifestError, PartitionManifest,
                               desk_manifest, generate_clients, load_clients,
-                              prevalence, save_clients)
+                              save_clients)
 from splitsim.transport import CodecError, TrailingBytes
+
+
+def prevalence(labels: np.ndarray) -> float:
+    """The share of positive labels in a split."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("empty split has no prevalence")
+    return float(np.mean(labels == 1))
 
 
 class TestManifest:

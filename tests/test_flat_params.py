@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from splitsim import nn, protocols
 from splitsim.model_split import split_model
 from splitsim.protocols import average_models
+from test_nn import models_equal
 
 widths_st = st.lists(st.integers(1, 12), min_size=1, max_size=5).map(lambda w: w + [1])
 
@@ -78,7 +79,7 @@ def test_clone_shares_no_memory_and_views_track_flat(widths, seed):
     model = nn.init_model(widths, seed)
     before = model.flat.copy()
     twin = model.clone()
-    assert nn.models_equal(twin, model)
+    assert models_equal(twin, model)
     assert not np.shares_memory(twin.flat, model.flat)
     for layer in twin.layers:
         assert np.shares_memory(layer.weights, twin.flat)

@@ -27,8 +27,8 @@ from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
 from splitsim.model_split import U_SHAPED, VANILLA
-from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, composed_model,
-                                make_clients, run_round)
+from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, TurnStates,
+                                composed_model, make_clients, run_round)
 from splitsim.transport import ChannelBus
 
 FAST = ExperimentConfig(protocol="sl", epochs=2, n_clients=2, lr=1e-3, seed=0)
@@ -429,6 +429,24 @@ class TestSweeps:
         with pytest.raises(ConfigurationError, match="too few clients"):
             sweep_client_count(replace(FAST, n_clients=3, dataset_path=str(data)))
 
+    def test_too_few_datasets_rejected(self):
+        # 3 clients for n_clients 4: not a "4 client setting" row trained
+        # on the 3 clients of the "3 client setting"
+        datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
+        cfg = ExperimentConfig(epochs=1, n_clients=4, lr=1e-3)
+        for call in (sweep_client_count, sweep_order, run_experiment):
+            with pytest.raises(ConfigurationError, match="too few clients"):
+                call(cfg, datasets)
+
+    @pytest.mark.parametrize("sweep", [sweep_order, sweep_client_count])
+    @pytest.mark.parametrize("ids", [(0, 2, 3), (0, 0, 1), (1, 2, 3)])
+    def test_datasets_without_clients_0_to_n_rejected(self, sweep, ids):
+        # the client ids a dataset file must hold
+        datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
+        datasets = [replace(ds, client_id=cid) for ds, cid in zip(datasets, ids)]
+        with pytest.raises(ConfigurationError, match=r"client ids \[.*\] are not 0\.\.2"):
+            sweep(replace(FAST, n_clients=3), datasets)
+
     def test_client_count_sweep_needs_two_clients(self):
         with pytest.raises(ConfigurationError):
             sweep_client_count(replace(FAST, n_clients=1))
@@ -622,6 +640,21 @@ class TestSweepStore:
         # a run that keeps its bus trains: a stored result has none
         kept = run_experiment(runs[0], datasets, keep_bus=True, store=store)
         assert kept.bus is not None and kept.to_json() == run_experiment(runs[0]).to_json()
+
+    @pytest.mark.parametrize("protocol", ["sl", "sfv2"])
+    def test_restored_prefix_carries_its_traffic(self, protocol):
+        cfg = replace(FAST, protocol=protocol, n_clients=4)
+        datasets = harness.load_or_generate(cfg)
+        runs = [replace(cfg, order=order) for order in ((0, 1, 2, 3), (0, 1, 3, 2))]
+        turns = TurnStates([run.order for run in runs])
+        first = harness._train(runs[0], datasets, keep_bus=True, turns=turns)
+        assert list(turns.states) == [(0, 1)]
+        second = harness._train(runs[1], datasets, keep_bus=True, turns=turns)
+        assert not turns.states  # restored, and dropped after its one use
+        for run, result in zip(runs, (first, second)):
+            alone = harness._train(run, datasets, keep_bus=True)
+            assert result.bus.log == alone.bus.log
+            assert result.to_json() == alone.to_json()
 
 
 def _cpus(monkeypatch, n: int) -> None:

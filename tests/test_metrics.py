@@ -332,8 +332,8 @@ class TestEvaluate:
         val_labels = np.array([1, 1, 0, 0])
         test_scores = np.array([0.8, 0.7, 0.5, 0.1])
         test_labels = np.array([1, 0, 1, 0])
-        rep = evaluate(test_scores, test_labels, val_scores, val_labels, 1.0)
-        assert rep.threshold == 0.6  # min positive validation score
+        rep = evaluate(test_scores, test_labels, val_scores, val_labels)
+        assert rep.threshold == 0.6  # recall 0.81 of 2 positives needs both: the lower score
         c = confusion(test_scores, test_labels, rep.threshold)
         assert rep.f1 == pytest.approx(f1(c))
 

@@ -4,7 +4,7 @@ import pytest
 from splitsim import nn
 from splitsim.harness import ConfigurationError, ExperimentConfig
 from splitsim.model_split import U_SHAPED, VANILLA, split_model
-from tests.test_nn import random_model
+from tests.test_nn import models_equal, random_model
 
 
 def four_layer_model(seed=0):
@@ -94,7 +94,7 @@ class TestRoundTrip:
         m = four_layer_model()
         seg = split_model(m, *config)
         rejoined = nn.SequentialModel([layer for part in segments(seg) for layer in part.layers])
-        assert nn.models_equal(rejoined, m)
+        assert models_equal(rejoined, m)
 
     def test_parameter_conservation(self):
         m = four_layer_model()

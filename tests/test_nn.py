@@ -17,6 +17,13 @@ def random_model(rng, widths=None, hidden="relu"):
     return nn.SequentialModel(layers)
 
 
+def models_equal(a: nn.SequentialModel, b: nn.SequentialModel) -> bool:
+    """Bit-exact structural and parameter equality."""
+    return ([(layer.weights.shape, layer.activation) for layer in a.layers]
+            == [(layer.weights.shape, layer.activation) for layer in b.layers]
+            and np.array_equal(a.flat, b.flat))
+
+
 class TestForward:
     def test_identity_linear_layer(self):
         m = nn.SequentialModel([nn.DenseLayer(np.eye(2), np.zeros(2), "linear")])
@@ -228,13 +235,13 @@ class TestInitModel:
     def test_same_seed_identical(self):
         a = nn.init_model([4, 8, 1], seed=42)
         b = nn.init_model([4, 8, 1], seed=42)
-        assert nn.models_equal(a, b)
+        assert models_equal(a, b)
         assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_different_seed_differs(self):
         a = nn.init_model([4, 8, 1], seed=1)
         b = nn.init_model([4, 8, 1], seed=2)
-        assert not nn.models_equal(a, b)
+        assert not models_equal(a, b)
 
     def test_biases_zero(self):
         m = nn.init_model([4, 8, 8, 1], seed=0)
@@ -266,7 +273,7 @@ class TestParamFlattening:
         vec = nn.flatten_params(m)
         m2 = random_model(np.random.default_rng(10))
         nn.unflatten_params(m2, vec)
-        assert nn.models_equal(m, m2)
+        assert models_equal(m, m2)
 
     def test_wrong_length_rejected(self):
         m = random_model(np.random.default_rng(0))

@@ -11,6 +11,7 @@ from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
                                 composed_model, iter_batches, make_clients,
                                 run_round)
 from splitsim.transport import ChannelBus, Message, MsgType
+from test_nn import models_equal
 
 WIDTHS = [8, 16, 16, 16, 8, 1]
 SPLIT = (1, 4)          # (front_cut, tail_cut) under U_SHAPED
@@ -29,7 +30,7 @@ def make_setup(n_clients, protocol, kind=U_SHAPED, seed=0, shift=0.6):
 
 
 def run_rounds(protocol, clients, server, order, epochs, bus=None):
-    bus = bus or ChannelBus(record=True)
+    bus = bus or ChannelBus()
     for e in range(epochs):
         run_round(clients, server, RoundPlan(protocol, tuple(order), e), bus, BATCH)
     return bus
@@ -57,7 +58,7 @@ class TestAverageModels:
         m = nn.init_model([4, 3, 1], seed=0)
         avg = average_models([(0, m.clone()), (1, m.clone()), (2, m.clone())],
                              {0: 182.0, 1: 377.0, 2: 115.0})
-        assert nn.models_equal(avg, m)
+        assert models_equal(avg, m)
         assert avg.flat.tobytes() == m.flat.tobytes()
 
     def test_simple_mean(self):
@@ -97,7 +98,7 @@ class TestSingleClientEquivalence:
         run_rounds(protocol, clients, server, (0,), 3)
         final = composed_model(clients[0], server.bodies.get(0))
         ref = centralized_training(datasets[0], seed=5, epochs=3)
-        assert nn.models_equal(final, ref)
+        assert models_equal(final, ref)
 
 
 def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
