@@ -18,6 +18,7 @@ from .transport import CorruptStream, TrailingBytes, Truncated
 
 TRAIN_PREVALENCE = 0.5
 EVAL_PREVALENCE = 0.1
+SEPARATION = 2.0  # distance between a client's two class means
 
 # Per-client example counts, scaled down 10x from the reference cohort
 # (train 1816/3772/1150/880/1090, val/test 500 each).
@@ -83,30 +84,30 @@ class ClientDataset:
                 "test": (self.test_x, self.test_y)}[name]
 
 
-def _separation_vector(d: int, angle: float, separation: float) -> np.ndarray:
-    # rotate the base vector (separation along axis 0) in the (0, 1) plane
+def _separation_vector(d: int, angle: float) -> np.ndarray:
+    # rotate the base vector (SEPARATION along axis 0) in the (0, 1) plane
     v = np.zeros(d)
-    v[0] = separation * np.cos(angle)
-    v[1] = separation * np.sin(angle)
+    v[0] = SEPARATION * np.cos(angle)
+    v[1] = SEPARATION * np.sin(angle)
     return v
 
 
-def _draw_split(rng, n: int, d: int, sep: np.ndarray, prev_target: float, std: float):
+def _draw_split(rng, n: int, d: int, sep: np.ndarray, prev_target: float):
     n_pos = int(round(n * prev_target))
     labels = np.zeros(n, dtype=np.int64)
     labels[:n_pos] = 1
     labels = labels[rng.permutation(n)]
     means = np.where(labels[:, None] == 1, sep / 2.0, -sep / 2.0)
-    feats = means + rng.normal(0.0, std, size=(n, d))
+    feats = means + rng.normal(0.0, 1.0, size=(n, d))
     return feats, labels
 
 
 def generate_clients(manifest: PartitionManifest, d: int = 8,
-                     shift_scale: float = 0.6, seed: int = 0,
-                     separation: float = 2.0, std: float = 1.0) -> list[ClientDataset]:
+                     shift_scale: float = 0.6, seed: int = 0) -> list[ClientDataset]:
     """Deterministic in (manifest, d, shift_scale, seed): client k's class
-    means sit at ±v/2 with v the base separation vector rotated by
-    k * shift_scale radians. shift_scale 0 gives the IID control arm."""
+    means sit at ±v/2 with v the base separation vector (length
+    SEPARATION) rotated by k * shift_scale radians, with unit-variance
+    noise. shift_scale 0 gives the IID control arm."""
     if shift_scale < 0:
         raise ValueError("shift_scale must be non-negative")
     if d < 2:
@@ -115,13 +116,10 @@ def generate_clients(manifest: PartitionManifest, d: int = 8,
     for k in range(manifest.n_clients):
         rng = np.random.default_rng([seed, k])
         angle = k * shift_scale
-        sep = _separation_vector(d, angle, separation)
-        train_x, train_y = _draw_split(rng, manifest.train_counts[k], d, sep,
-                                       TRAIN_PREVALENCE, std)
-        val_x, val_y = _draw_split(rng, manifest.val_counts[k], d, sep,
-                                   EVAL_PREVALENCE, std)
-        test_x, test_y = _draw_split(rng, manifest.test_counts[k], d, sep,
-                                     EVAL_PREVALENCE, std)
+        sep = _separation_vector(d, angle)
+        train_x, train_y = _draw_split(rng, manifest.train_counts[k], d, sep, TRAIN_PREVALENCE)
+        val_x, val_y = _draw_split(rng, manifest.val_counts[k], d, sep, EVAL_PREVALENCE)
+        test_x, test_y = _draw_split(rng, manifest.test_counts[k], d, sep, EVAL_PREVALENCE)
         clients.append(ClientDataset(k, train_x, train_y, val_x, val_y,
                                      test_x, test_y, angle))
     return clients

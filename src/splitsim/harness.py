@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA
-from .nn import SequentialModel, forward, init_model
-from .protocols import (PROTOCOLS, SL, SPECS, PlanError, RoundPlan, ServerState, TurnStates,
-                        make_clients, run_round)
+from .nn import forward, init_model
+from .protocols import (PROTOCOLS, SL, SPECS, PlanError, ServerState, TurnStates, make_clients,
+                        run_round)
 from .protocols import composed_model  # noqa: F401 - the benchmark's tracer wraps it here
 from .transport import ChannelBus, MsgType
 
@@ -130,7 +130,7 @@ class RunResult:
         return {
             "protocol": self.config.protocol,
             "seed": self.config.seed,
-            "order": list(self.config.order or range(self.config.n_clients)),
+            "order": list(self.config.order),
             "checkpoint_epoch": self.checkpoint_epoch,
             "val_losses": self.val_losses,
             "total_bytes": self.total_bytes,
@@ -178,39 +178,20 @@ class BestCheckpoint:
         return self.epoch, self.kept
 
 
-def _parts(client, server: ServerState) -> tuple[SequentialModel, ...]:
-    """A client's live model as the segments an input runs through:
-    front, body (if any), tail (if not empty)."""
-    return tuple(part for part in (client.front, server.bodies.get(client.id), client.tail)
-                 if part is not None and part.layers)
-
-
-def _forward_parts(parts, x: np.ndarray) -> np.ndarray:
-    """x through each segment in turn; bit-identical to a forward pass
-    through the composed model, because the per-layer operation sequence
-    is the same."""
-    for part in parts:
-        x, _ = forward(part, x)
-    return x
-
-
-def _live_validation(clients, server: ServerState,
-                     datasets: dict[int, ClientDataset]) -> tuple[float, dict[int, np.ndarray]]:
-    """Mean validation loss over clients, straight from the live models,
-    and each client's validation probabilities."""
-    losses, val_probs = [], {}
+def _predict(clients, server: ServerState, datasets: dict[int, ClientDataset],
+             split: str) -> dict[int, np.ndarray]:
+    """Each client's probabilities on its `split` ("val" or "test")
+    inputs, from its live front, body (if any) and tail (if not empty) in
+    turn: bit-identical to a forward pass through the composed model, as
+    the per-layer operation sequence is the same."""
+    probs = {}
     for cid in sorted(clients):
-        val_probs[cid] = _forward_parts(_parts(clients[cid], server), datasets[cid].val_x)
-        loss, _ = nn.bce_loss(val_probs[cid], datasets[cid].val_y)
-        losses.append(loss)
-    return float(np.mean(losses)), val_probs
-
-
-def _live_test(clients, server: ServerState,
-               datasets: dict[int, ClientDataset]) -> dict[int, np.ndarray]:
-    """Each client's test probabilities from the live models."""
-    return {cid: _forward_parts(_parts(clients[cid], server), datasets[cid].test_x)
-            for cid in sorted(clients)}
+        x = datasets[cid].split(split)[0]
+        for part in (clients[cid].front, server.bodies.get(cid), clients[cid].tail):
+            if part is not None and part.layers:
+                x, _ = forward(part, x)
+        probs[cid] = x
+    return probs
 
 
 def _first_clients(datasets: list[ClientDataset], n_clients: int,
@@ -286,9 +267,14 @@ def run_experiment(config: ExperimentConfig,
                                  f"n_clients {config.n_clients})")
     datasets = datasets[:config.n_clients]
     client_ids = sorted(ds.client_id for ds in datasets)
+    for cid, next_cid in zip(client_ids, client_ids[1:]):
+        if cid == next_cid:
+            raise ConfigurationError(f"datasets: client id {cid} is repeated")
     order = tuple(config.order or client_ids)
     if sorted(order) != client_ids:
-        raise ConfigurationError("order is not a permutation of the clients")
+        raise ConfigurationError(f"order {order} is not a permutation of the clients {client_ids}")
+    if config.probe not in client_ids:
+        raise ConfigurationError(f"probe {config.probe} is not one of the clients {client_ids}")
     config = replace(config, order=order)
     known = None if store is None or keep_bus else store.get(_run_key(config, order))
     if known is None:
@@ -313,14 +299,15 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
 
     checkpoint = BestCheckpoint()
     for epoch in range(config.epochs):
-        plan = RoundPlan(config.protocol, config.order, epoch)
-        run_round(clients, server, plan, bus, config.batch_size,
+        run_round(clients, server, config.protocol, config.order, epoch, bus, config.batch_size,
                   turns=turns if epoch == 0 else None)
-        loss, val_probs = _live_validation(clients, server, ds_by_id)
+        val_probs = _predict(clients, server, ds_by_id, "val")
+        loss = float(np.mean([nn.bce_loss(val_probs[cid], ds_by_id[cid].val_y)[0]
+                              for cid in sorted(clients)]))
         if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
                for p in val_probs.values()):
             raise SaturationError(f"epoch {epoch}: every validation probability is at a clamp bound")
-        checkpoint.offer(loss, lambda: (val_probs, _live_test(clients, server, ds_by_id)))
+        checkpoint.offer(loss, lambda: (val_probs, _predict(clients, server, ds_by_id, "test")))
 
     best_epoch, (val_probs, test_probs) = checkpoint.best()
     per_client = {cid: metrics.evaluate(test_probs[cid][:, 0], ds_by_id[cid].test_y,

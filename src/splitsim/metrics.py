@@ -22,10 +22,6 @@ class MetricError(ValueError):
     pass
 
 
-class UndefinedKappa(MetricError):
-    """Degenerate marginals: chance agreement is exactly 1."""
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int
@@ -77,12 +73,13 @@ def f1(c: ConfusionCounts) -> float:
 
 
 def cohen_kappa(c: ConfusionCounts) -> float:
-    """(p_o - p_e) / (1 - p_e); raises UndefinedKappa when p_e == 1."""
+    """(p_o - p_e) / (1 - p_e); raises MetricError when the chance
+    agreement p_e is 1 (degenerate marginals)."""
     n = c.total
     p_o = (c.tp + c.tn) / n
     p_e = ((c.tp + c.fp) * (c.tp + c.fn) + (c.fn + c.tn) * (c.fp + c.tn)) / (n * n)
     if p_e == 1.0:
-        raise UndefinedKappa("chance agreement is 1; kappa undefined")
+        raise MetricError("chance agreement is 1; kappa undefined")
     return (p_o - p_e) / (1.0 - p_e)
 
 

@@ -347,15 +347,15 @@ def chunk_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(vectors(width, width))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's usual constants
+
+
 @dataclass
 class AdamState:
     """Adam moments for one flat parameter vector; shapes mirror it.
     `scratch` holds adam_step's two temporaries, one chunk each."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -363,14 +363,13 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float = 1e-4,
-                   scratch: tuple[np.ndarray, np.ndarray] | None = None,
-                   **kw) -> "AdamState":
+                   scratch: tuple[np.ndarray, np.ndarray] | None = None) -> "AdamState":
         """Zero moments for params, and new scratch buffers unless they are
         given: states that never step at the same time can share them."""
         if scratch is None:
             scratch = chunk_scratch(params.size)
         m, v = vectors(params.size, params.size)
-        return cls(lr=lr, m=m, v=v, scratch=scratch, **kw)
+        return cls(lr=lr, m=m, v=v, scratch=scratch)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
@@ -388,7 +387,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         state.scratch = chunk_scratch(params.size)
     state.step += 1
     t = state.step
-    beta1, beta2 = state.beta1, state.beta2
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     if params.size <= CHUNK:  # one chunk: the whole vectors, unsliced
@@ -412,7 +411,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.multiply(state.lr, np.divide(m, bc1, t1), t1)
         np.sqrt(np.divide(v, bc2, t2), t2)
-        np.add(t2, state.eps, t2)
+        np.add(t2, ADAM_EPS, t2)
         np.divide(t1, t2, t1)
         np.subtract(p, t1, p)
 

@@ -10,7 +10,7 @@ All traffic goes through a ChannelBus; activations, gradients, labels
 (vanilla only) and parameter blobs genuinely transit the binary codec.
 The engine is a deterministic state machine: with replicas or without a
 body (FL, SFv1, SFv3) clients run in ascending client id whatever the
-plan order, and all averaging accumulates in ascending client id, so
+given order, and all averaging accumulates in ascending client id, so
 "order invariance" is a bit-exact property, not an approximate one.
 
 Server-side optimizer state: the single shared body of SL/SFv2 carries
@@ -51,13 +51,12 @@ class ProtocolSpec:
     @property
     def shared_body(self) -> bool:
         """Clients train one after another against one body (SL, SFv2),
-        so the plan order matters."""
+        so the round's order matters."""
         return self.split and not self.replicas
 
     def training_order(self, order) -> tuple[int, ...]:
-        """The order a round's clients really train in: the plan order
-        against a shared body, else ascending ids, where the plan order is
-        inert."""
+        """The order a round's clients really train in: `order` against a
+        shared body, else ascending ids, where `order` is inert."""
         return tuple(order) if self.shared_body else tuple(sorted(order))
 
 
@@ -72,7 +71,8 @@ PROTOCOLS = tuple(SPECS)
 
 
 class PlanError(ValueError):
-    """Round plan rejected (empty, bad order, unknown protocol)."""
+    """A round step asked for what it cannot do: averaging no models, or
+    turn states outside round 0 against a shared body."""
 
 
 class ProtocolViolation(RuntimeError):
@@ -114,21 +114,6 @@ class ServerState:
 
     bodies: dict[int, SequentialModel] = field(default_factory=dict)
     opts: dict[int, AdamState] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    protocol: str
-    order: tuple[int, ...]  # permutation of participating client ids
-    round_index: int = 0
-
-    def validate(self, client_ids) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise PlanError(f"unknown protocol {self.protocol!r}")
-        if not self.order:
-            raise PlanError("round plan has zero clients")
-        if sorted(self.order) != sorted(client_ids):
-            raise PlanError("order is not a permutation of the participating clients")
 
 
 def iter_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
@@ -301,15 +286,6 @@ def _train_batch_local(client: ClientState, xb, yb) -> None:
     adam_step(client.flat, client.grad, client.opt)
 
 
-def _send_param_blob(bus, sender, receiver, rnd, model: SequentialModel) -> None:
-    bus.send(Message(MsgType.PARAM_BLOB, sender, receiver, rnd, payload=model.flat))
-
-
-def _recv_param_blob(bus, receiver, sender, model: SequentialModel) -> None:
-    msg = _expect(bus, receiver, sender, MsgType.PARAM_BLOB)
-    nn.unflatten_params(model, msg.payload)
-
-
 # --- round-0 turn states ---------------------------------------------------
 
 def _copy_params(flat: np.ndarray, opt: AdamState) -> tuple:
@@ -377,23 +353,22 @@ class TurnStates:
 
 # --- round engine ---------------------------------------------------------
 
-def run_round(clients: dict[int, ClientState], server: ServerState,
-              plan: RoundPlan, bus: ChannelBus, batch_size: int,
+def run_round(clients: dict[int, ClientState], server: ServerState, protocol: str,
+              order: tuple[int, ...], rnd: int, bus: ChannelBus, batch_size: int,
               turns: TurnStates | None = None) -> None:
-    """One global epoch of plan.protocol as its SPECS row describes it.
+    """Round `rnd` of `protocol` as its SPECS row describes it. `order` is
+    a permutation of the clients' ids (`harness.run_experiment` checks it).
 
     Clients train one after another, in the row's `training_order` of
-    the plan order. Then the body replicas and the client segments are
-    averaged as the row says.
+    `order`. Then the body replicas and the client segments are averaged
+    as the row says.
 
     `turns` (round 0 against a shared body only) holds the states other
     runs reached after the first turns of this round: the longest one
     whose turns start this order is restored and its turns are skipped,
     and the state after each turn trained here is offered to it."""
-    plan.validate(clients.keys())
-    spec = SPECS[plan.protocol]
-    rnd = plan.round_index
-    order = spec.training_order(plan.order)
+    spec = SPECS[protocol]
+    order = spec.training_order(order)
     done = 0
     if turns is not None:
         if rnd != 0 or not spec.shared_body:
@@ -426,32 +401,29 @@ def _average_bodies(clients, server: ServerState) -> None:
                         server.opts[ids[0]].scratch)
 
 
-def _received_segment(bus, sender, like: SequentialModel) -> SequentialModel:
-    """The next ParamBlob from sender, as a model over the read-only
-    decoded payload (no copy), laid out like `like`."""
-    msg = _expect(bus, SERVER, sender, MsgType.PARAM_BLOB)
-    return SequentialModel(like.layers, msg.payload)
-
-
 def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:
-    """Client fronts (and tails, if any) transit to the server as
-    ParamBlobs, get averaged, and transit back."""
-    weights = {cid: float(c.sample_count) for cid, c in clients.items()}
-    has_tail = any(c.tail.layers for c in clients.values())
-    for cid in sorted(clients):
-        _send_param_blob(bus, wire_id(cid), SERVER, rnd, clients[cid].front)
-        if has_tail:
-            _send_param_blob(bus, wire_id(cid), SERVER, rnd, clients[cid].tail)
-    fronts, tails = [], []
-    for cid in sorted(clients):
-        fronts.append((cid, _received_segment(bus, wire_id(cid), clients[cid].front)))
-        if has_tail:
-            tails.append((cid, _received_segment(bus, wire_id(cid), clients[cid].tail)))
-    avg_front = average_models(fronts, weights)
-    avg_tail = average_models(tails, weights) if has_tail else None
-    for cid in sorted(clients):
-        _send_param_blob(bus, SERVER, wire_id(cid), rnd, avg_front)
-        _recv_param_blob(bus, wire_id(cid), SERVER, clients[cid].front)
-        if avg_tail is not None:
-            _send_param_blob(bus, SERVER, wire_id(cid), rnd, avg_tail)
-            _recv_param_blob(bus, wire_id(cid), SERVER, clients[cid].tail)
+    """Each client's segments (front, then tail if it has one) transit to
+    the server as ParamBlobs; the server averages each segment over the
+    clients, read without a copy from the decoded payloads, and sends the
+    averages back down, client by client."""
+    ids = sorted(clients)
+    weights = {cid: float(clients[cid].sample_count) for cid in ids}
+    n_segments = 2 if any(c.tail.layers for c in clients.values()) else 1
+
+    def segments(cid):
+        return (clients[cid].front, clients[cid].tail)[:n_segments]
+
+    for cid in ids:
+        for segment in segments(cid):
+            bus.send(Message(MsgType.PARAM_BLOB, wire_id(cid), SERVER, rnd, payload=segment.flat))
+    received = [[] for _ in range(n_segments)]
+    for cid in ids:
+        for models, segment in zip(received, segments(cid)):
+            msg = _expect(bus, SERVER, wire_id(cid), MsgType.PARAM_BLOB)
+            models.append((cid, SequentialModel(segment.layers, msg.payload)))
+    averages = [average_models(models, weights) for models in received]
+    for cid in ids:
+        for segment, avg in zip(segments(cid), averages):
+            bus.send(Message(MsgType.PARAM_BLOB, SERVER, wire_id(cid), rnd, payload=avg.flat))
+            nn.unflatten_params(segment, _expect(bus, wire_id(cid), SERVER,
+                                                 MsgType.PARAM_BLOB).payload)

@@ -14,11 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from splitsim import datagen, harness
-from splitsim.harness import ExperimentConfig, run_experiment
-from splitsim.metrics import ConfusionCounts, auprc, cohen_kappa, f1, percent_drop
-from splitsim.transport import (CorruptStream, Message, MsgType, Truncated,
+from splitsim import datagen, harness, nn
+from splitsim.harness import DivergenceError, ExperimentConfig, run_experiment
+from splitsim.metrics import (ConfusionCounts, MetricError, auprc, cohen_kappa, f1,
+                              percent_drop)
+from splitsim.transport import (HEADER_LEN, CorruptStream, Message, MsgType, Truncated,
                                 decode, encode)
 
 from test_metrics import (ORDER_TABLE, SETTING_TABLE, brute_force_auprc,
@@ -223,6 +226,62 @@ def test_fl_equals_sfv1():
                 pairs += 1
     print(f"fl = sfv1: PASS ({pairs}/{pairs} pairs with equal metrics, validation "
           "losses and checkpoint epoch; wire bytes differ)")
+
+
+@st.composite
+def fl_configs(draw):
+    """An FL config whose SFv1 twin is valid: the split, 2-5 layers of
+    width 1-4 (an input width of 2-4), cuts valid for the split, the batch
+    size, epochs, lr, client count and seed."""
+    n_layers = draw(st.integers(2, 5))
+    widths = (draw(st.integers(2, 4)),
+              *draw(st.lists(st.integers(1, 4), min_size=n_layers - 1, max_size=n_layers - 1)),
+              1)
+    split_kind = draw(st.sampled_from([VANILLA, U_SHAPED]))
+    u_shaped = split_kind == U_SHAPED
+    front_cut = draw(st.integers(1, n_layers - u_shaped))
+    return ExperimentConfig(
+        protocol=FL, split_kind=split_kind, widths=widths, front_cut=front_cut,
+        tail_cut=draw(st.integers(front_cut, n_layers - 1)) if u_shaped else n_layers,
+        batch_size=draw(st.integers(1, 64)), epochs=draw(st.integers(1, 3)),
+        lr=draw(st.floats(1e-4, 1.0)), n_clients=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**16)))
+
+
+def test_fl_equals_sfv1_over_drawn_configs():
+    """The FL = SFv1 identity beyond the fixed configs: for every drawn
+    config both raise the same error, or their metrics, validation losses
+    and checkpoint epoch are equal and FL's wire bytes are the closed form
+    of its traffic: each round, every client's whole model (P float64
+    parameters, one rank-1 frame) goes up and its average comes back."""
+    outcomes = {"equal": 0, "raised": 0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=fl_configs())
+    @example(cfg=ExperimentConfig(protocol=FL, epochs=2, lr=10.0))  # saturates under both
+    def check(cfg):
+        datasets = harness.load_or_generate(cfg)
+
+        def outcome(protocol):  # the result, or the type of the error raised
+            try:
+                return run_experiment(replace(cfg, protocol=protocol), datasets)
+            except (DivergenceError, MetricError) as exc:
+                return type(exc)
+
+        fl, sfv1 = outcome(FL), outcome(SFV1)
+        if isinstance(fl, type) or isinstance(sfv1, type):
+            assert fl == sfv1
+            outcomes["raised"] += 1
+            return
+        for key in ("per_client", "val_losses", "checkpoint_epoch"):
+            assert json.dumps(fl.to_dict()[key]) == json.dumps(sfv1.to_dict()[key]), key
+        n_params = nn.init_model(list(cfg.widths), cfg.seed).flat.size
+        assert fl.total_bytes == cfg.epochs * cfg.n_clients * 2 * (HEADER_LEN + 4 + 8 * n_params)
+        outcomes["equal"] += 1
+
+    check()
+    print(f"fl = sfv1 over drawn configs: PASS ({outcomes['equal']} equal with closed-form "
+          f"FL bytes, {outcomes['raised']} raised the same error)")
 
 
 def test_sfv1_costs_more_param_bytes_than_sfv3():

@@ -27,7 +27,7 @@ from splitsim.harness import (BestCheckpoint, ConfigurationError,
                               sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
 from splitsim.model_split import U_SHAPED, VANILLA
-from splitsim.protocols import (PROTOCOLS, PlanError, RoundPlan, TurnStates,
+from splitsim.protocols import (PROTOCOLS, PlanError, TurnStates,
                                 composed_model, make_clients, run_round)
 from splitsim.transport import ChannelBus
 
@@ -219,7 +219,7 @@ def _history_reference(cfg, datasets):
     bus = ChannelBus()
     losses, snapshots = [], []
     for epoch in range(cfg.epochs):
-        run_round(clients, server, RoundPlan(cfg.protocol, order, epoch), bus, cfg.batch_size)
+        run_round(clients, server, cfg.protocol, order, epoch, bus, cfg.batch_size)
         snap = {cid: composed_model(clients[cid], server.bodies.get(cid))
                 for cid in sorted(clients)}
         losses.append(float(np.mean([
@@ -328,17 +328,18 @@ class TestStreamingCheckpoint:
     @pytest.mark.parametrize("off", [None, 2e-12, 0.5, 1 - 2e-12])
     def test_saturation_needs_every_probability_at_a_bound(self, monkeypatch, off):
         # every validation probability at a clamp bound, or all but one
-        original = harness._live_validation
+        original = harness._predict
 
-        def pinned(*args):
-            loss, val_probs = original(*args)
-            val_probs = {cid: np.where(p < 0.5, nn.PROB_CLAMP, 1.0)
-                         for cid, p in val_probs.items()}
+        def pinned(clients, server, datasets, split):
+            probs = original(clients, server, datasets, split)
+            if split != "val":
+                return probs
+            probs = {cid: np.where(p < 0.5, nn.PROB_CLAMP, 1.0) for cid, p in probs.items()}
             if off is not None:
-                val_probs[1][0, 0] = off
-            return loss, val_probs
+                probs[1][0, 0] = off
+            return probs
 
-        monkeypatch.setattr(harness, "_live_validation", pinned)
+        monkeypatch.setattr(harness, "_predict", pinned)
         if off is None:
             with pytest.raises(SaturationError, match="epoch 0"):
                 run_experiment(FAST)
@@ -373,6 +374,34 @@ class TestRunExperiment:
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment(replace(FAST, order=(0, 0)))
+
+    @staticmethod
+    def _clients_with_ids(ids):
+        datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
+        return [replace(ds, client_id=cid) for ds, cid in zip(datasets, ids)]
+
+    def test_repeated_client_id_rejected(self):
+        with pytest.raises(ConfigurationError, match="client id 0 is repeated"):
+            run_experiment(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3),
+                           self._clients_with_ids((0, 0, 2)))
+
+    def test_probe_outside_the_clients_rejected(self):
+        # the default probe 0 is not one of clients 5-7
+        with pytest.raises(ConfigurationError, match=r"probe 0 is not one of the clients \[5, 6, 7\]"):
+            run_experiment(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3),
+                           self._clients_with_ids((5, 6, 7)))
+
+    def test_clients_need_not_be_0_to_n(self):
+        # the rule is about taking part: clients 5-7 train and score as
+        # clients 0-2 do on the same data in the same order
+        cfg = ExperimentConfig(epochs=1, n_clients=3, lr=1e-3)
+        relabelled = run_experiment(replace(cfg, order=(5, 6, 7), probe=5),
+                                    self._clients_with_ids((5, 6, 7)))
+        plain = run_experiment(cfg, self._clients_with_ids((0, 1, 2)))
+        assert relabelled.config.order == (5, 6, 7)
+        assert [relabelled.per_client[cid] for cid in (5, 6, 7)] == [
+            plain.per_client[cid] for cid in (0, 1, 2)]
+        assert relabelled.val_losses == plain.val_losses
 
     def test_label_accounting_vanilla_vs_ushaped(self):
         u = run_experiment(FAST)
@@ -604,7 +633,7 @@ class TestSweepStore:
             trained.clear()
             clients, server = make_clients(datasets, nn.init_model(list(cfg.widths), cfg.seed),
                                            protocol, cfg.split_config(), cfg.lr)
-            run_round(clients, server, RoundPlan(protocol, order), ChannelBus(), cfg.batch_size)
+            run_round(clients, server, protocol, order, 0, ChannelBus(), cfg.batch_size)
             assert tuple(trained) == harness._run_key(replace(cfg, order=order), order)[1]
 
     def test_store_keeps_only_what_a_later_run_restores(self, monkeypatch):
@@ -722,10 +751,10 @@ class TestParallelSweeps:
         first = min(failing, key=calls_in_order.index)
         original = harness.run_round
 
-        def failing_round(clients, server, plan, *args, **kwargs):
-            if plan.order in failing:
-                raise failing[plan.order](plan.order)
-            return original(clients, server, plan, *args, **kwargs)
+        def failing_round(clients, server, protocol, order, *args, **kwargs):
+            if order in failing:
+                raise failing[order](order)
+            return original(clients, server, protocol, order, *args, **kwargs)
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "run_round", failing_round)  # the workers inherit it
@@ -742,10 +771,10 @@ class TestParallelSweeps:
         monkeypatch.undo()
         parent, original = os.getpid(), harness.run_round
 
-        def dies_in_a_worker(clients, server, plan, *args, **kwargs):
-            if plan.order == (1, 0, 2, 3) and os.getpid() != parent:
+        def dies_in_a_worker(clients, server, protocol, order, *args, **kwargs):
+            if order == (1, 0, 2, 3) and os.getpid() != parent:
                 os._exit(9)  # as a worker the kernel kills ends
-            return original(clients, server, plan, *args, **kwargs)
+            return original(clients, server, protocol, order, *args, **kwargs)
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "run_round", dies_in_a_worker)
@@ -1123,9 +1152,8 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"input error: dataset file client 1 {message}\n"
 
-    # a file save_clients writes, with its clients' ids changed. Left to
-    # training, a duplicated id fails a round plan (exit 2), and ids 10-14
-    # train under run but fail the sweeps' order checks
+    # a file save_clients writes, with its clients' ids changed: the
+    # loader's client-id rule rejects it before training starts
     @pytest.mark.parametrize("command", [["run"], ["sweep-order", "--probe", "0"],
                                          ["sweep-clients"]])
     @pytest.mark.parametrize("ids", [(0, 0, 2, 3, 4), (10, 11, 12, 13, 14)])

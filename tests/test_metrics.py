@@ -4,10 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitsim.harness import ReportRow, ReportTable, render_table
-from splitsim.metrics import (ConfusionCounts, MetricError, MetricReport, UndefinedKappa,
-                              auprc, cohen_kappa, confusion, evaluate, f1,
-                              median_drop, percent_drop, sign_test_p,
-                              threshold_at_sensitivity)
+from splitsim.metrics import (ConfusionCounts, MetricError, MetricReport, auprc,
+                              cohen_kappa, confusion, evaluate, f1, median_drop,
+                              percent_drop, sign_test_p, threshold_at_sensitivity)
 
 # First/Last/%drop rows of the two reference result tables
 # (client rows, then client-count-setting rows).
@@ -92,7 +91,7 @@ class TestKappa:
         assert abs(np.mean(kappas)) < 0.02
 
     def test_degenerate_marginals(self):
-        with pytest.raises(UndefinedKappa):
+        with pytest.raises(MetricError, match="chance agreement"):
             cohen_kappa(ConfusionCounts(5, 0, 0, 0))
 
     @settings(max_examples=300, deadline=None)

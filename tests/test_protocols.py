@@ -7,7 +7,7 @@ import pytest
 from splitsim import datagen, nn, protocols, transport
 from splitsim.model_split import U_SHAPED, VANILLA, split_model
 from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
-                                SERVER, PlanError, ProtocolViolation, RoundPlan, average_models,
+                                SERVER, PlanError, ProtocolViolation, average_models,
                                 composed_model, iter_batches, make_clients,
                                 run_round)
 from splitsim.transport import ChannelBus, Message, MsgType
@@ -32,7 +32,7 @@ def make_setup(n_clients, protocol, kind=U_SHAPED, seed=0, shift=0.6):
 def run_rounds(protocol, clients, server, order, epochs, bus=None):
     bus = bus or ChannelBus()
     for e in range(epochs):
-        run_round(clients, server, RoundPlan(protocol, tuple(order), e), bus, BATCH)
+        run_round(clients, server, protocol, tuple(order), e, bus, BATCH)
     return bus
 
 
@@ -365,17 +365,3 @@ class TestCommunicationAccounting:
             byte_counts[protocol] = bus.bytes_by_type(MsgType.PARAM_BLOB)
         assert byte_counts[SFV1] > byte_counts[SFV3]
         assert byte_counts[SFV3] == 0  # replicas live server-side
-
-
-class TestPlanValidation:
-    def test_zero_clients_rejected(self):
-        with pytest.raises(PlanError):
-            RoundPlan(SL, ()).validate([])
-
-    def test_wrong_permutation_rejected(self):
-        with pytest.raises(PlanError):
-            RoundPlan(SL, (0, 0, 1)).validate([0, 1, 2])
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(PlanError):
-            RoundPlan("gossip", (0,)).validate([0])
