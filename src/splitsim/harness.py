@@ -302,7 +302,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
         run_round(clients, server, config.protocol, config.order, epoch, bus, config.batch_size,
                   turns=turns if epoch == 0 else None)
         val_probs = _predict(clients, server, ds_by_id, "val")
-        loss = float(np.mean([nn.bce_loss(val_probs[cid], ds_by_id[cid].val_y)[0]
+        loss = float(np.mean([nn.bce_loss(val_probs[cid], ds_by_id[cid].val_y)
                               for cid in sorted(clients)]))
         if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
                for p in val_probs.values()):

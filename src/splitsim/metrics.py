@@ -133,8 +133,10 @@ def threshold_at_sensitivity(scores: np.ndarray, labels: np.ndarray,
 
 
 def percent_drop(first: float, last: float) -> float:
-    """100 * (last - first) / last: the relative performance change of a
-    client between training first and training last in a round.
+    """100 * (last - first) / |last|: the relative performance change of a
+    client between training first and training last in a round, with the
+    sign of `last - first` (positive: worse off first) also when `last`,
+    say a kappa, is below 0.
 
     At last == 0, where the ratio is undefined, its limit: infinite with
     the sign of `last - first`. A probe that scores 0 when trained last is
@@ -143,7 +145,7 @@ def percent_drop(first: float, last: float) -> float:
     unchanged (0.0) at 0."""
     if last == 0:
         return math.copysign(math.inf, last - first) if first != last else 0.0
-    return 100.0 * (last - first) / last
+    return 100.0 * (last - first) / abs(last)
 
 
 def median_drop(drops, template: str) -> str:

@@ -232,10 +232,12 @@ def _exp_saturating(a: np.ndarray) -> None:
 
 
 def forward(model: SequentialModel, x: np.ndarray):
-    """Run the model on a batch; returns (output, cache).
+    """Run the model on a batch; returns (output, outputs).
 
-    cache holds the layer inputs and pre/post activations needed by
-    `backward`. An empty model is the identity.
+    outputs = [x, a_1, ..., a_L] holds the input and each layer's output,
+    what `backward` reads; output is outputs[-1]. An empty model is the
+    identity. Each activation is applied in place over its layer's
+    pre-activation, which nothing keeps.
     """
     x = _f64(x)
     if x.ndim != 2:
@@ -243,64 +245,57 @@ def forward(model: SequentialModel, x: np.ndarray):
     if model.layers and x.shape[1] != model.layers[0].weights.shape[1]:
         raise ShapeError(
             f"input width {x.shape[1]} != model input width {model.in_width}")
-    pre, post = [], []
-    a = x
+    outputs = [x]
     for layer in model.layers:
-        z = a @ layer.weights.T
-        z += layer.bias
+        a = outputs[-1] @ layer.weights.T
+        a += layer.bias
         if layer.activation == "relu":
-            a = np.maximum(0.0, z)
+            np.maximum(0.0, a, out=a)
         elif layer.activation == "sigmoid":
-            # 1 / (1 + exp(-z)), in place
-            a = np.negative(z)
+            # 1 / (1 + exp(-z))
+            np.negative(a, a)
             _exp_saturating(a)
             np.add(a, 1.0, a)
             np.divide(1.0, a, a)
-        else:  # linear
-            a = z
-        pre.append(z)
-        post.append(a)
-    return a, {"input": x, "pre": pre, "post": post, "n_layers": len(model.layers)}
+        outputs.append(a)
+    return outputs[-1], outputs
 
 
-def backward(model: SequentialModel, cache, out_grad: np.ndarray, input_grad: bool = True):
+def backward(model: SequentialModel, outputs, out_grad: np.ndarray, input_grad: bool = True):
     """Backprop through the model; returns (grads, input_grad).
 
     grads is model.grad, one flat vector laid out like model.flat; each
     layer's dW and db are written straight into their views of it. The
-    next backward on this model overwrites it. cache must come from a
+    next backward on this model overwrites it. outputs must come from a
     matching forward call on this model. With input_grad=False, for a
     caller with no use for the gradient wrt the model's input, the first
     layer's matmul that computes it is skipped and None is returned in
     its place.
     """
-    if cache.get("n_layers") != len(model.layers):
-        raise StateError("cache does not match model (stale or wrong model)")
+    if len(outputs) != len(model.layers) + 1:
+        raise StateError("outputs do not match model (stale or wrong model)")
     out_grad = _f64(out_grad)
-    if model.layers and out_grad.shape != cache["post"][-1].shape:
-        raise StateError("out_grad shape does not match cached forward output")
-    if not model.layers and out_grad.shape != cache["input"].shape:
-        raise StateError("out_grad shape does not match cached forward output")
+    if out_grad.shape != outputs[-1].shape:
+        raise StateError("out_grad shape does not match the forward output")
 
     if model.grad is None:
         model._bind_grad(vectors(model.flat.size)[0])
     da = out_grad
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        z = cache["pre"][i]
-        a = cache["post"][i]
-        x_in = cache["input"] if i == 0 else cache["post"][i - 1]
-        # da times the activation's derivative at z (a float64 x bool
-        # product has the bits of one by the bool cast to float64)
+        a = outputs[i + 1]
+        # da times the activation's derivative (a float64 x bool product
+        # has the bits of one by the bool cast to float64); relu's mask
+        # a > 0 equals z > 0 for every pre-activation z, nan and -0.0 too
         if layer.activation == "relu":
-            dz = da * (z > 0.0)
+            dz = da * (a > 0.0)
         elif layer.activation == "sigmoid":
             dz = da * (a * (1.0 - a))
         else:  # linear: the derivative is 1, and da * 1.0 is da
             dz = da
-        # dW = dz.T @ x_in and db = dz.sum(axis=0), written into their views
+        # dW = dz.T @ (layer input) and db = dz.sum(axis=0), into their views
         d_weights, d_bias = model.grad_views[i]
-        np.matmul(dz.T, x_in, d_weights)
+        np.matmul(dz.T, outputs[i], d_weights)
         np.add.reduce(dz, 0, None, d_bias)
         if i or input_grad:
             da = dz @ layer.weights         # d input of this layer
@@ -319,25 +314,21 @@ def _clamped(probs, labels):
     return np.minimum(np.maximum(probs[:, 0], PROB_CLAMP), 1.0 - PROB_CLAMP), labels
 
 
-def _bce_grad(p, y):
-    n = p.shape[0]
-    return ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
-
-
-def bce_loss(probs: np.ndarray, labels: np.ndarray):
-    """Mean binary cross-entropy and its gradient wrt probs.
+def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy.
 
     probs is [n, 1] in (0, 1); labels is [n] with values in {0, 1}.
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
     """
     p, y = _clamped(probs, labels)
-    loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-    return loss, _bce_grad(p, y)
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
 def bce_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """bce_loss(probs, labels)[1], without computing the loss."""
-    return _bce_grad(*_clamped(probs, labels))
+    """The gradient of bce_loss wrt probs, [n, 1], at the clamped probs."""
+    p, y = _clamped(probs, labels)
+    n = p.shape[0]
+    return ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
 
 
 def chunk_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -242,47 +242,43 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
     u_shaped = bool(client.tail.layers)
 
     # client: front forward, ship cut-layer activations
-    a_front, cache_front = forward(client.front, xb)
+    a_front, front_outputs = forward(client.front, xb)
     bus.send(Message(MsgType.SMASHED_ACTIVATIONS, cw, SERVER, rnd, payload=a_front))
     if not u_shaped:
-        bus.send(Message(MsgType.LABELS, cw, SERVER, rnd,
-                         payload=np.asarray(yb, dtype=np.float64)))
+        bus.send(Message(MsgType.LABELS, cw, SERVER, rnd, payload=yb))
 
     # server: body forward
     msg = _expect(bus, SERVER, cw, MsgType.SMASHED_ACTIVATIONS)
-    a_body, cache_body = forward(body, msg.payload)
+    a_body, body_outputs = forward(body, msg.payload)
 
     if u_shaped:
         bus.send(Message(MsgType.BODY_OUTPUT, SERVER, cw, rnd, payload=a_body))
 
         # client: tail forward, loss on local labels, tail backward
         msg = _expect(bus, cw, SERVER, MsgType.BODY_OUTPUT)
-        probs, cache_tail = forward(client.tail, msg.payload)
-        _, d_body_out = backward(client.tail, cache_tail, bce_grad(probs, yb))
+        probs, tail_outputs = forward(client.tail, msg.payload)
+        _, d_body_out = backward(client.tail, tail_outputs, bce_grad(probs, yb))
         bus.send(Message(MsgType.BODY_OUTPUT_GRAD, cw, SERVER, rnd, payload=d_body_out))
-
-        # server: body backward + update
-        msg = _expect(bus, SERVER, cw, MsgType.BODY_OUTPUT_GRAD)
-        grads_body, d_smashed = backward(body, cache_body, msg.payload)
-        adam_step(body.flat, grads_body, opt_body)
-        bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
+        d_body_out = _expect(bus, SERVER, cw, MsgType.BODY_OUTPUT_GRAD).payload
     else:
-        # server: loss on shared labels, body backward + update
-        lab = _expect(bus, SERVER, cw, MsgType.LABELS)
-        grads_body, d_smashed = backward(body, cache_body, bce_grad(a_body, lab.payload))
-        adam_step(body.flat, grads_body, opt_body)
-        bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
+        # server: loss on the labels the client shipped
+        d_body_out = bce_grad(a_body, _expect(bus, SERVER, cw, MsgType.LABELS).payload)
+
+    # server: body backward + update
+    grads_body, d_smashed = backward(body, body_outputs, d_body_out)
+    adam_step(body.flat, grads_body, opt_body)
+    bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
 
     # client: front backward, then one update of front and tail
     msg = _expect(bus, cw, SERVER, MsgType.SMASHED_GRAD)
-    backward(client.front, cache_front, msg.payload, input_grad=False)
+    backward(client.front, front_outputs, msg.payload, input_grad=False)
     adam_step(client.flat, client.grad, client.opt)
 
 
 def _train_batch_local(client: ClientState, xb, yb) -> None:
     """FL: the full model lives in client.front and trains in place."""
-    probs, cache = forward(client.front, xb)
-    backward(client.front, cache, bce_grad(probs, yb), input_grad=False)
+    probs, outputs = forward(client.front, xb)
+    backward(client.front, outputs, bce_grad(probs, yb), input_grad=False)
     adam_step(client.flat, client.grad, client.opt)
 
 

@@ -73,21 +73,18 @@ class Message:
     receiver: int
     round: int = 0
     seq: int = 0
-    payload: np.ndarray | None = None  # the tensor; encode rejects None
-
-    def __post_init__(self):
-        p = self.payload
-        if p is not None and not (type(p) is np.ndarray and p.dtype == np.float64):
-            self.payload = np.asarray(p, dtype=np.float64)
+    payload: np.ndarray | None = None  # the tensor, as given; encode rejects None
 
 
 def encode(message: Message) -> bytes:
     """Serialize to the fixed wire layout; deterministic. Raises
     FieldOutOfRange when a header field does not fit its wire width.
-    The payload is copied once, straight from its buffer into the frame."""
-    tensor = message.payload
-    if tensor is None:
+    The one place a payload turns float64: any array-like is converted
+    here (no copy when it already is a C-contiguous float64 array), then
+    copied once, straight from its buffer into the frame."""
+    if message.payload is None:
         raise CodecError("tensor message without payload")
+    tensor = np.asarray(message.payload, dtype=_WIRE_FLOAT, order="C")
     if tensor.ndim > 255:
         raise CodecError("tensor rank exceeds 255")
     try:
@@ -97,7 +94,7 @@ def encode(message: Message) -> bytes:
     except struct.error as exc:
         raise FieldOutOfRange(str(exc)) from None
     dims = _DIMS[tensor.ndim].pack(*tensor.shape)
-    return b"".join((header, dims, np.ascontiguousarray(tensor, dtype=_WIRE_FLOAT)))
+    return b"".join((header, dims, tensor))
 
 
 def decode(data: bytes) -> Message:

@@ -21,8 +21,8 @@ from splitsim import datagen, harness, nn
 from splitsim.harness import DivergenceError, ExperimentConfig, run_experiment
 from splitsim.metrics import (ConfusionCounts, MetricError, auprc, cohen_kappa, f1,
                               percent_drop)
-from splitsim.transport import (HEADER_LEN, CorruptStream, Message, MsgType, Truncated,
-                                decode, encode)
+from splitsim.transport import (HEADER_LEN, ChannelBus, CorruptStream, Message, MsgType,
+                                Truncated, decode, encode)
 
 from test_metrics import (ORDER_TABLE, SETTING_TABLE, brute_force_auprc,
                           naive_f1, naive_kappa)
@@ -30,7 +30,7 @@ from test_nn import max_grad_check_error, models_equal
 from test_protocols import centralized_training, make_setup, run_rounds
 import test_protocols as tp
 from test_transport import messages_equal
-from splitsim.protocols import FL, SFV1, SFV2, SFV3, SL, composed_model
+from splitsim.protocols import FL, SFV1, SFV2, SFV3, SL, composed_model, make_clients, run_round
 from splitsim.model_split import U_SHAPED, VANILLA
 
 SEEDS = range(10)
@@ -134,6 +134,92 @@ def test_single_client_equals_centralized():
         assert models_equal(final, ref), f"{protocol}/{kind} diverged"
     print("single-client equivalence: PASS (6 protocol variants bit-identical "
           "to centralized training, 3 epochs)")
+
+
+SPLIT_RUNS = [(FL, None)] + [(p, k) for p in (SL, SFV1, SFV2, SFV3) for k in (VANILLA, U_SHAPED)]
+
+
+@st.composite
+def training_shapes(draw):
+    """2-5 layers of width 1-12 (an input width of 2-12), cuts valid under
+    each split (vanilla's front may take every layer, leaving the body
+    empty), batch size 1-40, epochs 1-3, lr and seed."""
+    n_layers = draw(st.integers(2, 5))
+    widths = (draw(st.integers(2, 12)),
+              *draw(st.lists(st.integers(1, 12), min_size=n_layers - 1, max_size=n_layers - 1)),
+              1)
+    front_cut = draw(st.integers(1, n_layers - 1))
+    cuts = {U_SHAPED: (front_cut, draw(st.integers(front_cut, n_layers - 1))),
+            VANILLA: (draw(st.integers(1, n_layers)), n_layers)}
+    return dict(widths=widths, cuts=cuts, batch_size=draw(st.integers(1, 40)),
+                epochs=draw(st.integers(1, 3)), lr=draw(st.floats(1e-4, 1.0)),
+                seed=draw(st.integers(0, 2**16)))
+
+
+def _train(shape, protocol, kind, datasets, order):
+    """`shape`'s rounds of `protocol` under the `kind` split, clients
+    training in `order`; returns each client's composed parameters and
+    the bus log."""
+    model = nn.init_model(list(shape["widths"]), shape["seed"])
+    cuts = None if protocol == FL else shape["cuts"][kind]
+    clients, server = make_clients(datasets, model, protocol, cuts, shape["lr"])
+    bus = ChannelBus()
+    for rnd in range(shape["epochs"]):
+        run_round(clients, server, protocol, order, rnd, bus, shape["batch_size"])
+    return ({cid: composed_model(clients[cid], server.bodies.get(cid)).flat.tobytes()
+             for cid in clients}, bus.log)
+
+
+def test_single_client_equals_centralized_over_drawn_configs():
+    """With one client, every protocol under every split trains the
+    composed model bit for bit as plain centralized training does, at
+    drawn widths, cuts, batch size, epochs and lr."""
+    runs = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(shape=training_shapes())
+    def check(shape):
+        datasets = datagen.generate_clients(datagen.desk_manifest(1), d=shape["widths"][0],
+                                            seed=shape["seed"])
+        ref = centralized_training(datasets[0], shape["seed"], shape["epochs"], lr=shape["lr"],
+                                   batch=shape["batch_size"], widths=shape["widths"])
+        for protocol, kind in SPLIT_RUNS:
+            params, _ = _train(shape, protocol, kind, datasets, (0,))
+            assert params[0] == ref.flat.tobytes(), (protocol, kind)
+            runs.append((protocol, kind))
+
+    check()
+    assert set(runs) == set(SPLIT_RUNS)
+    print(f"single-client equivalence over drawn configs: PASS ({len(runs)} runs, "
+          f"{len(SPLIT_RUNS)} protocol variants, bit-identical to centralized training)")
+
+
+def test_parallel_protocols_order_invariant_over_drawn_configs():
+    """FL, SFv1 and SFv3 train their clients in ascending id whatever
+    the order: every drawn order gives the ascending order's parameters
+    and bus log bit for bit, at drawn shapes, split, 2-4 clients and
+    their training counts."""
+    compared = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(shape=training_shapes(), kind=st.sampled_from([VANILLA, U_SHAPED]),
+           counts=st.lists(st.integers(2, 40), min_size=2, max_size=4), data=st.data())
+    def check(shape, kind, counts, data):
+        manifest = datagen.PartitionManifest(tuple(counts), (10,) * len(counts),
+                                             (10,) * len(counts))
+        datasets = datagen.generate_clients(manifest, d=shape["widths"][0], seed=shape["seed"])
+        ids = tuple(range(len(counts)))
+        orders = data.draw(st.lists(st.permutations(ids), min_size=1, max_size=3))
+        for protocol in (FL, SFV1, SFV3):
+            params, log = _train(shape, protocol, kind, datasets, ids)
+            for order in orders:
+                assert _train(shape, protocol, kind, datasets, tuple(order)) == (params, log), (
+                    protocol, order)
+                compared.append(protocol)
+
+    check()
+    print(f"parallel order invariance over drawn configs: PASS ({len(compared)} drawn orders "
+          "equal to the ascending order in parameters and bus log)")
 
 
 def test_gradients_match_finite_differences():

@@ -101,9 +101,9 @@ class TestNonIidSeparation:
         model = nn.init_model([8, 16, 1], seed=0)
         state = nn.AdamState.for_params(model.flat, lr=1e-2)
         for _ in range(30):
-            probs, cache = nn.forward(model, clients[0].train_x)
-            _, dprobs = nn.bce_loss(probs, clients[0].train_y)
-            grads, _ = nn.backward(model, cache, dprobs)
+            probs, outputs = nn.forward(model, clients[0].train_x)
+            grad = nn.bce_grad(probs, clients[0].train_y)
+            grads, _ = nn.backward(model, outputs, grad)
             nn.adam_step(model.flat, grads, state)
 
         def accuracy(c):

@@ -237,10 +237,10 @@ def test_backward_reuses_the_gradient_buffer(widths, seed):
 def test_backward_without_input_grad_gives_the_same_grads(widths, seed):
     model = nn.init_model(widths, seed)
     rng = np.random.default_rng(seed)
-    cache = nn.forward(model, rng.normal(size=(3, widths[0])))[1]
+    outputs = nn.forward(model, rng.normal(size=(3, widths[0])))[1]
     out_grad = rng.normal(size=(3, 1))
-    full = nn.backward(model.clone(), cache, out_grad)[0].copy()
-    grads, input_grad = nn.backward(model, cache, out_grad, input_grad=False)
+    full = nn.backward(model.clone(), outputs, out_grad)[0].copy()
+    grads, input_grad = nn.backward(model, outputs, out_grad, input_grad=False)
     assert grads is model.grad
     assert input_grad is None
     assert grads.tobytes() == full.tobytes()

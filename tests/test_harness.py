@@ -224,7 +224,7 @@ def _history_reference(cfg, datasets):
                 for cid in sorted(clients)}
         losses.append(float(np.mean([
             nn.bce_loss(nn.forward(snap[cid], ds_by_id[cid].val_x)[0],
-                        ds_by_id[cid].val_y)[0] for cid in sorted(snap)])))
+                        ds_by_id[cid].val_y) for cid in sorted(snap)])))
         snapshots.append(snap)
     return losses, snapshots
 

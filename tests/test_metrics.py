@@ -282,6 +282,29 @@ class TestPercentDrop:
         assert percent_drop(0.5, -0.0) == float("-inf")
         assert percent_drop(0.4318, 0.5833) == pytest.approx(25.97, abs=0.02)
 
+    def test_negative_last_keeps_the_sign_of_last_minus_first(self):
+        # kappa can go below 0: a probe at -0.0200 first and -0.0027 last
+        # is worse off first, so its drop is positive, 0.0173 / 0.0027
+        assert percent_drop(-0.0200, -0.0027) == pytest.approx(640.74, abs=0.01)
+        assert percent_drop(-0.0027, -0.0200) == pytest.approx(-86.5, abs=0.01)
+        assert percent_drop(-0.0200, -0.0200) == 0.0
+
+    @pytest.mark.parametrize("first", [0.5, 0.01, -0.01, -0.2])
+    def test_continuous_with_the_zero_last_limit(self, first):
+        # from either side of last == 0 the drop has the limit's sign and
+        # grows without bound towards it
+        limit = percent_drop(first, 0.0)
+        for side in (1.0, -1.0):
+            drops = [percent_drop(first, side * eps) for eps in (1e-3, 1e-6, 1e-12, 1e-300)]
+            assert all(np.sign(d) == np.sign(limit) for d in drops)
+            assert all(abs(a) < abs(b) for a, b in zip(drops, drops[1:]))
+            assert abs(drops[-1]) > 1e299
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(first=st.floats(-1.0, 1.0), last=st.floats(-1.0, 1.0))
+    def test_sign_is_the_sign_of_last_minus_first(self, first, last):
+        assert np.sign(percent_drop(first, last)) == np.sign(last - first)
+
     @pytest.mark.parametrize("row", ORDER_TABLE + SETTING_TABLE,
                              ids=[r[0] for r in ORDER_TABLE] + [f"n{r[0]}" for r in SETTING_TABLE])
     def test_reproduces_reference_table_cells(self, row):

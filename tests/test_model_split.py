@@ -17,20 +17,20 @@ def segments(seg):
 
 def chained_forward(seg, x):
     """Forward through front, body, tail in turn; returns the output and
-    the per-segment caches."""
-    caches = []
+    each segment's forward outputs."""
+    outputs = []
     for part in segments(seg):
-        x, cache = nn.forward(part, x)
-        caches.append(cache)
-    return x, caches
+        x, part_outputs = nn.forward(part, x)
+        outputs.append(part_outputs)
+    return x, outputs
 
 
-def chained_backward(seg, caches, grad):
+def chained_backward(seg, outputs, grad):
     """Backward through tail, body, front in turn; returns the segments'
     gradients in front, body, tail order and the input gradient."""
     grads = []
-    for part, cache in reversed(list(zip(segments(seg), caches))):
-        part_grads, grad = nn.backward(part, cache, grad)
+    for part, part_outputs in reversed(list(zip(segments(seg), outputs))):
+        part_grads, grad = nn.backward(part, part_outputs, grad)
         grads.insert(0, part_grads)
     return grads, grad
 
@@ -134,14 +134,12 @@ class TestComposedEquivalence:
         x = rng.normal(size=(6, 4))
         y = rng.integers(0, 2, size=6).astype(float)
 
-        ref_out, ref_cache = nn.forward(m, x)
-        _, dprobs = nn.bce_loss(ref_out, y)
-        ref_grads, ref_dx = nn.backward(m, ref_cache, dprobs)
+        ref_out, ref_outputs = nn.forward(m, x)
+        ref_grads, ref_dx = nn.backward(m, ref_outputs, nn.bce_grad(ref_out, y))
 
         seg = split_model(m, *config)
-        out, caches = chained_forward(seg, x)
-        _, dprobs2 = nn.bce_loss(out, y)
-        (gf, gb, gt), dx = chained_backward(seg, caches, dprobs2)
+        out, outputs = chained_forward(seg, x)
+        (gf, gb, gt), dx = chained_backward(seg, outputs, nn.bce_grad(out, y))
         flat = list(gf) + list(gb) + list(gt)
         assert len(flat) == len(ref_grads)
         for a, b in zip(flat, ref_grads):

@@ -77,27 +77,53 @@ class TestBackward:
     def test_zero_loss_grad_gives_zero_grads(self):
         rng = np.random.default_rng(3)
         m = random_model(rng)
-        out, cache = nn.forward(m, rng.normal(size=(4, 4)))
-        grads, dx = nn.backward(m, cache, np.zeros_like(out))
+        out, outputs = nn.forward(m, rng.normal(size=(4, 4)))
+        grads, dx = nn.backward(m, outputs, np.zeros_like(out))
         assert all(np.all(g == 0) for g in grads)
         assert np.all(dx == 0)
+
+    def test_forward_returns_the_outputs_backward_reads(self):
+        # [x, a_1, ..., a_L]: the input itself and each layer's output
+        rng = np.random.default_rng(8)
+        m = random_model(rng)
+        x = rng.normal(size=(3, 4))
+        out, outputs = nn.forward(m, x)
+        assert len(outputs) == len(m.layers) + 1
+        assert outputs[0] is x and outputs[-1] is out
+        for k in range(1, len(outputs)):
+            assert outputs[k].tobytes() == nn.forward(m.segment(0, k), x)[0].tobytes()
+
+    def test_relu_mask_on_the_output_equals_the_pre_activation_mask(self):
+        # z = x * 1.0 + (-0.0) keeps every x, -0.0 included; backward
+        # masks with relu(z) > 0, which must pass exactly where z > 0
+        m = nn.SequentialModel([nn.DenseLayer([[1.0]], [-0.0], "relu")])
+        x = np.array([[np.nan], [-0.0], [0.0], [-1.0], [2.0], [np.inf], [-np.inf], [5e-324]])
+        z = x * 1.0 + -0.0
+        assert np.signbit(z[1, 0]) and np.isnan(z[0, 0])
+        _, outputs = nn.forward(m, x)
+        _, dx = nn.backward(m, outputs, np.ones_like(x))
+        assert dx.tobytes() == (z > 0.0).astype(np.float64).tobytes()
 
     def test_single_neuron_by_hand(self):
         # y = wx + b, w=2, b=0, x=3, dL/dy=1 -> dw=3, db=1, dx=2
         m = nn.SequentialModel([nn.DenseLayer([[2.0]], [0.0], "linear")])
-        _, cache = nn.forward(m, np.array([[3.0]]))
-        grads, dx = nn.backward(m, cache, np.array([[1.0]]))
+        _, outputs = nn.forward(m, np.array([[3.0]]))
+        grads, dx = nn.backward(m, outputs, np.array([[1.0]]))
         assert np.allclose(grads[0], [[3.0]])
         assert np.allclose(grads[1], [1.0])
         assert np.allclose(dx, [[2.0]])
 
-    def test_mismatched_cache_rejected(self):
+    def test_outputs_of_another_layer_count_rejected(self):
+        # a 3-layer model's outputs (4 arrays) for a 2-layer model, the
+        # reverse, and the 3-layer outputs cut short
         rng = np.random.default_rng(4)
         m = random_model(rng)
         other = random_model(rng, widths=[4, 3, 1])
-        out, cache = nn.forward(m, rng.normal(size=(2, 4)))
-        with pytest.raises(nn.StateError):
-            nn.backward(other, cache, np.zeros((2, 1)))
+        _, outputs = nn.forward(m, rng.normal(size=(2, 4)))
+        _, other_outputs = nn.forward(other, rng.normal(size=(2, 4)))
+        for model, wrong in ((other, outputs), (m, other_outputs), (m, outputs[:-1])):
+            with pytest.raises(nn.StateError):
+                nn.backward(model, wrong, np.zeros((2, 1)))
 
     @pytest.mark.parametrize("trial", range(10))
     def test_finite_differences(self, trial):
@@ -121,11 +147,10 @@ def max_grad_check_error(seed: int) -> float:
 
     def loss_value():
         probs, _ = nn.forward(m, x)
-        return nn.bce_loss(probs, y)[0]
+        return nn.bce_loss(probs, y)
 
-    probs, cache = nn.forward(m, x)
-    _, dprobs = nn.bce_loss(probs, y)
-    grads, _ = nn.backward(m, cache, dprobs)
+    probs, outputs = nn.forward(m, x)
+    grads, _ = nn.backward(m, outputs, nn.bce_grad(probs, y))
 
     worst = 0.0
     for i in range(m.flat.size):
@@ -145,15 +170,15 @@ def max_grad_check_error(seed: int) -> float:
 
 class TestBceLoss:
     def test_half_prob(self):
-        loss, _ = nn.bce_loss(np.array([[0.5]]), np.array([1.0]))
+        loss = nn.bce_loss(np.array([[0.5]]), np.array([1.0]))
         assert loss == pytest.approx(np.log(2), rel=1e-12)
 
     def test_perfect_prediction(self):
-        loss, _ = nn.bce_loss(np.array([[1.0 - 1e-12]]), np.array([1.0]))
+        loss = nn.bce_loss(np.array([[1.0 - 1e-12]]), np.array([1.0]))
         assert loss == pytest.approx(0.0, abs=1e-11)
 
     def test_batch_mean(self):
-        loss, _ = nn.bce_loss(np.array([[0.9], [0.2]]), np.array([1.0, 0.0]))
+        loss = nn.bce_loss(np.array([[0.9], [0.2]]), np.array([1.0, 0.0]))
         expected = (-np.log(0.9) - np.log(0.8)) / 2
         assert loss == pytest.approx(expected, rel=1e-14)
 
@@ -162,19 +187,19 @@ class TestBceLoss:
         for _ in range(50):
             p = rng.uniform(0, 1, size=(8, 1))
             y = rng.integers(0, 2, size=8).astype(float)
-            loss, _ = nn.bce_loss(p, y)
+            loss = nn.bce_loss(p, y)
             assert loss >= 0
 
     def test_grad_consistent_with_finite_differences(self):
         rng = np.random.default_rng(6)
         p = rng.uniform(0.1, 0.9, size=(5, 1))
         y = rng.integers(0, 2, size=5).astype(float)
-        _, grad = nn.bce_loss(p, y)
+        grad = nn.bce_grad(p, y)
         h = 1e-7
         for i in range(5):
             up = p.copy(); up[i, 0] += h
             dn = p.copy(); dn[i, 0] -= h
-            numeric = (nn.bce_loss(up, y)[0] - nn.bce_loss(dn, y)[0]) / (2 * h)
+            numeric = (nn.bce_loss(up, y) - nn.bce_loss(dn, y)) / (2 * h)
             assert grad[i, 0] == pytest.approx(numeric, rel=1e-5)
 
 
@@ -282,7 +307,8 @@ class TestParamFlattening:
 
 
 def clip_bce_grad(probs, labels):
-    """The BCE gradient as bce_loss computed it with np.clip."""
+    """The BCE gradient of the probs clamped with np.clip: an oracle for
+    bce_grad's clamp by np.minimum and np.maximum."""
     n = probs.shape[0]
     p = np.clip(probs[:, 0], nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
@@ -302,7 +328,6 @@ def test_bce_grad_bit_equals_bce_loss_gradient(probs, data, label_dtype):
                                          max_size=len(probs))), dtype=label_dtype)
     grad = nn.bce_grad(probs, labels)
     assert grad.shape == probs.shape
-    assert grad.tobytes() == nn.bce_loss(probs, labels)[1].tobytes()
     assert grad.tobytes() == clip_bce_grad(probs, labels).tobytes()
 
 

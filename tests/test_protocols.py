@@ -36,15 +36,14 @@ def run_rounds(protocol, clients, server, order, epochs, bus=None):
     return bus
 
 
-def centralized_training(dataset, seed, epochs, lr=LR, batch=BATCH):
+def centralized_training(dataset, seed, epochs, lr=LR, batch=BATCH, widths=WIDTHS):
     """Independent oracle: plain uncut training on the same batch stream."""
-    model = nn.init_model(WIDTHS, seed)
+    model = nn.init_model(list(widths), seed)
     state = nn.AdamState.for_params(model.flat, lr=lr)
     for _ in range(epochs):
         for xb, yb in iter_batches(dataset.train_x, dataset.train_y, batch):
-            probs, cache = nn.forward(model, xb)
-            _, dprobs = nn.bce_loss(probs, yb)
-            grads, _ = nn.backward(model, cache, dprobs)
+            probs, outputs = nn.forward(model, xb)
+            grads, _ = nn.backward(model, outputs, nn.bce_grad(probs, yb))
             nn.adam_step(model.flat, grads, state)
     return model
 
@@ -126,17 +125,17 @@ def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
         for c in sorted(ids) if replicas else order:
             ds = datasets[ids.index(c)]
             for xb, yb in iter_batches(ds.train_x, ds.train_y, BATCH):
-                a_front, cache_front = nn.forward(fronts[c], xb)
-                a_body, cache_body = nn.forward(bodies[c], a_front)
+                a_front, front_outputs = nn.forward(fronts[c], xb)
+                a_body, body_outputs = nn.forward(bodies[c], a_front)
                 if kind == U_SHAPED:
-                    probs, cache_tail = nn.forward(tails[c], a_body)
-                    grads, d_out = nn.backward(tails[c], cache_tail, nn.bce_loss(probs, yb)[1])
+                    probs, tail_outputs = nn.forward(tails[c], a_body)
+                    grads, d_out = nn.backward(tails[c], tail_outputs, nn.bce_grad(probs, yb))
                     step(tails[c], grads)
                 else:
-                    d_out = nn.bce_loss(a_body, yb)[1]
-                grads, d_smashed = nn.backward(bodies[c], cache_body, d_out)
+                    d_out = nn.bce_grad(a_body, yb)
+                grads, d_smashed = nn.backward(bodies[c], body_outputs, d_out)
                 step(bodies[c], grads)
-                grads, _ = nn.backward(fronts[c], cache_front, d_smashed)
+                grads, _ = nn.backward(fronts[c], front_outputs, d_smashed)
                 step(fronts[c], grads)
         if replicas:
             avg = average_models(list(bodies.items()),

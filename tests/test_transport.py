@@ -108,6 +108,23 @@ class TestDecodeErrors:
         with pytest.raises(TrailingBytes):
             decode(encode(tensor_message()) + extra)
 
+    @pytest.mark.parametrize("payload", [[[1, 0], [0, 1]], np.array([[1, 0], [0, 1]]),
+                                         np.array([3, -2], dtype=np.int64), (0.5, 2)])
+    def test_message_keeps_its_payload_and_encode_converts_it(self, payload):
+        # encode is the one place a payload turns float64: the frame of an
+        # int64 array or a list is the frame of its float64 array
+        m = Message(MsgType.LABELS, 1, 0, payload=payload)
+        assert m.payload is payload
+        as_float = Message(MsgType.LABELS, 1, 0, payload=np.asarray(payload, dtype=np.float64))
+        assert encode(m) == encode(as_float)
+        assert m.payload is payload
+
+    def test_non_contiguous_payload_encodes_its_values(self):
+        tensor = np.arange(12.0).reshape(3, 4)[:, ::2]
+        frame = encode(Message(MsgType.BODY_OUTPUT, 0, 1, payload=tensor))
+        assert frame == encode(Message(MsgType.BODY_OUTPUT, 0, 1, payload=tensor.copy()))
+        assert decode(frame).payload.tobytes() == tensor.tobytes()
+
     def test_rank_zero_round_trip(self):
         m = Message(MsgType.LABELS, 1, 0, payload=np.float64(2.5))
         assert len(encode(m)) == HEADER_LEN + 8
