@@ -94,13 +94,13 @@ def _print_summary(drops) -> None:
                   + (f", {up} undefined counted as +inf, {down} as -inf" if up or down else ""))
 
 
-def _sweep(args, kind: str, name: str, **options) -> dict:
-    """Run the sweep at every seed, writing each seed's manifest, then its
-    table once its runs are made, and printing the table; then, over
-    several seeds, the summary. Returns the drops over the seeds."""
-    cfg = _build_config(args)
+def _sweep(args, cfg: ExperimentConfig, field: str, values, name: str) -> dict:
+    """Run the sweep of `field` over `values` (`harness.sweep`) at every
+    seed, writing each seed's manifest, then its table once its runs are
+    made, and printing the table; then, over several seeds, the summary.
+    Returns the drops over the seeds."""
     seeds = range(cfg.seed, cfg.seed + args.seeds)
-    pending, tables = harness.sweep(kind, cfg, seeds, **options), []
+    pending, tables = harness.sweep(cfg, seeds, field, values), []
 
     def next_table():
         tables.append(next(pending))
@@ -117,12 +117,15 @@ def _sweep(args, kind: str, name: str, **options) -> dict:
 
 
 def cmd_sweep_order(args) -> int:
-    _sweep(args, "order", "order_sweep", probe_only=args.probe is not None)
+    cfg = _build_config(args)
+    probes = range(cfg.n_clients) if args.probe is None else [cfg.probe]
+    _sweep(args, cfg, "probe", probes, "order_sweep")
     return 0
 
 
 def cmd_sweep_clients(args) -> int:
-    drops = _sweep(args, "client_count", "client_sweep")
+    cfg = _build_config(args)
+    drops = _sweep(args, cfg, "n_clients", cfg.sweep_sizes, "client_sweep")
     if args.seeds > 1:
         lines = ["setting,median_kappa_drop"] + [
             f"{key},{median_drop(per_metric['kappa'], '{:.2f}')}"

@@ -194,17 +194,24 @@ def _predict(clients, server: ServerState, datasets: dict[int, ClientDataset],
     return probs
 
 
-def _first_clients(datasets: list[ClientDataset], n_clients: int,
-                   source: str) -> list[ClientDataset]:
-    """The first n_clients of `datasets`, which must be clients 0 to
-    n_clients - 1; `source` names the datasets in the error."""
+def _take(datasets: list[ClientDataset], n_clients: int, source: str) -> list[ClientDataset]:
+    """The first n_clients of `datasets`; `source` names the datasets in
+    the error."""
     if len(datasets) < n_clients:
         raise ConfigurationError(f"{source}: too few clients ({len(datasets)} for "
                                  f"n_clients {n_clients})")
-    ids = sorted(ds.client_id for ds in datasets[:n_clients])
+    return datasets[:n_clients]
+
+
+def _first_clients(datasets: list[ClientDataset], n_clients: int,
+                   source: str) -> list[ClientDataset]:
+    """`_take`, for datasets whose first n_clients must be clients 0 to
+    n_clients - 1."""
+    datasets = _take(datasets, n_clients, source)
+    ids = sorted(ds.client_id for ds in datasets)
     if ids != list(range(n_clients)):
         raise ConfigurationError(f"{source}: client ids {ids} are not 0..{n_clients - 1}")
-    return datasets[:n_clients]
+    return datasets
 
 
 def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
@@ -262,10 +269,7 @@ def run_experiment(config: ExperimentConfig,
     start = time.perf_counter()
     if datasets is None:
         datasets = load_or_generate(config)
-    if len(datasets) < config.n_clients:
-        raise ConfigurationError(f"datasets: too few clients ({len(datasets)} for "
-                                 f"n_clients {config.n_clients})")
-    datasets = datasets[:config.n_clients]
+    datasets = _take(datasets, config.n_clients, "datasets")
     client_ids = sorted(ds.client_id for ds in datasets)
     for cid, next_cid in zip(client_ids, client_ids[1:]):
         if cid == next_cid:
@@ -421,49 +425,32 @@ class ReportTable:
     rows: list[ReportRow] = field(default_factory=list)
 
 
-def _probe_pair(config: ExperimentConfig, probe: int, datasets) -> tuple[ExperimentConfig, ...]:
-    """The configs of the probe-first and probe-last runs, the others in
-    ascending id. The clients are the first config.n_clients datasets."""
-    client_ids = sorted(ds.client_id for ds in datasets[:config.n_clients])
-    rest = tuple(cid for cid in client_ids if cid != probe)
-    return (replace(config, order=(probe, *rest), probe=probe),
-            replace(config, order=(*rest, probe), probe=probe))
+# a row's key, by the field its sweep varies
+ROW_KEYS = {"probe": "client{}".format, "n_clients": "{} client setting".format}
 
 
-def _order_rows(config: ExperimentConfig, datasets, probe_only: bool = False) -> list:
-    """An order sweep's rows, `(key, probe-first config, probe-last
-    config, datasets)`: each client's probe pair, or config.probe's alone."""
-    if config.n_clients < 2:
-        raise ConfigurationError("order sweep needs at least 2 clients")
-    probes = [config.probe] if probe_only else range(config.n_clients)
-    return [(f"client{p}", *_probe_pair(config, p, datasets), datasets) for p in probes]
-
-
-def _client_count_rows(config: ExperimentConfig, datasets) -> list:
-    """A client-count sweep's rows: the probe pair at each setting of
-    config.sweep_sizes, with clients beyond the probe added incrementally
-    in ascending id order. A setting's first turns are the smaller
-    settings' turns."""
-    if config.n_clients < 2:
-        raise ConfigurationError("client-count sweep needs at least 2 clients")
-    others = [cid for cid in range(config.n_clients) if cid != config.probe]
+def _rows(config: ExperimentConfig, datasets, field: str, values) -> list:
+    """One row per value, `(key, probe-first config, probe-last config,
+    datasets)`: the probe pair at `replace(config, **{field: value})`. A
+    row's clients are its probe and the first n_clients - 1 other ids of
+    `datasets`, ascending, which train in that order after the probe in
+    its first run and before it in its last."""
+    ids = sorted(ds.client_id for ds in datasets)
     rows = []
-    for n in config.sweep_sizes:
-        participating = sorted([config.probe] + others[:n - 1])
-        subset = [ds for ds in datasets if ds.client_id in participating]
-        rows.append((f"{n} client setting",
-                     *_probe_pair(replace(config, n_clients=n), config.probe, subset), subset))
+    for value in values:
+        cfg = replace(config, **{field: value})
+        rest = tuple(cid for cid in ids if cid != cfg.probe)[:cfg.n_clients - 1]
+        clients = [ds for ds in datasets if ds.client_id in (cfg.probe, *rest)]
+        rows.append((ROW_KEYS[field](value), replace(cfg, order=(cfg.probe, *rest)),
+                     replace(cfg, order=(*rest, cfg.probe)), clients))
     return rows
 
 
-SWEEP_KINDS = {"order": _order_rows, "client_count": _client_count_rows}
-
-
-def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
-          **options) -> typing.Iterator[ReportTable]:
-    """The `kind` sweep ("order", which takes `probe_only`, or
-    "client_count") of the config at each seed: one table per seed, in
-    seed order. A row reports its probe's metrics from its probe-first
+def sweep(config: ExperimentConfig, seeds, field: str, values,
+          datasets=None) -> typing.Iterator[ReportTable]:
+    """The probe pair at each of `values` of the config field `field`
+    ("probe" or "n_clients", `_rows`), at each seed: one table per seed,
+    in seed order. A row reports its probe's metrics from its probe-first
     and its probe-last run.
 
     Each seed's data (or `datasets`, for every seed, checked as a
@@ -473,13 +460,14 @@ def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
     tables are then made lazily, seed by seed, and each `run_experiment`
     call returns its result trained ahead; a failing run raises when its
     seed's table is asked for."""
-    rows = []
+    if config.n_clients < 2:
+        raise ConfigurationError("a sweep needs at least 2 clients")
+    values, rows = tuple(values), []
     for seed in seeds:
         cfg = replace(config, seed=seed)
         cfg.validate()
-        rows.append(SWEEP_KINDS[kind](cfg, load_or_generate(cfg) if datasets is None else
-                                      _first_clients(datasets, cfg.n_clients, "datasets"),
-                                      **options))
+        rows.append(_rows(cfg, load_or_generate(cfg) if datasets is None else
+                          _first_clients(datasets, cfg.n_clients, "datasets"), field, values))
     store = _train_ahead([(run, ds) for seed_rows in rows
                           for _, first, last, ds in seed_rows for run in (first, last)])
 
@@ -490,18 +478,16 @@ def sweep(kind: str, config: ExperimentConfig, seeds, datasets=None,
                          for key, first, last, ds in seed_rows]) for seed_rows in rows)
 
 
-def sweep_order(config: ExperimentConfig, datasets=None, probe_only: bool = False) -> ReportTable:
-    """Probe-first vs probe-last for each client (or just config.probe) at
-    config.seed: `sweep` with one seed. One probe pair alone is
-    `sweep_order(replace(config, probe=p), probe_only=True)`."""
-    (table,) = sweep("order", config, [config.seed], datasets, probe_only=probe_only)
+def sweep_order(config: ExperimentConfig, datasets=None) -> ReportTable:
+    """Probe-first vs probe-last for each client at config.seed."""
+    (table,) = sweep(config, [config.seed], "probe", range(config.n_clients), datasets)
     return table
 
 
 def sweep_client_count(config: ExperimentConfig, datasets=None) -> ReportTable:
     """Probe-first vs probe-last at each client-count setting at
-    config.seed: `sweep` with one seed."""
-    (table,) = sweep("client_count", config, [config.seed], datasets)
+    config.seed."""
+    (table,) = sweep(config, [config.seed], "n_clients", config.sweep_sizes, datasets)
     return table
 
 
@@ -574,8 +560,9 @@ def render_manifest(config: ExperimentConfig) -> str:
 
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines; '#' starts a comment. Each key is an
-    ExperimentConfig field, and its value is parsed as the field's type;
-    a bad key or value raises ConfigurationError naming `path:line`."""
+    ExperimentConfig field, set at most once, and its value is parsed as
+    the field's type; a bad or repeated key or a bad value raises
+    ConfigurationError naming `path:line`."""
     values = {}
     hints = typing.get_type_hints(ExperimentConfig)
     with open(path) as fh:
@@ -587,6 +574,8 @@ def parse_config_file(path) -> dict:
             key, raw = key.strip(), raw.strip()
             if not sep or key not in hints:
                 raise ConfigurationError(f"{path}:{lineno}: bad key {key!r}")
+            if key in values:
+                raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = _parse_as(hints[key], raw)
             except ValueError:

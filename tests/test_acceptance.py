@@ -42,7 +42,7 @@ def client_count_tables():
     """The bias fixture's client-count sweep (probe client 0 scheduled
     first vs last on its first n clients, n = 2..5), one table per seed."""
     bias = harness.config_from(harness.parse_config_file(BIAS_CFG), {})
-    return dict(zip(SEEDS, harness.sweep("client_count", bias, SEEDS)))
+    return dict(zip(SEEDS, harness.sweep(bias, SEEDS, "n_clients", bias.sweep_sizes)))
 
 
 def _probe_drops(tables, seed, n_clients):
@@ -288,6 +288,34 @@ def test_label_privacy():
     assert v.bus.count_by_type(MsgType.LABELS) == n_batches
     print(f"label privacy: PASS (u-shaped: 0 label messages; vanilla: "
           f"{n_batches} = one per training batch)")
+
+
+def test_label_privacy_over_drawn_configs():
+    """Under SL and SFv1-3, at drawn shapes, 1-4 clients of drawn training
+    counts and a drawn order: a U-shaped run's bus log holds no LABELS
+    record, and a vanilla run's holds one per training batch,
+    epochs x sum of ceil(train_count / batch_size)."""
+    runs = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=training_shapes(), counts=st.lists(st.integers(2, 40), min_size=1, max_size=4),
+           data=st.data())
+    def check(shape, counts, data):
+        manifest = datagen.PartitionManifest(tuple(counts), (10,) * len(counts),
+                                             (10,) * len(counts))
+        datasets = datagen.generate_clients(manifest, d=shape["widths"][0], seed=shape["seed"])
+        order = tuple(data.draw(st.permutations(range(len(counts)))))
+        batches = shape["epochs"] * sum(-(-count // shape["batch_size"]) for count in counts)
+        for protocol in (SL, SFV1, SFV2, SFV3):
+            for kind, labels in ((U_SHAPED, 0), (VANILLA, batches)):
+                _, log = _train(shape, protocol, kind, datasets, order)
+                assert sum(rec.msg_type == MsgType.LABELS for rec in log) == labels, (
+                    protocol, kind)
+                runs.append(labels)
+
+    check()
+    print(f"label privacy over drawn configs: PASS ({len(runs)} runs; u-shaped: 0 label "
+          f"records; vanilla: one per training batch, {sum(runs)} in all)")
 
 
 def test_fl_equals_sfv1():

@@ -104,6 +104,17 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError):
             parse_config_file(path)
 
+    def test_repeated_key_names_file_and_line(self, tmp_path, capsys):
+        # not the last value winning: epochs = 5 would silently replace 2
+        path = tmp_path / "exp.cfg"
+        path.write_text("# header\nepochs = 2\nprotocol = sl\nepochs = 5\n")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{path}:4: repeated key 'epochs'")):
+            parse_config_file(path)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"input error: {path}:4: repeated key 'epochs'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("epochs 4\n")
@@ -412,7 +423,8 @@ class TestRunExperiment:
 
 class TestSweeps:
     def test_probe_pair_keys(self):
-        (row,) = sweep_order(replace(FAST, epochs=1, probe=1), probe_only=True).rows
+        (table,) = sweep(replace(FAST, epochs=1), [0], "probe", [1])
+        (row,) = table.rows
         assert row.key == "client1"
         assert isinstance(row.first, MetricReport) and isinstance(row.last, MetricReport)
 
@@ -608,8 +620,8 @@ class TestSweepStore:
         one_run = self._count_steps(monkeypatch, run_experiment, cfg)
         assert self._count_steps(monkeypatch, sweep_order, cfg) == one_run
         pair = []
-        assert self._count_steps(monkeypatch, lambda: pair.append(
-            sweep_order(replace(cfg, probe=2), probe_only=True))) == one_run
+        assert self._count_steps(monkeypatch, lambda: pair.extend(
+            sweep(cfg, [cfg.seed], "probe", [2]))) == one_run
         (row,) = pair[0].rows
         assert row.first == row.last and metrics.percent_drop(row.first.kappa,
                                                               row.last.kappa) == 0.0
@@ -639,7 +651,7 @@ class TestSweepStore:
     def test_store_keeps_only_what_a_later_run_restores(self, monkeypatch):
         cfg = replace(FAST, n_clients=4)
         datasets = harness.load_or_generate(cfg)
-        runs = [c for p in range(4) for c in harness._probe_pair(cfg, p, datasets)]
+        runs = [c for _, *pair, _ in harness._rows(cfg, datasets, "probe", range(4)) for c in pair]
         assert [c.order for c in runs[-2:]] == [(3, 0, 1, 2), (0, 1, 2, 3)]
         # after each run trained: its order, the prefixes whose restores are
         # still to come, and the states alive
@@ -800,11 +812,11 @@ class TestParallelSweeps:
         lone = replace(self.CFG, probe=2)
         _cpus(monkeypatch, 4)
         pools = _pool_sizes(monkeypatch)
-        table = sweep_order(lone, probe_only=True)
+        (table,) = sweep(lone, [lone.seed], "probe", [lone.probe])
         monkeypatch.undo()
         assert pools == [2]
         _cpus(monkeypatch, 1)
-        assert sweep_order(lone, probe_only=True) == table
+        assert list(sweep(lone, [lone.seed], "probe", [lone.probe])) == [table]
 
     def test_a_sweep_in_another_pool_s_worker_runs_in_process(self, monkeypatch):
         # a daemonic process may not start workers of its own
@@ -830,6 +842,9 @@ class TestMultiSeedSweep:
 
     CFG = TestParallelSweeps.CFG
     SEEDS = (0, 1, 2)
+    # the field each one-seed sweep varies, and its values
+    AXES = {"order": ("probe", range(CFG.n_clients)),
+            "client_count": ("n_clients", CFG.sweep_sizes)}
 
     @staticmethod
     def _bits(table):
@@ -843,14 +858,14 @@ class TestMultiSeedSweep:
         alone = [self._bits(one_seed(replace(self.CFG, seed=s))) for s in self.SEEDS]
         if cpus is not None:
             _cpus(monkeypatch, cpus)
-        assert [self._bits(t) for t in sweep(kind, self.CFG, self.SEEDS)] == alone
+        assert [self._bits(t) for t in sweep(self.CFG, self.SEEDS, *self.AXES[kind])] == alone
 
     @pytest.mark.parametrize("kind, runs_per_seed", [("order", 8), ("client_count", 6)])
     def test_one_pool_per_call_and_calls_in_seed_order(self, monkeypatch, kind, runs_per_seed):
         _cpus(monkeypatch, 2)
         pools = _pool_sizes(monkeypatch)
         calls = _recording_runs(monkeypatch)
-        tables = list(sweep(kind, self.CFG, self.SEEDS))
+        tables = list(sweep(self.CFG, self.SEEDS, *self.AXES[kind]))
         assert pools == [2] and len(tables) == len(self.SEEDS)
         assert [args[0].seed for args, _, _ in calls] == [
             s for s in self.SEEDS for _ in range(runs_per_seed)]
@@ -858,7 +873,7 @@ class TestMultiSeedSweep:
     def test_tables_are_made_as_they_are_asked_for(self, monkeypatch):
         _cpus(monkeypatch, 1)
         calls = _recording_runs(monkeypatch)
-        tables = sweep("order", self.CFG, self.SEEDS, probe_only=True)
+        tables = sweep(self.CFG, self.SEEDS, "probe", [self.CFG.probe])
         assert calls == []
         next(tables)
         assert [args[0].seed for args, _, _ in calls] == [0, 0]
@@ -903,8 +918,13 @@ class TestRenderTable:
 
 class TestCli:
     def _write_cfg(self, tmp_path, extra=""):
+        # a key is set once in a config file: a line of `extra` replaces
+        # the base line of its key
+        base = {"protocol": "sl", "epochs": "2", "n_clients": "2", "lr": "0.001"}
+        for line in extra.splitlines():
+            base.pop(line.partition("=")[0].strip(), None)
         path = tmp_path / "exp.cfg"
-        path.write_text("protocol = sl\nepochs = 2\nn_clients = 2\nlr = 0.001\n" + extra)
+        path.write_text("".join(f"{key} = {value}\n" for key, value in base.items()) + extra)
         return path
 
     def test_sweep_clients_probe_beyond_smallest_size(self, tmp_path):
