@@ -94,8 +94,6 @@ class ExperimentConfig:
                 desk_manifest(self.n_clients, self.eval_count)
             except datagen.ManifestError as exc:
                 raise ConfigurationError(str(exc)) from None
-        if self.probe not in (self.order or range(self.n_clients)):
-            raise ConfigurationError("probe client is not a participating client")
         cuts = self.split_config()
         if cuts is not None:
             n_layers = len(self.widths) - 1
@@ -434,13 +432,19 @@ def _rows(config: ExperimentConfig, datasets, field: str, values) -> list:
     datasets)`: the probe pair at `replace(config, **{field: value})`. A
     row's clients are its probe and the first n_clients - 1 other ids of
     `datasets`, ascending, which train in that order after the probe in
-    its first run and before it in its last."""
+    its first run and before it in its last. Each row is checked as its
+    runs would be, and needs at least 2 clients (ConfigurationError)."""
     ids = sorted(ds.client_id for ds in datasets)
     rows = []
     for value in values:
         cfg = replace(config, **{field: value})
+        if cfg.n_clients < 2:
+            raise ConfigurationError("a sweep needs at least 2 clients")
+        if cfg.probe not in ids:
+            raise ConfigurationError(f"probe {cfg.probe} is not one of the clients {ids}")
         rest = tuple(cid for cid in ids if cid != cfg.probe)[:cfg.n_clients - 1]
-        clients = [ds for ds in datasets if ds.client_id in (cfg.probe, *rest)]
+        clients = _take([ds for ds in datasets if ds.client_id in (cfg.probe, *rest)],
+                        cfg.n_clients, "datasets")
         rows.append((ROW_KEYS[field](value), replace(cfg, order=(cfg.probe, *rest)),
                      replace(cfg, order=(*rest, cfg.probe)), clients))
     return rows

@@ -11,22 +11,25 @@ slices of their parent's vector, so training a segment trains the parent.
 buffer, so one `adam_step` updates them all.
 
 Alignment: every long-lived training vector (a model's own vector, a
-packed vector and its gradient buffer, Adam's moments and scratch) comes
-from `vectors`, which starts each one on a 64-byte cache line. numpy's
-own large allocations start 16 bytes past one, and a cheap elementwise
-pass that writes into such a vector runs about half as fast: a multiply
-into 8,192 in-cache elements took 0.68 ns per element against 0.35 into
-an aligned vector (a divide, 0.85 either way; 2-vCPU Xeon VM). Adam is
-fourteen such passes.
+packed vector and its gradient buffer, Adam's moments, the scratch pair)
+comes from `vectors`, which starts each one on a 64-byte cache line.
+numpy's own large allocations start 16 bytes past one, and a cheap
+elementwise pass that writes into such a vector runs about half as fast:
+a multiply into 8,192 in-cache elements took 0.68 ns per element against
+0.35 into an aligned vector (a divide, 0.85 either way; 2-vCPU Xeon VM).
+Adam is fourteen such passes.
 
 What mutates: `backward` writes the gradients into the model's gradient
 buffer, `model.grad` (laid out like `flat`, allocated on the first call
 and reused by every later one), and returns that buffer: a caller
 consumes it before the next `backward` on the same model. `adam_step`
-updates the parameter vector and optimizer state it is handed, using the
-state's scratch buffer for its temporaries, and `unflatten_params`
-overwrites a model's vector. Everything else is pure; `clone` and
-`flatten_params` return copies.
+updates the parameter vector and optimizer state it is handed,
+`weighted_mean_into` the vectors it is handed, and `unflatten_params`
+overwrites a model's vector. Both chunked passes put their temporaries
+in this module's one scratch pair (`_SCRATCH`): the process is
+single-threaded and neither pass runs inside another, so no two passes
+use it at once, and a forked worker writes its own copy. Everything else
+is pure; `clone` and `flatten_params` return copies.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ ACTIVATIONS = ("linear", "relu", "sigmoid")
 
 PROB_CLAMP = 1e-12
 
-# Elements per Adam pass (and per averaging pass). The two scratch
-# temporaries are allocated once and reused, so the size trades cache
-# reuse and per-pass call overhead against the scratch's memory, not
-# malloc behaviour. On aligned vectors, a 148,032-element Adam step right
-# after a 16 MiB write took 1,214 us at 8,192, 1,121 at 16,384, 1,089 at
-# 32,768, 1,161 at 65,536 and 1,296 in one pass (medians of 15; 2-vCPU
-# Xeon VM). Whole wide-body ops ran as fast at 16,384 as at 32,768
-# (interleaved), and 32,768's larger scratch raised the wide-body
+# Elements per chunked pass (an Adam step's or a weighted mean's). The
+# passes share one scratch pair of at most a chunk (`_SCRATCH`), so the
+# size trades cache reuse and per-pass call overhead against the pair's
+# memory, not malloc behaviour. On aligned vectors, a 148,032-element
+# Adam step right after a 16 MiB write took 1,214 us at 8,192, 1,121 at
+# 16,384, 1,089 at 32,768, 1,161 at 65,536 and 1,296 in one pass (medians
+# of 15; 2-vCPU Xeon VM). Whole wide-body ops ran as fast at 16,384 as at
+# 32,768 (interleaved), and 32,768's larger scratch raised the wide-body
 # benchmark's peak RSS by about 0.5 MB. Every model at the default
 # widths fits in one chunk. A multiple of ALIGN // 8, so every chunk of
 # an aligned vector starts on a cache line.
@@ -331,36 +334,41 @@ def bce_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
 
 
-def chunk_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two aligned temporaries of one chunk, for chunked passes over
-    vectors of `size` elements."""
-    width = min(size, CHUNK)
-    return tuple(vectors(width, width))
+class _Scratch(dict):
+    """`_SCRATCH[n]`: the leading n (<= CHUNK) elements of the chunked
+    passes' one aligned pair of temporaries, allocated on first use and
+    regrown to the largest pass so far; each length's views are kept."""
 
+    def __missing__(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        top = max(self, default=-1)  # the whole pair's length
+        if n > top:
+            self.clear()  # views of the old pair go with it
+            pair = vectors(n, n)
+        else:
+            pair = self[top]
+        self[n] = (pair[0][:n], pair[1][:n])
+        return self[n]
+
+
+_SCRATCH = _Scratch()
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's usual constants
 
 
 @dataclass
 class AdamState:
-    """Adam moments for one flat parameter vector; shapes mirror it.
-    `scratch` holds adam_step's two temporaries, one chunk each."""
+    """Adam moments for one flat parameter vector; shapes mirror it."""
 
     lr: float = 1e-4
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def for_params(cls, params: np.ndarray, lr: float = 1e-4,
-                   scratch: tuple[np.ndarray, np.ndarray] | None = None) -> "AdamState":
-        """Zero moments for params, and new scratch buffers unless they are
-        given: states that never step at the same time can share them."""
-        if scratch is None:
-            scratch = chunk_scratch(params.size)
+    def for_params(cls, params: np.ndarray, lr: float = 1e-4) -> "AdamState":
+        """Zero moments for params."""
         m, v = vectors(params.size, params.size)
-        return cls(lr=lr, m=m, v=v, scratch=scratch)
+        return cls(lr=lr, m=m, v=v)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
@@ -368,14 +376,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 
     Runs over CHUNK-element slices of the flat vectors. Every op is
     elementwise, so the result is bit-identical to one whole-vector pass.
-    The temporaries go to state.scratch (output-argument forms of the
-    same ops, in the same order), so a step allocates nothing after the
-    first.
+    The temporaries go to the scratch pair (output-argument forms of the
+    same ops, in the same order), so a step allocates nothing once the
+    pair has grown to its size.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError("parameter/gradient/moment shape mismatch")
-    if state.scratch is None or state.scratch[0].size != min(params.size, CHUNK):
-        state.scratch = chunk_scratch(params.size)
     state.step += 1
     t = state.step
     beta1, beta2 = ADAM_BETA1, ADAM_BETA2
@@ -387,10 +393,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         chunks = ((params[lo:lo + CHUNK], grads[lo:lo + CHUNK],
                    state.m[lo:lo + CHUNK], state.v[lo:lo + CHUNK])
                   for lo in range(0, params.size, CHUNK))
-    t1, t2 = state.scratch
     for p, g, m, v in chunks:
-        if p.size < t1.size:  # the last, partial chunk
-            t1, t2 = t1[:p.size], t2[:p.size]
+        t1, t2 = _SCRATCH[p.size]
         # each ufunc's output as its positional third argument: on a small
         # model the per-call cost is most of a step, and this form costs
         # less per call than `out=` or the in-place operators
@@ -405,6 +409,31 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         np.add(t2, ADAM_EPS, t2)
         np.divide(t1, t2, t1)
         np.subtract(p, t1, p)
+
+
+def weighted_mean_into(outs: list[np.ndarray], vecs: list[np.ndarray],
+                       weights: list[float]) -> None:
+    """Write sum(w * vec) / sum(w), accumulated from zero in the order
+    given, into every vector of `outs`, chunk by chunk through the
+    scratch pair. `outs` may be `vecs` themselves: a chunk is written
+    only after all of it is read.
+
+    Equal vectors short-circuit to the first one's bits: a weighted mean
+    of equal values must be bit-equal to them."""
+    if all(np.array_equal(vec, vecs[0]) for vec in vecs[1:]):
+        for out in outs:
+            out[...] = vecs[0]
+        return
+    total = sum(weights)
+    for lo in range(0, vecs[0].size, CHUNK):
+        s = slice(lo, lo + CHUNK)
+        acc, tmp = _SCRATCH[vecs[0][s].size]
+        acc.fill(0.0)
+        for w, vec in zip(weights, vecs):
+            acc += np.multiply(w, vec[s], out=tmp)
+        acc /= total
+        for out in outs:
+            out[s] = acc
 
 
 def flatten_params(model: SequentialModel) -> np.ndarray:

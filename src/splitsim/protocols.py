@@ -132,29 +132,24 @@ def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol
     clients = {}
     server = ServerState()
     seg = None if cuts is None else split_model(model, *cuts)
-    # participants train one at a time, so the clients share one Adam
-    # scratch buffer, and the body replicas share one gradient buffer and
-    # one scratch buffer
-    scratch = None
     for ds in datasets:
         # FL: the full model per client; split: a copy of front and tail
         flat, grad, parts = nn.pack([model] if seg is None else [seg.front, seg.tail])
         front, tail = (parts[0], SequentialModel([])) if seg is None else parts
-        opt = AdamState.for_params(flat, lr=lr, scratch=scratch)
-        scratch = opt.scratch
         clients[ds.client_id] = ClientState(
-            id=ds.client_id, front=front, tail=tail, flat=flat, grad=grad, opt=opt, dataset=ds)
+            id=ds.client_id, front=front, tail=tail, flat=flat, grad=grad,
+            opt=AdamState.for_params(flat, lr=lr), dataset=ds)
     if seg is None:
         return clients, server
+    # the body replicas train one at a time, so they share one gradient
+    # buffer; no participant owns temporaries: every Adam step and mean
+    # writes them into the one pair `nn` keeps for the process
     (body_grad,) = nn.vectors(seg.body.flat.size)
     if SPECS[protocol].replicas:
-        scratch = None
         for cid in clients:
             server.bodies[cid] = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat),
                                                  body_grad)
-            server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr,
-                                                    scratch=scratch)
-            scratch = server.opts[cid].scratch
+            server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr)
     else:
         body = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat), body_grad)
         opt = AdamState.for_params(body.flat, lr=lr)
@@ -174,7 +169,7 @@ def average_models(models: list[tuple[int, SequentialModel]],
                    weights: dict[int, float]) -> SequentialModel:
     """Sample-count-weighted parameter mean, accumulated in ascending
     client id order so the result is independent of call order
-    (`_weighted_mean_into`)."""
+    (`nn.weighted_mean_into`)."""
     if not models:
         raise PlanError("cannot average zero models")
     ordered = sorted(models, key=lambda kv: kv[0])
@@ -183,36 +178,9 @@ def average_models(models: list[tuple[int, SequentialModel]],
     if any([layer.weights.shape for layer in m.layers] != shapes for _, m in ordered[1:]):
         raise nn.ShapeError("models structurally different")
     avg = SequentialModel(first.layers, nn.vectors(first.flat.size)[0])
-    _weighted_mean_into([avg.flat], [m.flat for _, m in ordered],
-                        [weights[cid] for cid, _ in ordered],
-                        nn.chunk_scratch(first.flat.size))
+    nn.weighted_mean_into([avg.flat], [m.flat for _, m in ordered],
+                          [weights[cid] for cid, _ in ordered])
     return avg
-
-
-def _weighted_mean_into(outs: list[np.ndarray], vecs: list[np.ndarray],
-                        weights: list[float], scratch) -> None:
-    """Write sum(w * vec) / sum(w), accumulated from zero in the order
-    given, into every vector of `outs`, chunk by chunk through `scratch`
-    (`nn.chunk_scratch` of the vectors' size). `outs` may be `vecs`
-    themselves: a chunk is written only after all of it is read.
-
-    Equal vectors short-circuit to the first one's bits: a weighted mean
-    of equal values must be bit-equal to them."""
-    if all(np.array_equal(vec, vecs[0]) for vec in vecs[1:]):
-        for out in outs:
-            out[...] = vecs[0]
-        return
-    total = sum(weights)
-    for lo in range(0, vecs[0].size, nn.CHUNK):
-        s = slice(lo, lo + nn.CHUNK)
-        n = vecs[0][s].size
-        acc, tmp = scratch[0][:n], scratch[1][:n]
-        acc.fill(0.0)
-        for w, vec in zip(weights, vecs):
-            acc += np.multiply(w, vec[s], out=tmp)
-        acc /= total
-        for out in outs:
-            out[s] = acc
 
 
 # --- message plumbing -----------------------------------------------------
@@ -389,12 +357,10 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
 
 def _average_bodies(clients, server: ServerState) -> None:
     """Every body replica becomes `average_models` of them all, bit for
-    bit, written in place. The replicas' shared Adam scratch is idle
-    between rounds, so the mean goes through it."""
+    bit, written in place."""
     ids = sorted(clients)
     vecs = [server.bodies[cid].flat for cid in ids]
-    _weighted_mean_into(vecs, vecs, [float(clients[cid].sample_count) for cid in ids],
-                        server.opts[ids[0]].scratch)
+    nn.weighted_mean_into(vecs, vecs, [float(clients[cid].sample_count) for cid in ids])
 
 
 def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:

@@ -318,6 +318,38 @@ def test_label_privacy_over_drawn_configs():
           f"records; vanilla: one per training batch, {sum(runs)} in all)")
 
 
+def test_channel_sequences_over_drawn_configs():
+    """Under all five protocols, each split protocol under both splits
+    (FL has none), at drawn shapes, 1-4 clients of drawn training counts
+    and a drawn order: every channel's (type, round, seq, bytes) sequence
+    in the bus log is the closed form built from batch counts and
+    segment sizes (`test_protocols.expected_channels`)."""
+    runs = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=training_shapes(), counts=st.lists(st.integers(2, 40), min_size=1, max_size=4),
+           data=st.data())
+    def check(shape, counts, data):
+        manifest = datagen.PartitionManifest(tuple(counts), (10,) * len(counts),
+                                             (10,) * len(counts))
+        datasets = datagen.generate_clients(manifest, d=shape["widths"][0], seed=shape["seed"])
+        order = tuple(data.draw(st.permutations(range(len(counts)))))
+        for protocol, kind in SPLIT_RUNS:
+            _, log = _train(shape, protocol, kind, datasets, order)
+            expected = tp.expected_channels(
+                protocol, kind, dict(enumerate(counts)), shape["widths"],
+                None if protocol == FL else shape["cuts"][kind], shape["batch_size"],
+                shape["epochs"])
+            assert tp.observed_channels(log) == expected, (protocol, kind)
+            runs.append((protocol, kind, len(log)))
+
+    check()
+    assert {run[:2] for run in runs} == set(SPLIT_RUNS)
+    print(f"channel sequences over drawn configs: PASS ({len(runs)} runs, "
+          f"{sum(run[2] for run in runs)} records, each channel's sequence equal to its "
+          "closed form)")
+
+
 def test_fl_equals_sfv1():
     """FL and SFv1 give the same result bit for bit: Adam and the averages
     are elementwise, and SFv1's segments run the composed model's layers

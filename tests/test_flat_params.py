@@ -135,15 +135,13 @@ def test_average_bit_equals_per_array_reference(widths, n, data):
 
 
 def replicas(vectors):
-    """Body replicas over aligned copies of vectors, with Adam states
-    that share one scratch pair, as `make_clients` deals them."""
+    """Body replicas over aligned copies of vectors, with their Adam
+    states, as `make_clients` deals them."""
     layers = [nn.DenseLayer(np.zeros((1, vectors[0].size - 1)), np.zeros(1))]
-    bodies, opts, scratch = {}, {}, None
-    for cid, vec in enumerate(vectors):
-        bodies[cid] = nn.SequentialModel(layers, nn.aligned_copy(vec))
-        opts[cid] = nn.AdamState.for_params(bodies[cid].flat, scratch=scratch)
-        scratch = opts[cid].scratch
-    return protocols.ServerState(bodies, opts)
+    bodies = {cid: nn.SequentialModel(layers, nn.aligned_copy(vec))
+              for cid, vec in enumerate(vectors)}
+    return protocols.ServerState(bodies, {cid: nn.AdamState.for_params(body.flat)
+                                          for cid, body in bodies.items()})
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,6 +203,38 @@ def test_fused_adam_equals_two_separate_steps(front, tail, seed, steps, lr):
     assert fused.tobytes() == np.concatenate(parts).tobytes()
     assert fused_state.m.tobytes() == np.concatenate([s.m for s in states]).tobytes()
     assert fused_state.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
+
+
+def test_passes_of_different_sizes_share_the_scratch_pair():
+    """A 153-element Adam step, a 2 * CHUNK + 9 weighted mean, then the
+    step and the mean again, back to back through the one scratch pair
+    (which the mean grows to a chunk, and every pass leaves dirty): each
+    result is bit-equal to the same pass run alone, on a fresh pair."""
+    rng = np.random.default_rng(0)
+    params, grads = rng.normal(size=153), rng.normal(size=153)
+    vecs = [rng.normal(size=2 * nn.CHUNK + 9) for _ in range(3)]
+    weights = [182.0, 377.0, 115.0]
+
+    def step():
+        p, state = params.copy(), nn.AdamState.for_params(params, lr=1e-3)
+        nn.adam_step(p, grads, state)
+        return p.tobytes() + state.m.tobytes() + state.v.tobytes()
+
+    def mean():
+        (out,) = nn.vectors(vecs[0].size)
+        nn.weighted_mean_into([out], vecs, weights)
+        return out.tobytes()
+
+    alone = []
+    for run in (step, mean, step, mean):
+        nn._SCRATCH.clear()
+        alone.append(run())
+    nn._SCRATCH.clear()
+    assert [step(), mean(), step(), mean()] == alone
+    assert max(nn._SCRATCH) == nn.CHUNK
+    # every length's views are the leading part of one pair
+    starts = {(t1.ctypes.data, t2.ctypes.data) for t1, t2 in nn._SCRATCH.values()}
+    assert len(starts) == 1
 
 
 @settings(max_examples=40, deadline=None)

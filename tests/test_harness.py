@@ -56,8 +56,10 @@ class TestConfig:
             (), (2,), (2, 3, 4, 5)]
 
     def test_probe_out_of_range(self):
+        # the probe is checked against a run's clients, which FAST's are 0 and 1
+        replace(FAST, probe=2).validate()
         with pytest.raises(ConfigurationError):
-            replace(FAST, probe=2).validate()
+            run_experiment(replace(FAST, probe=2))
 
     def test_vanilla_split_has_empty_tail(self):
         cfg = replace(FAST, split_kind="vanilla")
@@ -414,6 +416,18 @@ class TestRunExperiment:
             plain.per_client[cid] for cid in (0, 1, 2)]
         assert relabelled.val_losses == plain.val_losses
 
+    def test_probe_is_checked_against_the_clients_without_an_order(self):
+        # no order: the clients 1, 3 and 4 train ascending, and probe 3,
+        # one of them, is accepted; they train as clients 0-2 do on the
+        # same data
+        cfg = ExperimentConfig(epochs=1, n_clients=3, lr=1e-3)
+        relabelled = run_experiment(replace(cfg, probe=3), self._clients_with_ids((1, 3, 4)))
+        plain = run_experiment(cfg, self._clients_with_ids((0, 1, 2)))
+        assert relabelled.config.order == (1, 3, 4)
+        assert [relabelled.per_client[cid] for cid in (1, 3, 4)] == [
+            plain.per_client[cid] for cid in (0, 1, 2)]
+        assert relabelled.val_losses == plain.val_losses
+
     def test_label_accounting_vanilla_vs_ushaped(self):
         u = run_experiment(FAST)
         v = run_experiment(replace(FAST, split_kind="vanilla"))
@@ -491,6 +505,30 @@ class TestSweeps:
     def test_client_count_sweep_needs_two_clients(self):
         with pytest.raises(ConfigurationError):
             sweep_client_count(replace(FAST, n_clients=1))
+
+    @staticmethod
+    def _no_training(monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "_train_ahead", no_training)
+
+    def test_row_probe_not_a_client_rejected_before_training(self, monkeypatch):
+        self._no_training(monkeypatch)
+        with pytest.raises(ConfigurationError,
+                           match=r"^probe 7 is not one of the clients \[0, 1, 2\]$"):
+            next(sweep(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3), [0], "probe", [7]))
+
+    def test_row_of_one_client_rejected_before_training(self, monkeypatch):
+        self._no_training(monkeypatch)
+        with pytest.raises(ConfigurationError, match="^a sweep needs at least 2 clients$"):
+            next(sweep(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3), [0], "n_clients", [1]))
+
+    def test_row_beyond_the_seeds_clients_rejected_before_training(self, monkeypatch):
+        # the seed's data holds the base config's 3 clients, not a 4-client row
+        self._no_training(monkeypatch)
+        with pytest.raises(ConfigurationError, match=r"too few clients \(3 for n_clients 4\)"):
+            next(sweep(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3), [0], "n_clients", [4]))
 
 
 def _recording_runs(monkeypatch):
@@ -933,6 +971,24 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["sweep-clients", "--config", str(cfg), "--probe", "3",
                          "--out", str(out)]) == 0
+
+    # sweep-order without --probe sweeps every client, whatever the file's probe
+    @pytest.mark.parametrize("command", [["run"], ["sweep-order", "--probe", "7"],
+                                         ["sweep-clients"]])
+    def test_probe_not_a_client_exits_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("probe = 7\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "make_clients", no_training)
+        out = tmp_path / "out"
+        assert cli.main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: probe 7 is not one of the clients [0, 1, 2, 3, 4]\n")
+        assert not out.exists()
 
     def test_gen_data(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -48,6 +48,62 @@ def centralized_training(dataset, seed, epochs, lr=LR, batch=BATCH, widths=WIDTH
     return model
 
 
+def expected_channels(protocol, kind, counts, widths, cuts, batch, rounds):
+    """Every channel's (type, round, seq, bytes) sequence in closed form,
+    keyed by (sender, receiver): `rounds` rounds of clients with
+    `counts[cid]` training samples, in batches of `batch`, a model of
+    `widths` cut at `cuts` (None under FL). A batch's frames follow from
+    its size and the cut widths; at round end, FL, SFv1 and SFv2 send
+    each client segment (the whole model under FL; front, and tail if it
+    holds a layer) up and its average back down."""
+    n_layers = len(widths) - 1
+
+    def frame(*shape):
+        return transport.HEADER_LEN + 4 * len(shape) + 8 * math.prod(shape)
+
+    def params(lo, hi):  # the parameter count of layers lo..hi-1
+        return sum(widths[i] * widths[i + 1] + widths[i + 1] for i in range(lo, hi))
+
+    if protocol == FL:
+        segments = [params(0, n_layers)]
+    else:
+        segments = [params(0, cuts[0])] + ([params(cuts[1], n_layers)]
+                                           if cuts[1] < n_layers else [])
+    expected = {}
+    for rnd in range(rounds):
+        for cid, n in counts.items():
+            up = (protocols.wire_id(cid), SERVER)
+            down = up[::-1]
+
+            def add(channel, msg_type, nbytes):
+                expected.setdefault(channel, []).append((msg_type, rnd, nbytes))
+
+            for b in ([] if protocol == FL else [min(batch, n - lo) for lo in range(0, n, batch)]):
+                add(up, MsgType.SMASHED_ACTIVATIONS, frame(b, widths[cuts[0]]))
+                if kind == VANILLA:
+                    add(up, MsgType.LABELS, frame(b))
+                else:
+                    add(down, MsgType.BODY_OUTPUT, frame(b, widths[cuts[1]]))
+                    add(up, MsgType.BODY_OUTPUT_GRAD, frame(b, widths[cuts[1]]))
+                add(down, MsgType.SMASHED_GRAD, frame(b, widths[cuts[0]]))
+            if protocol in (FL, SFV1, SFV2):  # segments averaged at round end
+                for size in segments:
+                    add(up, MsgType.PARAM_BLOB, frame(size))
+                    add(down, MsgType.PARAM_BLOB, frame(size))
+    return {channel: [(t, rnd, seq, nbytes) for seq, (t, rnd, nbytes) in enumerate(msgs)]
+            for channel, msgs in expected.items()}
+
+
+def observed_channels(log):
+    """Every channel's (type, round, seq, bytes) sequence in a bus log,
+    keyed by (sender, receiver)."""
+    observed = {}
+    for rec in log:
+        observed.setdefault((rec.sender, rec.receiver), []).append(
+            (rec.msg_type, rec.round, rec.seq, rec.nbytes))
+    return observed
+
+
 def scalar_model(value):
     return nn.SequentialModel([nn.DenseLayer([[value]], [0.0], "linear")])
 
@@ -184,19 +240,19 @@ class TestAlignedVectors:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_training_vectors_start_on_a_cache_line(self, protocol, kind):
         """Every client's and body's parameter and gradient vector and
-        Adam moments and scratch start on a 64-byte line, and rounds
-        (averaging included) write into the same vectors."""
+        Adam moments, and the scratch pair, start on a 64-byte line, and
+        rounds (averaging included) write into the same vectors."""
         _, _, clients, server = make_setup(3, protocol, kind, seed=0)
         owners = [(c.flat, c.grad, c.opt) for c in clients.values()]
         owners += [(server.bodies[cid].flat, server.bodies[cid].grad, server.opts[cid])
                    for cid in server.bodies]
         assert len(server.bodies) == (0 if protocol == FL else 3)
-        vectors = [v for flat, grad, opt in owners
-                   for v in (flat, grad, opt.m, opt.v, *opt.scratch)]
+        vectors = [v for flat, grad, opt in owners for v in (flat, grad, opt.m, opt.v)]
         assert all(v.ctypes.data % 64 == 0 for v in vectors)
 
         kept = [(flat, grad, opt.m, opt.v) for flat, grad, opt in owners]
         run_rounds(protocol, clients, server, (2, 0, 1), 2)
+        assert all(v.ctypes.data % 64 == 0 for pair in nn._SCRATCH.values() for v in pair)
         now = [(c.flat, c.grad, c.opt.m, c.opt.v) for c in clients.values()]
         now += [(server.bodies[cid].flat, server.bodies[cid].grad,
                  server.opts[cid].m, server.opts[cid].v) for cid in server.bodies]
@@ -227,49 +283,12 @@ class TestMessageSequences:
     def test_channel_sequences(self, protocol, kind):
         """Every channel's exact (type, round, seq, bytes) sequence over
         two rounds of two clients, from batch counts and segment sizes."""
-        datasets, model, clients, server = make_setup(2, protocol, kind)
+        datasets, _, clients, server = make_setup(2, protocol, kind)
         bus = run_rounds(protocol, clients, server, (1, 0), 2)
-
-        def frame(*shape):
-            return transport.HEADER_LEN + 4 * len(shape) + 8 * math.prod(shape)
-
-        if protocol == FL:
-            segments = [model.flat.size]
-        else:
-            seg = split_model(model, *(SPLIT_VANILLA if kind == VANILLA else SPLIT))
-            segments = [part.flat.size for part in (seg.front, seg.tail) if part.layers]
-        cut_w = WIDTHS[SPLIT[0]]       # front output, body input
-        body_w = WIDTHS[SPLIT[1]]      # u-shaped body output
-        expected = {}
-        for rnd in range(2):
-            for ds in datasets:
-                up = (protocols.wire_id(ds.client_id), SERVER)
-                down = up[::-1]
-
-                def add(channel, msg_type, nbytes):
-                    expected.setdefault(channel, []).append((msg_type, rnd, nbytes))
-
-                n = ds.sample_count
-                for b in ([] if protocol == FL else
-                          [min(BATCH, n - lo) for lo in range(0, n, BATCH)]):
-                    add(up, MsgType.SMASHED_ACTIVATIONS, frame(b, cut_w))
-                    if kind == VANILLA:
-                        add(up, MsgType.LABELS, frame(b))
-                    else:
-                        add(down, MsgType.BODY_OUTPUT, frame(b, body_w))
-                        add(up, MsgType.BODY_OUTPUT_GRAD, frame(b, body_w))
-                    add(down, MsgType.SMASHED_GRAD, frame(b, cut_w))
-                if protocol in (FL, SFV1, SFV2):  # segments averaged at round end
-                    for size in segments:
-                        add(up, MsgType.PARAM_BLOB, frame(size))
-                        add(down, MsgType.PARAM_BLOB, frame(size))
-        observed = {}
-        for rec in bus.log:
-            observed.setdefault((rec.sender, rec.receiver), []).append(
-                (rec.msg_type, rec.round, rec.seq, rec.nbytes))
-        assert observed == {
-            channel: [(t, rnd, seq, nbytes) for seq, (t, rnd, nbytes) in enumerate(msgs)]
-            for channel, msgs in expected.items()}
+        cuts = None if protocol == FL else (SPLIT_VANILLA if kind == VANILLA else SPLIT)
+        counts = {ds.client_id: ds.sample_count for ds in datasets}
+        assert observed_channels(bus.log) == expected_channels(
+            protocol, kind, counts, WIDTHS, cuts, BATCH, 2)
 
     def test_out_of_order_message_rejected(self):
         _, model, clients, server = make_setup(1, SL)
