@@ -185,7 +185,7 @@ def _predict(clients, server: ServerState, datasets: dict[int, ClientDataset],
     probs = {}
     for cid in sorted(clients):
         x = datasets[cid].split(split)[0]
-        for part in (clients[cid].front, server.bodies.get(cid), clients[cid].tail):
+        for part in (clients[cid].front, server.body, clients[cid].tail):
             if part is not None and part.layers:
                 x, _ = forward(part, x)
         probs[cid] = x
@@ -369,14 +369,16 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
     its calls: `{run key: result}` for `run_experiment(..., store=)`.
 
     Equal runs (the same `_run_key`) train once. The distinct runs split
-    into groups that share no work, by their config (seed included) and
-    the first client of the order they train in: equal runs and runs that
-    share a round-0 prefix start with the same client. Each group trains
-    through `_train_group`, in forked workers (`_pool`), handed out in
-    call order as workers come free, or else in-process, one after
-    another. That order starts each seed with its costliest group: the
-    group of an order sweep's first run holds one distinct run per client
-    but one, the others one or two.
+    into groups that share no work. Against a shared body (SL, SFv2) a
+    group is a config (seed included) and the first client of the order
+    its runs train in, as runs that share a round-0 prefix start with the
+    same client (`protocols.TurnStates`); otherwise (FL, SFv1, SFv3) each
+    run is its own group. Each group trains through `_train_group`, in
+    forked workers (`_pool`), handed out in call order as workers come
+    free, or else in-process, one after another. That order starts each
+    seed with its costliest group: the group of an SL order sweep's
+    first run holds one distinct run per client but one, the others one
+    or two.
 
     A group that raised, or whose worker died, is left out: its calls
     train it again, so a sweep raises the error of its first failing run
@@ -384,7 +386,8 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
     groups: dict[tuple, dict[tuple, tuple]] = {}
     for cfg, datasets in runs:
         key = _run_key(cfg, cfg.order)
-        groups.setdefault((key[0], key[1][0]), {}).setdefault(key, (cfg, datasets))
+        group = (key[0], key[1][0]) if SPECS[cfg.protocol].shared_body else key
+        groups.setdefault(group, {}).setdefault(key, (cfg, datasets))
     groups = [list(group.values()) for group in groups.values()]
     pool = _pool(len(groups))
     if pool is None:
@@ -463,7 +466,10 @@ def sweep(config: ExperimentConfig, seeds, field: str, values,
     different seeds share no work, as a run's key holds its seed). The
     tables are then made lazily, seed by seed, and each `run_experiment`
     call returns its result trained ahead; a failing run raises when its
-    seed's table is asked for."""
+    seed's table is asked for. Any other field raises ConfigurationError
+    before any data is made."""
+    if field not in ROW_KEYS:
+        raise ConfigurationError(f"a sweep varies one of {sorted(ROW_KEYS)}, not {field!r}")
     if config.n_clients < 2:
         raise ConfigurationError("a sweep needs at least 2 clients")
     values, rows = tuple(values), []

@@ -11,25 +11,37 @@ slices of their parent's vector, so training a segment trains the parent.
 buffer, so one `adam_step` updates them all.
 
 Alignment: every long-lived training vector (a model's own vector, a
-packed vector and its gradient buffer, Adam's moments, the scratch pair)
-comes from `vectors`, which starts each one on a 64-byte cache line.
-numpy's own large allocations start 16 bytes past one, and a cheap
-elementwise pass that writes into such a vector runs about half as fast:
-a multiply into 8,192 in-cache elements took 0.68 ns per element against
-0.35 into an aligned vector (a divide, 0.85 either way; 2-vCPU Xeon VM).
-Adam is fourteen such passes.
+packed vector and its gradient buffer, Adam's moments, the server's body
+replicas, the scratch pair) comes from `vectors`, which starts each one
+on a 64-byte cache line. numpy's own large allocations start 16 bytes past
+one, and a cheap elementwise pass that writes into such a vector runs
+about half as fast: a multiply into 8,192 in-cache elements took 0.68 ns
+per element against 0.35 into an aligned vector (a divide, 0.85 either
+way; 2-vCPU Xeon VM). Adam is fourteen such passes.
+
+Memory: a block of `vectors` of at least MAP_MIN bytes (glibc's default
+mmap threshold) is its own private anonymous mapping, page-aligned,
+zeroed by the kernel and unmapped when its last view goes, so the
+process's resident memory follows the training state that is alive.
+From the heap, such a block's pages stay resident once it is freed:
+glibc raises its mmap threshold to a freed mapped block's size, and
+later blocks of that size come from the heap. The mapping is private
+(`MAP_PRIVATE`), not Python's default `MAP_SHARED`: a sweep's forked
+worker gets copy-on-write pages, so its training never writes into the
+parent's vectors.
 
 What mutates: `backward` writes the gradients into the model's gradient
 buffer, `model.grad` (laid out like `flat`, allocated on the first call
 and reused by every later one), and returns that buffer: a caller
 consumes it before the next `backward` on the same model. `adam_step`
-updates the parameter vector and optimizer state it is handed,
-`weighted_mean_into` the vectors it is handed, and `unflatten_params`
-overwrites a model's vector. Both chunked passes put their temporaries
-in this module's one scratch pair (`_SCRATCH`): the process is
-single-threaded and neither pass runs inside another, so no two passes
-use it at once, and a forked worker writes its own copy. Everything else
-is pure; `clone` and `flatten_params` return copies.
+updates the parameter vector and optimizer state it is handed, a
+`WeightedMean` the vector it sums into and the vector it writes the mean
+to, and `unflatten_params` overwrites a model's vector. The chunked
+passes (Adam steps and weighted means) put their temporaries in this
+module's one scratch pair (`_SCRATCH`): the process is single-threaded
+and no pass runs inside another, so no two passes use it at once, and a
+forked worker writes its own copy. Everything else is pure; `clone` and
+`flatten_params` return copies.
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ CHUNK = 16_384
 
 ALIGN = 64  # bytes: one cache line
 
+MAP_MIN = 128 * 1024  # bytes: a block this large is its own mapping (glibc's default threshold)
+
 
 class ShapeError(ValueError):
     """Input rejected because its shape does not match the model."""
@@ -70,12 +84,22 @@ class StateError(ValueError):
 def vectors(*sizes: int) -> list[np.ndarray]:
     """Zeroed float64 vectors of the given sizes, each starting on an
     ALIGN-byte boundary, carved from one block: a vector's owner is the
-    block, not the vector. One block per call pays for one address query
-    (about 0.5 us) however many vectors it holds."""
+    block, not the vector. A block of at least MAP_MIN bytes is a private
+    anonymous mapping, page-aligned; a smaller one comes from numpy and
+    pays for one address query (about 0.5 us) however many vectors it
+    holds."""
     per_line = ALIGN // 8
     widths = [-(-n // per_line) * per_line for n in sizes]
-    block = np.zeros(sum(widths) + per_line)
-    lo = -ctypes.addressof(ctypes.c_char.from_buffer(block)) % ALIGN // 8
+    if 8 * sum(widths) >= MAP_MIN:
+        # imported here, not at the top: at the top it raised the bias
+        # sweeps' peak RSS by about 0.07 MB, and they map no block
+        import mmap
+
+        block = np.frombuffer(mmap.mmap(-1, 8 * sum(widths), flags=mmap.MAP_PRIVATE))
+        lo = 0
+    else:
+        block = np.zeros(sum(widths) + per_line)
+        lo = -ctypes.addressof(ctypes.c_char.from_buffer(block)) % ALIGN // 8
     out = []
     for n, width in zip(sizes, widths):
         out.append(block[lo:lo + n])
@@ -411,29 +435,59 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         np.subtract(p, t1, p)
 
 
-def weighted_mean_into(outs: list[np.ndarray], vecs: list[np.ndarray],
-                       weights: list[float]) -> None:
-    """Write sum(w * vec) / sum(w), accumulated from zero in the order
-    given, into every vector of `outs`, chunk by chunk through the
-    scratch pair. `outs` may be `vecs` themselves: a chunk is written
-    only after all of it is read.
+def _chunks(vec: np.ndarray) -> list[np.ndarray]:
+    return [vec[lo:lo + CHUNK] for lo in range(0, vec.size, CHUNK)]
 
-    Equal vectors short-circuit to the first one's bits: a weighted mean
-    of equal values must be bit-equal to them."""
-    if all(np.array_equal(vec, vecs[0]) for vec in vecs[1:]):
-        for out in outs:
-            out[...] = vecs[0]
-        return
-    total = sum(weights)
-    for lo in range(0, vecs[0].size, CHUNK):
-        s = slice(lo, lo + CHUNK)
-        acc, tmp = _SCRATCH[vecs[0][s].size]
-        acc.fill(0.0)
-        for w, vec in zip(weights, vecs):
-            acc += np.multiply(w, vec[s], out=tmp)
-        acc /= total
-        for out in outs:
-            out[s] = acc
+
+class WeightedMean:
+    """The weighted mean sum(w * vec) / sum(w) of vectors added one at a
+    time, accumulated from zero in the order added: per element,
+    ((0.0 + w1 v1) + w2 v2 + ...) / sum(w), chunk by chunk through the
+    scratch pair.
+
+    `acc` holds the first vector, of weight `weight`. It stays that
+    vector while every vector added equals it, so that equal vectors
+    give the first one's bits (a weighted mean of equal values must be
+    bit-equal to them), and becomes the running sum at the first vector
+    that differs. The equal vectors before it are summed as copies of
+    the first: they can differ from it only in the signs of zeros, which
+    a sum from 0.0 cannot tell apart."""
+
+    def __init__(self, acc: np.ndarray, weight: float):
+        self.acc, self.weights, self.summing = acc, [weight], False
+
+    def add(self, vec: np.ndarray, weight: float) -> None:
+        if not self.summing and not np.array_equal(vec, self.acc):
+            self.summing = True
+            for acc in _chunks(self.acc):
+                summed, tmp = _SCRATCH[acc.size]
+                summed.fill(0.0)
+                for w in self.weights:
+                    summed += np.multiply(w, acc, out=tmp)
+                acc[...] = summed
+        if self.summing:
+            for acc, v in zip(_chunks(self.acc), _chunks(vec)):
+                acc += np.multiply(weight, v, out=_SCRATCH[acc.size][1])
+        self.weights.append(weight)
+
+    def into(self, out: np.ndarray) -> None:
+        """Write the mean into out, which may be `acc` or any vector
+        added."""
+        if self.summing:
+            np.divide(self.acc, sum(self.weights), out)
+        elif out is not self.acc:
+            out[...] = self.acc
+
+
+def weighted_mean_into(out: np.ndarray, vecs: list[np.ndarray],
+                       weights: list[float]) -> None:
+    """Write the `WeightedMean` of `vecs` into `out`, which may be
+    `vecs[0]` but no other of them."""
+    out[...] = vecs[0]
+    mean = WeightedMean(out, weights[0])
+    for vec, w in zip(vecs[1:], weights[1:]):
+        mean.add(vec, w)
+    mean.into(out)
 
 
 def flatten_params(model: SequentialModel) -> np.ndarray:

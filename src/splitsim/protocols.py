@@ -2,9 +2,9 @@
 
 Each protocol is a row of `SPECS`, after how SplitFed (Thapa et al.,
 arXiv 2004.12088) defines v1 and v2 against SL and FedAvg: whether the
-model is cut around a server body, whether each client trains against
-its own body replica or all share one, and what is averaged at round
-end. `run_round` reads the row.
+model is cut around a server body, whether each client trains its own
+replica of the round's starting body or all train the body in turn, and
+what is averaged at round end. `run_round` reads the row.
 
 All traffic goes through a ChannelBus; activations, gradients, labels
 (vanilla only) and parameter blobs genuinely transit the binary codec.
@@ -13,10 +13,17 @@ body (FL, SFv1, SFv3) clients run in ascending client id whatever the
 given order, and all averaging accumulates in ascending client id, so
 "order invariance" is a bit-exact property, not an approximate one.
 
-Server-side optimizer state: the single shared body of SL/SFv2 carries
-its Adam moments across clients and rounds (it is one continuously
-trained model). Per-replica states in SFv1/SFv3 are local to their
-replica and never averaged; they persist across rounds.
+Server state: every split protocol has one server body. Under SL/SFv2
+it is one continuously trained model, and its one Adam state carries
+across clients and rounds. Under SFv1/SFv3 each client keeps its own
+body Adam state, never averaged, across rounds; each turn trains a
+replica that starts from the round's starting body, and the replicas'
+sample-weighted mean, summed as the turns end (`nn.WeightedMean`),
+becomes the body at round end. The turns run one after another, so a
+run holds at most three body vectors, and no more than it has clients:
+the body, which the last client trains in place, the first client's
+replica, which becomes the mean's running sum, and one replica that
+every client between trains in turn.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ SFV3 = "sfv3"
 @dataclass(frozen=True)
 class ProtocolSpec:
     split: bool             # cut around a server body (False: FL trains the whole model locally)
-    replicas: bool          # a body replica per client, averaged at round end; else one body
+    replicas: bool          # each client trains a replica of the round's body, and their mean
+                            # becomes the body at round end; else clients train the body in turn
     average_segments: bool  # client segments go up as ParamBlobs, are averaged, come back down
 
     @property
@@ -108,12 +116,16 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """Each client id's server body and its optimizer: the same objects
-    for every client under SL/SFv2, one replica per client under
-    SFv1/SFv3, empty under FL."""
+    """The server body (None under FL) and each client id's Adam state
+    for it: one state for every client under SL/SFv2, one per client
+    under SFv1/SFv3. `replicas` (SFv1/SFv3 with 2 or more clients) are
+    the models the turns before the last train, over the body's layers
+    and gradient buffer: the first client's, then one for every client
+    between."""
 
-    bodies: dict[int, SequentialModel] = field(default_factory=dict)
+    body: SequentialModel | None = None
     opts: dict[int, AdamState] = field(default_factory=dict)
+    replicas: list[SequentialModel] = field(default_factory=list)
 
 
 def iter_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
@@ -125,8 +137,8 @@ def iter_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
 def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol: str,
                  cuts: tuple[int, int] | None, lr: float) -> tuple[dict[int, ClientState], ServerState]:
     """Deal out per-client segments (or full copies for FL, where `cuts`
-    is None) from one freshly initialized model, and the server bodies
-    `SPECS[protocol]` asks for; every client and every replica starts
+    is None) from one freshly initialized model, and the server body and
+    replicas `SPECS[protocol]` asks for; every client starts
     bit-identical. `cuts` is `(front_cut, tail_cut)`, as
     `ExperimentConfig.split_config` returns it."""
     clients = {}
@@ -141,20 +153,18 @@ def make_clients(datasets: list[ClientDataset], model: SequentialModel, protocol
             opt=AdamState.for_params(flat, lr=lr), dataset=ds)
     if seg is None:
         return clients, server
-    # the body replicas train one at a time, so they share one gradient
-    # buffer; no participant owns temporaries: every Adam step and mean
-    # writes them into the one pair `nn` keeps for the process
-    (body_grad,) = nn.vectors(seg.body.flat.size)
+    # the body and its replicas train one at a time, so they share one
+    # gradient buffer; no participant owns temporaries: every Adam step
+    # and mean writes them into the one pair `nn` keeps for the process
+    size = seg.body.flat.size
+    (body_grad,) = nn.vectors(size)
+    server.body = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat), body_grad)
     if SPECS[protocol].replicas:
-        for cid in clients:
-            server.bodies[cid] = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat),
-                                                 body_grad)
-            server.opts[cid] = AdamState.for_params(server.bodies[cid].flat, lr=lr)
+        server.opts = {cid: AdamState.for_params(server.body.flat, lr=lr) for cid in clients}
+        server.replicas = [SequentialModel(seg.body.layers, vec, body_grad)
+                           for vec in nn.vectors(*[size] * min(2, len(clients) - 1))]
     else:
-        body = SequentialModel(seg.body.layers, nn.aligned_copy(seg.body.flat), body_grad)
-        opt = AdamState.for_params(body.flat, lr=lr)
-        server.bodies = dict.fromkeys(clients, body)
-        server.opts = dict.fromkeys(clients, opt)
+        server.opts = dict.fromkeys(clients, AdamState.for_params(server.body.flat, lr=lr))
     return clients, server
 
 
@@ -178,7 +188,7 @@ def average_models(models: list[tuple[int, SequentialModel]],
     if any([layer.weights.shape for layer in m.layers] != shapes for _, m in ordered[1:]):
         raise nn.ShapeError("models structurally different")
     avg = SequentialModel(first.layers, nn.vectors(first.flat.size)[0])
-    nn.weighted_mean_into([avg.flat], [m.flat for _, m in ordered],
+    nn.weighted_mean_into(avg.flat, [m.flat for _, m in ordered],
                           [weights[cid] for cid, _ in ordered])
     return avg
 
@@ -299,7 +309,7 @@ class TurnStates:
                     del self.states[prefix]
                 for cid, saved in zip(prefix, saved_clients):
                     _put_params(saved, clients[cid].flat, clients[cid].opt)
-                _put_params(body, server.bodies[order[0]].flat, server.opts[order[0]])
+                _put_params(body, server.body.flat, server.opts[order[0]])
                 bus.restore_log(log)
                 return k
         return 0
@@ -311,7 +321,7 @@ class TurnStates:
         if self.uses[prefix] > 0 and prefix not in self.states:
             self.states[prefix] = (
                 [_copy_params(clients[cid].flat, clients[cid].opt) for cid in prefix],
-                _copy_params(server.bodies[prefix[0]].flat, server.opts[prefix[0]]),
+                _copy_params(server.body.flat, server.opts[prefix[0]]),
                 list(bus.log))
 
 
@@ -324,8 +334,10 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
     a permutation of the clients' ids (`harness.run_experiment` checks it).
 
     Clients train one after another, in the row's `training_order` of
-    `order`. Then the body replicas and the client segments are averaged
-    as the row says.
+    `order`. With replicas, each turn trains a replica of the round's
+    starting body (`ServerState`), and the mean of the replicas, summed
+    as the turns end, becomes the body. Then the client segments are
+    averaged if the row says so.
 
     `turns` (round 0 against a shared body only) holds the states other
     runs reached after the first turns of this round: the longest one
@@ -338,29 +350,30 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
         if rnd != 0 or not spec.shared_body:
             raise PlanError("turn states exist only for round 0 against a shared body")
         done = turns.restore(order, clients, server, bus)
+    mean = None
     for k in range(done, len(order)):
         client = clients[order[k]]
+        body = server.body
+        if spec.replicas and k + 1 < len(order):
+            body = server.replicas[min(k, 1)]
+            body.flat[...] = server.body.flat
         for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,
                                    batch_size):
             if spec.split:
-                _train_batch_split(client, server.bodies[client.id], server.opts[client.id],
-                                   xb, yb, bus, rnd)
+                _train_batch_split(client, body, server.opts[client.id], xb, yb, bus, rnd)
             else:
                 _train_batch_local(client, xb, yb)
+        if spec.replicas:
+            if mean is None:
+                mean = nn.WeightedMean(body.flat, float(client.sample_count))
+            else:
+                mean.add(body.flat, float(client.sample_count))
         if turns is not None:
             turns.offer(order[:k + 1], clients, server, bus)
     if spec.replicas:
-        _average_bodies(clients, server)
+        mean.into(server.body.flat)
     if spec.average_segments:
         _average_client_segments(clients, bus, rnd)
-
-
-def _average_bodies(clients, server: ServerState) -> None:
-    """Every body replica becomes `average_models` of them all, bit for
-    bit, written in place."""
-    ids = sorted(clients)
-    vecs = [server.bodies[cid].flat for cid in ids]
-    nn.weighted_mean_into(vecs, vecs, [float(clients[cid].sample_count) for cid in ids])
 
 
 def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:

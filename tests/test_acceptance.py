@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitsim import datagen, harness, nn
+from splitsim import datagen, harness, nn, protocols
 from splitsim.harness import DivergenceError, ExperimentConfig, run_experiment
 from splitsim.metrics import (ConfusionCounts, MetricError, auprc, cohen_kappa, f1,
                               percent_drop)
@@ -129,7 +129,7 @@ def test_single_client_equals_centralized():
     for protocol, kind in cases:
         datasets, model, clients, server = make_setup(1, protocol, kind, seed=11)
         run_rounds(protocol, clients, server, (0,), 3)
-        final = composed_model(clients[0], server.bodies.get(0))
+        final = composed_model(clients[0], server.body)
         ref = centralized_training(datasets[0], seed=11, epochs=3)
         assert models_equal(final, ref), f"{protocol}/{kind} diverged"
     print("single-client equivalence: PASS (6 protocol variants bit-identical "
@@ -166,7 +166,7 @@ def _train(shape, protocol, kind, datasets, order):
     bus = ChannelBus()
     for rnd in range(shape["epochs"]):
         run_round(clients, server, protocol, order, rnd, bus, shape["batch_size"])
-    return ({cid: composed_model(clients[cid], server.bodies.get(cid)).flat.tobytes()
+    return ({cid: composed_model(clients[cid], server.body).flat.tobytes()
              for cid in clients}, bus.log)
 
 
@@ -220,6 +220,76 @@ def test_parallel_protocols_order_invariant_over_drawn_configs():
     check()
     print(f"parallel order invariance over drawn configs: PASS ({len(compared)} drawn orders "
           "equal to the ascending order in parameters and bus log)")
+
+
+def _replica_reference(shape, protocol, kind, datasets):
+    """The per-client-copy path a replica round follows: make_clients'
+    clients and per-client body Adam states, an explicit copy of the
+    starting body per client, each trained in ascending id, every copy
+    overwritten with their `nn.weighted_mean_into` at round end, then the
+    segments averaged if the row says so. Yields each client's composed
+    parameters and the bus log after every round."""
+    model = nn.init_model(list(shape["widths"]), shape["seed"])
+    clients, server = make_clients(datasets, model, protocol, shape["cuts"][kind], shape["lr"])
+    ids = sorted(clients)
+    bodies = {cid: nn.SequentialModel(server.body.layers, nn.aligned_copy(server.body.flat),
+                                      server.body.grad) for cid in ids}
+    bus = ChannelBus()
+    for rnd in range(shape["epochs"]):
+        for cid in ids:
+            ds = clients[cid].dataset
+            for xb, yb in protocols.iter_batches(ds.train_x, ds.train_y, shape["batch_size"]):
+                protocols._train_batch_split(clients[cid], bodies[cid], server.opts[cid],
+                                             xb, yb, bus, rnd)
+        (mean,) = nn.vectors(server.body.flat.size)
+        nn.weighted_mean_into(mean, [bodies[cid].flat for cid in ids],
+                              [float(clients[cid].sample_count) for cid in ids])
+        for body in bodies.values():
+            body.flat[...] = mean
+        if protocols.SPECS[protocol].average_segments:
+            protocols._average_client_segments(clients, bus, rnd)
+        yield ({cid: composed_model(clients[cid], bodies[cid]).flat.tobytes() for cid in ids},
+               list(bus.log))
+
+
+def test_replica_rounds_equal_per_client_copies_over_drawn_configs():
+    """Under SFv1 and SFv3, at drawn shapes, either split, 1-4 clients of
+    drawn training counts or one dataset dealt to every client: after
+    every round, each client's composed parameters and the bus log equal
+    the per-client-copy path's (`_replica_reference`) bit for bit."""
+    rounds, cohorts = [], set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(shape=training_shapes(), kind=st.sampled_from([VANILLA, U_SHAPED]),
+           counts=st.lists(st.integers(2, 40), min_size=1, max_size=4), identical=st.booleans())
+    @example(shape=dict(widths=(4, 6, 5, 3, 1), cuts={U_SHAPED: (1, 3), VANILLA: (1, 4)},
+                        batch_size=8, epochs=2, lr=3e-3, seed=1),
+             kind=U_SHAPED, counts=[30, 30, 30, 30], identical=True)
+    def check(shape, kind, counts, identical):
+        manifest = datagen.PartitionManifest(tuple(counts), (10,) * len(counts),
+                                             (10,) * len(counts))
+        datasets = datagen.generate_clients(manifest, d=shape["widths"][0], seed=shape["seed"])
+        if identical:
+            datasets = [replace(datasets[0], client_id=cid) for cid in range(len(datasets))]
+        cohorts.add((len(datasets), identical))
+        for protocol in (SFV1, SFV3):
+            model = nn.init_model(list(shape["widths"]), shape["seed"])
+            clients, server = make_clients(datasets, model, protocol, shape["cuts"][kind],
+                                           shape["lr"])
+            bus = ChannelBus()
+            reference = _replica_reference(shape, protocol, kind, datasets)
+            for rnd, (params, log) in enumerate(reference):
+                run_round(clients, server, protocol, tuple(sorted(clients)), rnd, bus,
+                          shape["batch_size"])
+                assert {cid: composed_model(clients[cid], server.body).flat.tobytes()
+                        for cid in clients} == params, (protocol, rnd)
+                assert bus.log == log, (protocol, rnd)
+                rounds.append(protocol)
+
+    check()
+    assert {(n, True) for n in range(2, 5)} <= cohorts
+    print(f"replica rounds over drawn configs: PASS ({len(rounds)} rounds equal to "
+          f"per-client body copies averaged at round end, {len(cohorts)} cohort kinds)")
 
 
 def test_gradients_match_finite_differences():

@@ -2,13 +2,11 @@
 parameters in one vector, `flat`, and layers, segments and clones are
 defined by how they share (or do not share) that vector."""
 
-from types import SimpleNamespace
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitsim import nn, protocols
+from splitsim import nn
 from splitsim.model_split import split_model
 from splitsim.protocols import average_models
 from test_nn import models_equal
@@ -134,50 +132,50 @@ def test_average_bit_equals_per_array_reference(widths, n, data):
     assert all(not np.shares_memory(avg.flat, m.flat) for _, m in models)
 
 
-def replicas(vectors):
-    """Body replicas over aligned copies of vectors, with their Adam
-    states, as `make_clients` deals them."""
-    layers = [nn.DenseLayer(np.zeros((1, vectors[0].size - 1)), np.zeros(1))]
-    bodies = {cid: nn.SequentialModel(layers, nn.aligned_copy(vec))
-              for cid, vec in enumerate(vectors)}
-    return protocols.ServerState(bodies, {cid: nn.AdamState.for_params(body.flat)
-                                          for cid, body in bodies.items()})
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 5),
        size=st.integers(1, 40) | st.sampled_from([nn.CHUNK, nn.CHUNK + 1, 2 * nn.CHUNK + 9]),
-       equal=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       equal=st.sampled_from([0, 1, 2, 5]), seed=st.integers(0, 2**32 - 1),
        counts=st.lists(st.integers(1, 400), min_size=5, max_size=5))
-@example(n=1, size=5, equal=False, seed=0, counts=[1, 2, 3, 4, 5])
-@example(n=3, size=2 * nn.CHUNK + 9, equal=True, seed=1, counts=[182, 377, 115, 88, 109])
+@example(n=1, size=5, equal=0, seed=0, counts=[1, 2, 3, 4, 5])
+@example(n=3, size=2 * nn.CHUNK + 9, equal=5, seed=1, counts=[182, 377, 115, 88, 109])
+@example(n=4, size=2 * nn.CHUNK + 9, equal=2, seed=2, counts=[182, 377, 115, 88, 109])
 def test_in_place_body_average_bit_equals_average_models(n, size, equal, seed, counts):
-    # zeros of either sign in every replica: with `equal`, replicas that
-    # differ only in the signs of their zeros, so the all-equal
-    # short-circuit must hand every replica the first one's bits
+    """The round-end body mean, summed as the turns end (`nn.WeightedMean`
+    over the first replica, added to in ascending id and written into the
+    body in place), is bit-equal to `average_models` of the replicas."""
+    # zeros of either sign in every replica; the first `equal` replicas
+    # differ only in the signs of their zeros, so with all of them equal
+    # the all-equal rule must give the first one's bits, and with some
+    # the sum must count each equal one as its own
     rng = np.random.default_rng(seed)
     base, zeros = rng.normal(size=size), rng.random(size) < 0.25
     vectors = []
-    for _ in range(n):
-        vec = base.copy() if equal else rng.normal(size=size)
+    for cid in range(n):
+        vec = base.copy() if cid < equal else rng.normal(size=size)
         vec[zeros] = np.where(rng.random(size) < 0.5, 0.0, -0.0)[zeros]
         vectors.append(vec)
     weights = {cid: float(counts[cid]) for cid in range(n)}
-    server = replicas(vectors)
-    expected = average_models(list(server.bodies.items()), weights).flat.copy()
+    layers = [nn.DenseLayer(np.zeros((1, size - 1)), np.zeros(1))]
+    expected = average_models([(cid, nn.SequentialModel(layers, vec))
+                               for cid, vec in enumerate(vectors)], weights).flat.copy()
     if not all(np.array_equal(vec, vectors[0]) for vec in vectors):
         # one whole-vector pass, ascending ids, from zero: the chunked mean's oracle
         ref = np.zeros(size)
         for cid in range(n):
             ref += weights[cid] * vectors[cid]
         assert expected.tobytes() == (ref / sum(weights.values())).tobytes()
+    else:
+        assert expected.tobytes() == vectors[0].tobytes()
 
-    flats = {cid: body.flat for cid, body in server.bodies.items()}
-    protocols._average_bodies({cid: SimpleNamespace(sample_count=counts[cid])
-                               for cid in range(n)}, server)
-    for cid, body in server.bodies.items():
-        assert body.flat is flats[cid]
-        assert body.flat.tobytes() == expected.tobytes()
+    # as `run_round` sums it: the first replica is the running sum, the
+    # last client's replica is the body, and the mean goes into the body
+    first, body = nn.aligned_copy(vectors[0]), nn.aligned_copy(vectors[-1])
+    mean = nn.WeightedMean(first, weights[0])
+    for cid in range(1, n):
+        mean.add(body if cid == n - 1 else vectors[cid], weights[cid])
+    mean.into(body)
+    assert body.tobytes() == expected.tobytes()
 
 
 sizes_st = st.integers(0, 2 * nn.CHUNK + 3)  # zero, one and several chunks
@@ -222,7 +220,7 @@ def test_passes_of_different_sizes_share_the_scratch_pair():
 
     def mean():
         (out,) = nn.vectors(vecs[0].size)
-        nn.weighted_mean_into([out], vecs, weights)
+        nn.weighted_mean_into(out, vecs, weights)
         return out.tobytes()
 
     alone = []

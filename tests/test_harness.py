@@ -233,7 +233,7 @@ def _history_reference(cfg, datasets):
     losses, snapshots = [], []
     for epoch in range(cfg.epochs):
         run_round(clients, server, cfg.protocol, order, epoch, bus, cfg.batch_size)
-        snap = {cid: composed_model(clients[cid], server.bodies.get(cid))
+        snap = {cid: composed_model(clients[cid], server.body)
                 for cid in sorted(clients)}
         losses.append(float(np.mean([
             nn.bce_loss(nn.forward(snap[cid], ds_by_id[cid].val_x)[0],
@@ -523,6 +523,18 @@ class TestSweeps:
         self._no_training(monkeypatch)
         with pytest.raises(ConfigurationError, match="^a sweep needs at least 2 clients$"):
             next(sweep(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3), [0], "n_clients", [1]))
+
+    @pytest.mark.parametrize("field", ["epochs", "seed", "order", "bogus"])
+    def test_unsupported_field_rejected_before_data_or_training(self, monkeypatch, field):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data made")
+
+        self._no_training(monkeypatch)
+        monkeypatch.setattr(harness, "load_or_generate", no_data)
+        with pytest.raises(ConfigurationError) as raised:
+            next(sweep(ExperimentConfig(epochs=1, n_clients=3, lr=1e-3), [0], field, [1, 2]))
+        message = str(raised.value)
+        assert all(name in message for name in harness.ROW_KEYS) and repr(field) in message
 
     def test_row_beyond_the_seeds_clients_rejected_before_training(self, monkeypatch):
         # the seed's data holds the base config's 3 clients, not a 4-client row
@@ -836,8 +848,8 @@ class TestParallelSweeps:
         (3, "sl", sweep_order, [3]),          # 4 groups, one per first client
         (2, "sfv2", sweep_order, [2]),
         (1, "sl", sweep_order, []),           # in-process
-        (2, "fl", sweep_order, []),           # one group: the order is inert
-        (2, "sfv1", sweep_client_count, []),
+        (2, "fl", sweep_order, []),           # one distinct run: the order is inert
+        (2, "sfv1", sweep_client_count, [2]), # 3 distinct runs, one group each
     ])
     def test_pool_has_at_most_one_worker_per_cpu_and_group(self, monkeypatch, cpus, protocol,
                                                            sweep, workers):
@@ -845,6 +857,21 @@ class TestParallelSweeps:
         pools = _pool_sizes(monkeypatch)
         sweep(replace(self.CFG, protocol=protocol))
         assert pools == workers
+
+    @pytest.mark.parametrize("protocol", ["fl", "sfv1", "sfv3"])
+    def test_order_inert_client_count_sweep_uses_the_pool(self, monkeypatch, protocol):
+        # the distinct runs all train clients from 0 up, one group each
+        cfg = replace(self.CFG, protocol=protocol, n_clients=5, probe=0)
+        datasets = harness.load_or_generate(cfg)
+        tables = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            pools = _pool_sizes(monkeypatch)
+            table = sweep_client_count(cfg, datasets)
+            tables.append([[row.key] + _report_bits(row.first) + _report_bits(row.last)
+                           for row in table.rows])
+            assert pools == ([] if cpus == 1 else [2])
+        assert tables[0] == tables[1] and len(tables[0]) == 4
 
     def test_probe_pair_alone_trains_each_run_in_a_worker(self, monkeypatch):
         lone = replace(self.CFG, probe=2)

@@ -1,5 +1,9 @@
+import gc
 import itertools
 import math
+import mmap
+import os
+import weakref
 
 import numpy as np
 import pytest
@@ -151,7 +155,7 @@ class TestSingleClientEquivalence:
     def test_equals_centralized(self, protocol, kind):
         datasets, model, clients, server = make_setup(1, protocol, kind, seed=5)
         run_rounds(protocol, clients, server, (0,), 3)
-        final = composed_model(clients[0], server.bodies.get(0))
+        final = composed_model(clients[0], server.body)
         ref = centralized_training(datasets[0], seed=5, epochs=3)
         assert models_equal(final, ref)
 
@@ -202,9 +206,9 @@ def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
 
 
 class TestOneStepPerParticipant:
-    """A client steps front and tail in one Adam call, the body replicas
-    share one gradient buffer, and gradients are not copied: the result
-    equals training each part separately."""
+    """A client steps front and tail in one Adam call, the body and its
+    replicas share one gradient buffer, and gradients are not copied: the
+    result equals training each part separately."""
 
     @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
     @pytest.mark.parametrize("protocol", [SL, SFV3])
@@ -214,7 +218,7 @@ class TestOneStepPerParticipant:
         run_rounds(protocol, clients, server, order, 2)
         expected = separate_step_training(datasets, protocol, kind, order, 2)
         for c, parts in expected.items():
-            got = composed_model(clients[c], server.bodies[c]).flat
+            got = composed_model(clients[c], server.body).flat
             assert got.tobytes() == np.concatenate(parts).tobytes()
 
     @pytest.mark.parametrize("protocol", [SL, SFV1])
@@ -229,34 +233,126 @@ class TestOneStepPerParticipant:
                 assert tail.ctypes.data == vec.ctypes.data + front.nbytes
                 assert front.size + tail.size == vec.size
             assert client.opt.m.shape == client.flat.shape
-        bodies = list(server.bodies.values())
-        assert all(body.grad is bodies[0].grad for body in bodies)
-        flats = {id(body.flat) for body in bodies}
-        assert len(flats) == (3 if protocols.SPECS[protocol].replicas else 1)
+        # one body; under replicas, one Adam state per client and two
+        # replicas (the first client's and the one between), all over
+        # the body's one gradient buffer
+        replicas = protocols.SPECS[protocol].replicas
+        opts = {id(opt) for opt in server.opts.values()}
+        assert sorted(server.opts) == sorted(clients)
+        assert len(opts) == (3 if replicas else 1)
+        assert len(server.replicas) == (2 if replicas else 0)
+        models = [server.body, *server.replicas]
+        assert all(m.grad is server.body.grad and m.layers[0].weights.shape
+                   == server.body.layers[0].weights.shape for m in models)
+        assert len({m.flat.ctypes.data for m in models}) == len(models)
 
 
 class TestAlignedVectors:
     @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_training_vectors_start_on_a_cache_line(self, protocol, kind):
-        """Every client's and body's parameter and gradient vector and
-        Adam moments, and the scratch pair, start on a 64-byte line, and
-        rounds (averaging included) write into the same vectors."""
+        """Every client's and the body's parameter and gradient vector,
+        every Adam moment, the replicas and the scratch pair start on a
+        64-byte line, and rounds (averaging included) write into the same
+        vectors."""
         _, _, clients, server = make_setup(3, protocol, kind, seed=0)
-        owners = [(c.flat, c.grad, c.opt) for c in clients.values()]
-        owners += [(server.bodies[cid].flat, server.bodies[cid].grad, server.opts[cid])
-                   for cid in server.bodies]
-        assert len(server.bodies) == (0 if protocol == FL else 3)
-        vectors = [v for flat, grad, opt in owners for v in (flat, grad, opt.m, opt.v)]
-        assert all(v.ctypes.data % 64 == 0 for v in vectors)
 
-        kept = [(flat, grad, opt.m, opt.v) for flat, grad, opt in owners]
+        def owned():
+            vecs = [v for c in clients.values() for v in (c.flat, c.grad, c.opt.m, c.opt.v)]
+            vecs += [v for opt in server.opts.values() for v in (opt.m, opt.v)]
+            return vecs + [v for m in [server.body, *server.replicas] if m is not None
+                           for v in (m.flat, m.grad)]
+
+        assert (server.body is None) == (protocol == FL)
+        kept = owned()
+        assert all(v.ctypes.data % 64 == 0 for v in kept)
         run_rounds(protocol, clients, server, (2, 0, 1), 2)
         assert all(v.ctypes.data % 64 == 0 for pair in nn._SCRATCH.values() for v in pair)
-        now = [(c.flat, c.grad, c.opt.m, c.opt.v) for c in clients.values()]
-        now += [(server.bodies[cid].flat, server.bodies[cid].grad,
-                 server.opts[cid].m, server.opts[cid].v) for cid in server.bodies]
-        assert all(a is b for pair in zip(now, kept) for a, b in zip(*pair))
+        assert all(a is b for a, b in zip(owned(), kept))
+
+
+    def test_mapped_training_vectors_start_on_a_cache_line(self):
+        # a 17,544-element body: its vector, replicas, gradient buffer and
+        # Adam moments are blocks of at least MAP_MIN bytes
+        widths, cuts = [8, 128, 128, 8, 1], (1, 3)
+        datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
+        clients, server = make_clients(datasets, nn.init_model(widths, 0), SFV1, cuts, LR)
+        assert 8 * server.body.flat.size >= nn.MAP_MIN
+        vecs = [v for m in [server.body, *server.replicas] for v in (m.flat, m.grad)]
+        vecs += [v for opt in server.opts.values() for v in (opt.m, opt.v)]
+        assert all(_mapping(v) is not None and v.ctypes.data % 64 == 0 for v in vecs)
+        assert server.body.flat.ctypes.data % mmap.PAGESIZE == 0
+
+    @pytest.mark.parametrize("sizes", [(nn.MAP_MIN // 8,), (3, nn.MAP_MIN // 8 - 9, 5),
+                                       (148_032, 148_032), (1, 9, 17, 2 * nn.CHUNK + 9)])
+    def test_mapped_vectors_start_on_a_cache_line_zeroed(self, sizes):
+        vecs = nn.vectors(*sizes)
+        assert [v.size for v in vecs] == list(sizes)
+        assert all(v.ctypes.data % 64 == 0 and not np.any(v) for v in vecs)
+        assert vecs[0].ctypes.data % mmap.PAGESIZE == 0
+        for v in vecs:
+            v[...] = 1.0  # no vector overlaps the next
+        assert all(np.all(v == 1.0) for v in vecs)
+        # the mapping goes with the last view of its block
+        mapping = weakref.ref(_mapping(vecs[0]))
+        tail = vecs[-1][-1:]
+        del vecs, v
+        gc.collect()
+        assert mapping() is not None
+        del tail
+        gc.collect()
+        assert mapping() is None
+
+    def test_small_blocks_are_not_mapped(self):
+        assert _mapping(nn.vectors(nn.MAP_MIN // 8 - 8)[0]) is None
+
+    def test_a_forked_child_s_writes_stay_in_the_child(self):
+        # private, not shared: a sweep's worker never writes into the
+        # parent's vectors
+        (vec,) = nn.vectors(nn.MAP_MIN // 8)
+        vec[...] = 1.0
+        pid = os.fork()
+        if pid == 0:  # the child: write, check the write, and leave
+            try:
+                vec[...] = 2.0
+                os._exit(0 if np.all(vec == 2.0) else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert np.all(vec == 1.0)
+
+
+def _mapping(vec):
+    """The mmap that vec's block is a view of, or None."""
+    base = vec.base.base if vec.base is not None else None
+    return base.obj if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap) else None
+
+
+class TestReplicaMemory:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("protocol", [SFV1, SFV3])
+    def test_at_most_three_body_vectors_and_no_more_than_clients(self, monkeypatch, protocol,
+                                                                  n):
+        """The body-size parameter vectors a replica run allocates (every
+        body-size vector but the gradient buffer and the Adam moments),
+        over make_clients and two rounds: at most 3, at most n."""
+        nn._SCRATCH[nn.CHUNK]  # the scratch pair at its largest: it allocates no more
+        made, original = [], nn.vectors
+
+        def spied(*sizes):
+            out = original(*sizes)
+            made.extend(out)
+            return out
+
+        monkeypatch.setattr(nn, "vectors", spied)
+        _, _, clients, server = make_setup(n, protocol)
+        run_rounds(protocol, clients, server, range(n), 2)
+        others = [server.body.grad] + [v for opt in server.opts.values() for v in (opt.m, opt.v)]
+        params = [v for v in made if v.size == server.body.flat.size
+                  and not any(v is other for other in others)]
+        assert len(params) == min(3, n)
+        assert any(v is server.body.flat for v in params)
 
 
 class TestMessageSequences:
@@ -307,7 +403,7 @@ class TestOrderInvariance:
         for perm in itertools.permutations(range(3)):
             _, model, clients, server = make_setup(3, protocol, seed=1)
             run_rounds(protocol, clients, server, perm, 2)
-            parts = [nn.flatten_params(composed_model(clients[c], server.bodies.get(c)))
+            parts = [nn.flatten_params(composed_model(clients[c], server.body))
                      for c in sorted(clients)]
             blob = np.concatenate(parts)
             finals.add(blob.tobytes())
@@ -321,7 +417,7 @@ class TestOrderSensitivity:
         for order in ((0, 1, 2), (2, 1, 0)):
             _, model, clients, server = make_setup(3, protocol, seed=2)
             run_rounds(protocol, clients, server, order, 1)
-            bodies.append(nn.flatten_params(server.bodies[0]).tobytes())
+            bodies.append(nn.flatten_params(server.body).tobytes())
         assert bodies[0] != bodies[1]
 
 
@@ -335,19 +431,22 @@ class TestAveragingPlacement:
         assert len(tails) == 1
 
     def test_sfv3_bodies_identical_fronts_unique(self):
+        # one body: the replicas' mean; the last client's replica is the
+        # body itself before the mean overwrites it
         _, model, clients, server = make_setup(3, SFV3, seed=3)
         run_rounds(SFV3, clients, server, (0, 1, 2), 1)
-        bodies = {nn.flatten_params(server.bodies[c]).tobytes() for c in clients}
-        assert len(bodies) == 1
+        replicas = {r.flat.tobytes() for r in server.replicas}
+        assert len(replicas) == 2 and server.body.flat.tobytes() not in replicas
         fronts = {nn.flatten_params(clients[c].front).tobytes() for c in clients}
         assert len(fronts) == 3
 
     def test_sfv1_fronts_and_bodies_identical(self):
         _, model, clients, server = make_setup(3, SFV1, seed=3)
         run_rounds(SFV1, clients, server, (0, 1, 2), 1)
-        bodies = {nn.flatten_params(server.bodies[c]).tobytes() for c in clients}
+        replicas = {r.flat.tobytes() for r in server.replicas}
         fronts = {nn.flatten_params(clients[c].front).tobytes() for c in clients}
-        assert len(bodies) == 1 and len(fronts) == 1
+        assert len(replicas) == 2 and server.body.flat.tobytes() not in replicas
+        assert len(fronts) == 1
 
     @pytest.mark.parametrize("protocol", [FL, SFV1, SFV2])
     def test_segments_averaged_from_the_received_blobs(self, monkeypatch, protocol):
