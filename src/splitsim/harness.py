@@ -8,9 +8,13 @@ of each metric, plus a client-count sweep for the bias-vs-n trend.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 import time
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -343,25 +347,55 @@ def _train_group(group) -> list[RunResult] | None:
         return None
 
 
-def _pool(groups: int):
-    """A pool of forked workers to train `groups` groups in, one per
-    usable CPU and at most one per group; None (train in-process) below 2
-    workers, and in a daemonic process (another pool's worker), which may
-    not start processes."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(cpus, groups) < 2:
-        return None
-    # imported here, not at the top: about 1 MB of RSS a single run never needs
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _workers(groups: int) -> int:
+    """How many forked workers train `groups` groups: one per usable CPU and
+    at most one per group; 0 (in-process) below 2, without `os.fork`, and
+    in a daemonic `multiprocessing` worker, whose pool already uses the CPUs."""
+    mp = sys.modules.get("multiprocessing")  # read, not imported: a sweep never needs it
+    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, groups)
+    return n if n > 1 and hasattr(os, "fork") and not (mp and mp.current_process().daemon) else 0
 
-    if multiprocessing.current_process().daemon:
-        return None
-    # fork: a worker starts as a copy of the parent, its modules imported;
-    # named, as it is not the default everywhere (forkserver from Python
-    # 3.14). Unlike multiprocessing.Pool, the executor fails a task whose
-    # worker was killed instead of waiting for it forever.
-    return ProcessPoolExecutor(min(cpus, groups), multiprocessing.get_context("fork"))
+
+def _train_forked(groups, workers: int) -> list[list[RunResult] | None]:
+    """`_train_group` of each group in `workers` forked workers, or None
+    where no reply names the group (`_train_ahead`). Every worker is
+    killed, if still running, and reaped before this returns or raises."""
+    # pipe ends as files; the tasks pipe's unbuffered, so a worker reads one index at a time
+    tasks_r, tasks_w = files = [open(fd, mode, 0) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+    replies, trained = {}, {}  # by worker pid: the read end of its reply
+    try:
+        for _ in range(workers):
+            reply_r, reply_w = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            files += (reply_r, reply_w)
+            if (pid := os.fork()) == 0:  # the worker, which never returns into this stack
+                try:
+                    tasks_w.close()
+                    done = {}
+                    while index := tasks_r.read(4):  # whole: one atomic write each
+                        index = int.from_bytes(index, "little")
+                        done[index] = _train_group(groups[index])
+                    with reply_w:
+                        pickle.dump(done, reply_w)
+                finally:
+                    os._exit(0)
+            replies[pid] = reply_r
+            reply_w.close()
+        tasks_r.close()
+        # written after the forks: a full pipe blocks until a worker reads
+        with contextlib.suppress(BrokenPipeError):  # every worker died
+            for index in range(len(groups)):
+                tasks_w.write(index.to_bytes(4, "little"))
+        tasks_w.close()
+        for reply in replies.values():
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # its worker died
+                trained.update(pickle.load(reply))
+    finally:
+        for file in files:
+            file.close()
+        for pid in replies:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [trained.get(index) for index in range(len(groups))]
 
 
 def _train_ahead(runs) -> dict[tuple, RunResult]:
@@ -374,29 +408,25 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
     its runs train in, as runs that share a round-0 prefix start with the
     same client (`protocols.TurnStates`); otherwise (FL, SFv1, SFv3) each
     run is its own group. Each group trains through `_train_group`, in
-    forked workers (`_pool`), handed out in call order as workers come
-    free, or else in-process, one after another. That order starts each
-    seed with its costliest group: the group of an SL order sweep's
-    first run holds one distinct run per client but one, the others one
-    or two.
+    workers started by `os.fork` (`_workers`), or else in-process, one
+    after another. Workers inherit the groups, take their indices from one
+    pipe in call order as they come free, and each write one pickled
+    `{index: results}` reply to a pipe of its own. That order starts each
+    seed with its costliest group: the group of an SL order sweep's first
+    run holds one distinct run per client but one, the others one or two.
 
-    A group that raised, or whose worker died, is left out: its calls
-    train it again, so a sweep raises the error of its first failing run
-    in call order."""
+    A group that raised, or that no reply names (its worker died), is
+    left out: its calls train it again, so a sweep raises the error of
+    its first failing run in call order."""
     groups: dict[tuple, dict[tuple, tuple]] = {}
     for cfg, datasets in runs:
         key = _run_key(cfg, cfg.order)
         group = (key[0], key[1][0]) if SPECS[cfg.protocol].shared_body else key
         groups.setdefault(group, {}).setdefault(key, (cfg, datasets))
     groups = [list(group.values()) for group in groups.values()]
-    pool = _pool(len(groups))
-    if pool is None:
-        trained = [_train_group(group) for group in groups]
-    else:
-        with pool:
-            futures = [pool.submit(_train_group, group) for group in groups]
-        # None where a worker died
-        trained = [f.result() if f.exception() is None else None for f in futures]
+    workers = _workers(len(groups))
+    trained = (_train_forked(groups, workers) if workers else
+               [_train_group(group) for group in groups])
     store = {}
     for group, results in zip(groups, trained):
         for (cfg, _), result in zip(group, results or ()):

@@ -1,14 +1,17 @@
-import concurrent.futures
+import contextlib
 import functools
 import itertools
 import json
 import multiprocessing
 import os
 import pathlib
+import pickle
 import re
+import signal
 import string
 import subprocess
 import sys
+import time
 import tracemalloc
 import typing
 import warnings
@@ -660,9 +663,9 @@ class TestSweepStore:
         for cpus in (1, 2):
             for sweep, steps in ((sweep_order, 7016), (sweep_client_count, 4048)):
                 _cpus(monkeypatch, cpus)
-                pools = _pool_sizes(monkeypatch)
+                starts = _worker_counts(monkeypatch)
                 assert self._count_steps(monkeypatch, sweep, bias) == steps
-                assert pools == ([] if cpus == 1 else [2])
+                assert starts == ([] if cpus == 1 else [2])
 
     @pytest.mark.parametrize("protocol", ["fl", "sfv1", "sfv3"])
     def test_order_sweep_is_one_training_where_order_is_inert(self, monkeypatch, protocol):
@@ -753,18 +756,36 @@ def _cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _pool_sizes(monkeypatch) -> list:
-    """Spy on the process pools the sweeps make; returns the list of their
-    worker counts. Each must fork its workers."""
-    original, sizes = concurrent.futures.ProcessPoolExecutor, []
+def _worker_counts(monkeypatch) -> list:
+    """Spy on the sweeps' worker starts (`harness._train_forked`); returns
+    the list of how many workers each start forked (`os.fork`). The spy
+    holds the list as `harness._train_forked.counts`."""
+    start, fork, forks, counts = harness._train_forked, os.fork, [0], []
 
-    def spied(max_workers, mp_context, *args, **kwargs):
-        assert mp_context.get_start_method() == "fork"
-        sizes.append(max_workers)
-        return original(max_workers, mp_context, *args, **kwargs)
+    def spied_fork():
+        pid = fork()
+        forks[0] += pid != 0  # counted in the parent
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spied)
-    return sizes
+    def spied_start(groups, workers):
+        before = forks[0]
+        try:
+            return start(groups, workers)
+        finally:  # never reached in a worker, which exits
+            counts.append(forks[0] - before)
+
+    spied_start.counts = counts
+    monkeypatch.setattr(os, "fork", spied_fork)
+    monkeypatch.setattr(harness, "_train_forked", spied_start)
+    return counts
+
+
+def _sweep_order_and_worker_counts(config):
+    """`sweep_order(config)` in this process, and the workers each of its
+    worker starts forked here (`_worker_counts`, spying since before this
+    process was forked)."""
+    table = sweep_order(config)
+    return table, harness._train_forked.counts
 
 
 class Injected(RuntimeError):
@@ -790,11 +811,11 @@ class TestParallelSweeps:
             outputs = []
             for cpus in (1, 2):
                 _cpus(monkeypatch, cpus)
-                pools = _pool_sizes(monkeypatch)
+                starts = _worker_counts(monkeypatch)
                 calls = _recording_runs(monkeypatch)
                 table = sweep(cfg, datasets)
                 monkeypatch.undo()
-                assert pools == ([] if cpus == 1 else [2])
+                assert starts == ([] if cpus == 1 else [2])
                 outputs.append(([_report_bits(r) for row in table.rows
                                  for r in (row.first, row.last)],
                                 [(res.to_json(), res.total_bytes) for _, _, res in calls]))
@@ -820,11 +841,11 @@ class TestParallelSweeps:
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "run_round", failing_round)  # the workers inherit it
-        pools = _pool_sizes(monkeypatch)
+        starts = _worker_counts(monkeypatch)
         calls = _recording_runs(monkeypatch)
         with pytest.raises(failing[first]) as raised:
             sweep_order(self.CFG)
-        assert pools == [2] and raised.value.args == (first,)
+        assert starts == [2] and raised.value.args == (first,)
         assert [args[0].order for args, _, _ in calls] == calls_in_order[:calls_in_order.index(first)]
 
     def test_a_killed_worker_leaves_its_group_to_the_calls(self, monkeypatch):
@@ -840,8 +861,8 @@ class TestParallelSweeps:
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "run_round", dies_in_a_worker)
-        pools = _pool_sizes(monkeypatch)
-        assert sweep_order(self.CFG) == alone and pools == [2]
+        starts = _worker_counts(monkeypatch)
+        assert sweep_order(self.CFG) == alone and starts == [2]
 
     @pytest.mark.parametrize("cpus, protocol, sweep, workers", [
         (8, "sl", sweep_client_count, [2]),   # groups: probe first, probe last
@@ -854,9 +875,9 @@ class TestParallelSweeps:
     def test_pool_has_at_most_one_worker_per_cpu_and_group(self, monkeypatch, cpus, protocol,
                                                            sweep, workers):
         _cpus(monkeypatch, cpus)
-        pools = _pool_sizes(monkeypatch)
+        starts = _worker_counts(monkeypatch)
         sweep(replace(self.CFG, protocol=protocol))
-        assert pools == workers
+        assert starts == workers
 
     @pytest.mark.parametrize("protocol", ["fl", "sfv1", "sfv3"])
     def test_order_inert_client_count_sweep_uses_the_pool(self, monkeypatch, protocol):
@@ -866,36 +887,135 @@ class TestParallelSweeps:
         tables = []
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
-            pools = _pool_sizes(monkeypatch)
+            starts = _worker_counts(monkeypatch)
             table = sweep_client_count(cfg, datasets)
             tables.append([[row.key] + _report_bits(row.first) + _report_bits(row.last)
                            for row in table.rows])
-            assert pools == ([] if cpus == 1 else [2])
+            assert starts == ([] if cpus == 1 else [2])
         assert tables[0] == tables[1] and len(tables[0]) == 4
 
     def test_probe_pair_alone_trains_each_run_in_a_worker(self, monkeypatch):
         lone = replace(self.CFG, probe=2)
         _cpus(monkeypatch, 4)
-        pools = _pool_sizes(monkeypatch)
+        starts = _worker_counts(monkeypatch)
         (table,) = sweep(lone, [lone.seed], "probe", [lone.probe])
         monkeypatch.undo()
-        assert pools == [2]
+        assert starts == [2]
         _cpus(monkeypatch, 1)
         assert list(sweep(lone, [lone.seed], "probe", [lone.probe])) == [table]
 
     def test_a_sweep_in_another_pool_s_worker_runs_in_process(self, monkeypatch):
-        # a daemonic process may not start workers of its own
+        # a daemonic process, whose pool already uses the CPUs, forks no
+        # workers of its own
         _cpus(monkeypatch, 2)
-        pools = _pool_sizes(monkeypatch)
+        starts = _worker_counts(monkeypatch)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            (table,) = pool.map(sweep_order, [self.CFG])
-        assert table == sweep_order(self.CFG) and pools == [2]
+            ((table, in_worker),) = pool.map(_sweep_order_and_worker_counts, [self.CFG])
+        assert in_worker == [] and starts == []
+        assert table == sweep_order(self.CFG) and starts == [2]
+
+    @staticmethod
+    def _left_behind(monkeypatch, sweep_in_workers):
+        """Run `sweep_in_workers()` on 2 CPUs; assert that it forked 2
+        workers and left no child to reap and no descriptor open, nor one
+        for the garbage collector to close."""
+        fds = sorted(os.listdir("/proc/self/fd"))
+        _cpus(monkeypatch, 2)
+        starts = _worker_counts(monkeypatch)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                sweep_in_workers()
+        finally:
+            assert starts == [2]
+            assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("fault", [None, "raises", "dies"])
+    def test_a_sweep_leaves_no_child_and_no_descriptor(self, monkeypatch, fault):
+        parent, original = os.getpid(), harness.run_round
+
+        def faulty_round(clients, server, protocol, order, *args, **kwargs):
+            if order == (1, 0, 2, 3) and fault == "raises":
+                raise Injected(order)
+            if order == (1, 0, 2, 3) and fault == "dies" and os.getpid() != parent:
+                os._exit(9)
+            return original(clients, server, protocol, order, *args, **kwargs)
+
+        def sweep_in_workers():
+            with pytest.raises(Injected) if fault == "raises" else contextlib.nullcontext():
+                sweep_order(self.CFG)
+
+        monkeypatch.setattr(harness, "run_round", faulty_round)
+        self._left_behind(monkeypatch, sweep_in_workers)
+
+    def test_an_interrupt_in_the_parent_kills_and_reaps_every_worker(self, monkeypatch):
+        kill, waitpid = os.kill, os.waitpid
+        events = []  # ("kill", pid, signal), then ("reaped", pid, whether SIGKILL ended it)
+
+        def spied_kill(pid, sig):
+            events.append(("kill", pid, sig))
+            return kill(pid, sig)
+
+        def spied_waitpid(pid, options):
+            reaped, status = waitpid(pid, options)
+            if reaped:
+                events.append(("reaped", reaped, os.WIFSIGNALED(status)
+                               and os.WTERMSIG(status) == signal.SIGKILL))
+            return reaped, status
+
+        def interrupted_load(file):  # as a Ctrl-C while the parent reads a reply
+            raise KeyboardInterrupt
+
+        # a worker would train each group for a minute
+        monkeypatch.setattr(harness, "_train_group", lambda group: time.sleep(60))
+        monkeypatch.setattr(pickle, "load", interrupted_load)
+        monkeypatch.setattr(os, "kill", spied_kill)
+        monkeypatch.setattr(os, "waitpid", spied_waitpid)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self._left_behind(monkeypatch, lambda: sweep_order(self.CFG))
+        assert time.monotonic() - started < 30
+        pids = [event[1] for event in events if event[0] == "kill"]
+        assert len(set(pids)) == 2
+        assert events == [event for pid in pids
+                          for event in (("kill", pid, signal.SIGKILL), ("reaped", pid, True))]
+
+    def test_more_indices_than_a_pipe_holds_come_back_complete(self, monkeypatch):
+        # 20,000 4-byte indices overflow a 64 KiB pipe buffer: the parent
+        # can write them all only once the workers exist to read them, and a
+        # worker sees their end only once every worker closed the write end
+        groups = [("group", index) for index in range(20_000)]
+        monkeypatch.setattr(harness, "_train_group", lambda group: ["trained", group])
+
+        def timed_out(signum, frame):
+            raise TimeoutError("the workers did not finish")
+
+        handler = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)  # not inherited by a forked worker
+        try:
+            trained = harness._train_forked(groups, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert trained == [["trained", group] for group in groups]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_single_runs_do_not_import_multiprocessing(self):
-        code = ("import sys\n"
+        # nor does a sweep in two forked workers
+        code = ("import os, sys\n"
                 "from splitsim import cli, harness\n"
                 "harness.run_experiment(harness.ExperimentConfig(epochs=1))\n"
-                "sys.exit('multiprocessing' in sys.modules)\n")
+                "assert 'multiprocessing' not in sys.modules\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+                "harness.sweep_order(harness.ExperimentConfig(epochs=1, n_clients=3))\n"
+                "imported = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+                "sys.exit(f'forks {forks}, imported {imported}' if imported or len(forks) != 2 else 0)\n")
         src = pathlib.Path(harness.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -928,10 +1048,10 @@ class TestMultiSeedSweep:
     @pytest.mark.parametrize("kind, runs_per_seed", [("order", 8), ("client_count", 6)])
     def test_one_pool_per_call_and_calls_in_seed_order(self, monkeypatch, kind, runs_per_seed):
         _cpus(monkeypatch, 2)
-        pools = _pool_sizes(monkeypatch)
+        starts = _worker_counts(monkeypatch)
         calls = _recording_runs(monkeypatch)
         tables = list(sweep(self.CFG, self.SEEDS, *self.AXES[kind]))
-        assert pools == [2] and len(tables) == len(self.SEEDS)
+        assert starts == [2] and len(tables) == len(self.SEEDS)
         assert [args[0].seed for args, _, _ in calls] == [
             s for s in self.SEEDS for _ in range(runs_per_seed)]
 
