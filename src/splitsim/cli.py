@@ -96,20 +96,22 @@ def _print_summary(drops) -> None:
 
 def _sweep(args, cfg: ExperimentConfig, field: str, values, name: str) -> dict:
     """Run the sweep of `field` over `values` (`harness.sweep`) at every
-    seed, writing each seed's manifest, then its table once its runs are
-    made, and printing the table; then, over several seeds, the summary.
+    seed. For each seed in turn: write its manifest, then make its table,
+    render it once as CSV (an undefined drop as `undefined`), and write
+    and print that text, so a seed whose runs raise still leaves the
+    config to rerun it from. Then, over several seeds, print the summary.
     Returns the drops over the seeds."""
     seeds = range(cfg.seed, cfg.seed + args.seeds)
     pending, tables = harness.sweep(cfg, seeds, field, values), []
-
-    def next_table():
-        tables.append(next(pending))
-        return tables[-1]
-
+    args.out.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        csv_path, _ = harness.emit_report(next_table, args.out, replace(cfg, seed=seed),
-                                          name=f"{name}_seed{seed}")
-        print(csv_path.read_text(), end="")
+        stem = f"{name}_seed{seed}"
+        (args.out / f"{stem}.manifest.txt").write_text(
+            harness.render_manifest(replace(cfg, seed=seed)))
+        tables.append(next(pending))
+        text = harness.render_table(tables[-1], "undefined")
+        (args.out / f"{stem}.csv").write_text(text)
+        print(text, end="")
     drops = harness.drops_over_seeds(tables)
     if args.seeds > 1:
         _print_summary(drops)

@@ -25,8 +25,7 @@ from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA
 from .nn import forward, init_model
-from .protocols import (PROTOCOLS, SL, SPECS, PlanError, ServerState, TurnStates, make_clients,
-                        run_round)
+from .protocols import PROTOCOLS, SL, SPECS, ServerState, TurnStates, make_clients, run_round
 from .protocols import composed_model  # noqa: F401 - the benchmark's tracer wraps it here
 from .transport import ChannelBus, MsgType
 
@@ -92,6 +91,8 @@ class ExperimentConfig:
                                      "(clients differ by a rotation)")
         if not (math.isfinite(self.shift_scale) and self.shift_scale >= 0):
             raise ConfigurationError("shift_scale must be finite and >= 0")
+        if self.n_clients < 1:
+            raise ConfigurationError("n_clients must be >= 1")
         if self.dataset_path is None:
             # the generated cohort's client count and eval splits
             try:
@@ -148,36 +149,6 @@ class RunResult:
     def to_json(self) -> str:
         # duration deliberately excluded: serialization must be reproducible
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-
-class BestCheckpoint:
-    """Running minimum of the per-epoch mean validation loss.
-
-    Only what the best epoch needs is kept: `offer` builds a snapshot only
-    when the loss is strictly below the best so far, so ties keep the
-    earliest epoch. A non-finite loss raises DivergenceError.
-    """
-
-    def __init__(self):
-        self.losses: list[float] = []
-        self.epoch: int | None = None
-        self.kept = None
-
-    def offer(self, loss: float, snapshot) -> None:
-        """Record the next epoch's loss; `snapshot()` builds what it keeps."""
-        epoch = len(self.losses)
-        if not math.isfinite(loss):
-            raise DivergenceError(f"epoch {epoch}: mean validation loss is {loss}")
-        self.losses.append(loss)
-        if self.epoch is None or loss < self.losses[self.epoch]:
-            self.kept = snapshot()
-            self.epoch = epoch
-
-    def best(self):
-        """(epoch, snapshot) of the least loss."""
-        if self.epoch is None:
-            raise PlanError("no epoch was scored")
-        return self.epoch, self.kept
 
 
 def _predict(clients, server: ServerState, datasets: dict[int, ClientDataset],
@@ -303,7 +274,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
                                    config.protocol, config.split_config(), config.lr)
     bus = ChannelBus()
 
-    checkpoint = BestCheckpoint()
+    losses, best = [], None  # best: (epoch, val probs, test probs) of the least loss
     for epoch in range(config.epochs):
         run_round(clients, server, config.protocol, config.order, epoch, bus, config.batch_size,
                   turns=turns if epoch == 0 else None)
@@ -313,9 +284,13 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
         if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
                for p in val_probs.values()):
             raise SaturationError(f"epoch {epoch}: every validation probability is at a clamp bound")
-        checkpoint.offer(loss, lambda: (val_probs, _predict(clients, server, ds_by_id, "test")))
+        if not math.isfinite(loss):
+            raise DivergenceError(f"epoch {epoch}: mean validation loss is {loss}")
+        losses.append(loss)
+        if best is None or loss < losses[best[0]]:  # strictly: ties keep the earliest epoch
+            best = (epoch, val_probs, _predict(clients, server, ds_by_id, "test"))
 
-    best_epoch, (val_probs, test_probs) = checkpoint.best()
+    best_epoch, val_probs, test_probs = best
     per_client = {cid: metrics.evaluate(test_probs[cid][:, 0], ds_by_id[cid].test_y,
                                         val_probs[cid][:, 0], ds_by_id[cid].val_y)
                   for cid in sorted(clients)}
@@ -324,7 +299,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
         config=config,
         per_client=per_client,
         checkpoint_epoch=best_epoch,
-        val_losses=checkpoint.losses,
+        val_losses=losses,
         total_bytes=bus.bytes_sent(),
         param_blob_bytes=bus.bytes_by_type(MsgType.PARAM_BLOB),
         labels_messages=bus.count_by_type(MsgType.LABELS),
@@ -335,16 +310,18 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
 
 # --- training a sweep's runs ahead of its calls -------------------------------
 
-def _train_group(group) -> list[RunResult] | None:
-    """Train one group's runs, `[(config, datasets)]` with distinct run
-    keys, in order; None if a run raised. Under SL and SFv2 the runs share
-    their round-0 turns (`protocols.TurnStates`)."""
-    shared = SPECS[group[0][0].protocol].shared_body
-    turns = TurnStates([cfg.order for cfg, _ in group]) if shared else None
+def _train_group(group: dict) -> dict:
+    """Train one group's runs, `{run key: (config, datasets)}`, in order:
+    `{run key: result}`, or {} if a run raised. Under SL and SFv2 the runs
+    share their round-0 turns (`protocols.TurnStates`)."""
+    configs = [cfg for cfg, _ in group.values()]
+    shared = SPECS[configs[0].protocol].shared_body
+    turns = TurnStates([cfg.order for cfg in configs]) if shared else None
     try:
-        return [_train(cfg, datasets[:cfg.n_clients], turns=turns) for cfg, datasets in group]
+        return {key: _train(cfg, datasets[:cfg.n_clients], turns=turns)
+                for key, (cfg, datasets) in group.items()}
     except Exception:  # noqa: BLE001 - the group's calls train it again and raise
-        return None
+        return {}
 
 
 def _workers(groups: int) -> int:
@@ -356,10 +333,11 @@ def _workers(groups: int) -> int:
     return n if n > 1 and hasattr(os, "fork") and not (mp and mp.current_process().daemon) else 0
 
 
-def _train_forked(groups, workers: int) -> list[list[RunResult] | None]:
-    """`_train_group` of each group in `workers` forked workers, or None
-    where no reply names the group (`_train_ahead`). Every worker is
-    killed, if still running, and reaped before this returns or raises."""
+def _train_forked(groups: list[dict], workers: int) -> dict:
+    """`_train_group` of each group in `workers` forked workers, merged:
+    `{run key: result}` of every group that a reply holds (`_train_ahead`).
+    Every worker is killed, if still running, and reaped before this
+    returns or raises."""
     # pipe ends as files; the tasks pipe's unbuffered, so a worker reads one index at a time
     tasks_r, tasks_w = files = [open(fd, mode, 0) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
     replies, trained = {}, {}  # by worker pid: the read end of its reply
@@ -372,8 +350,7 @@ def _train_forked(groups, workers: int) -> list[list[RunResult] | None]:
                     tasks_w.close()
                     done = {}
                     while index := tasks_r.read(4):  # whole: one atomic write each
-                        index = int.from_bytes(index, "little")
-                        done[index] = _train_group(groups[index])
+                        done.update(_train_group(groups[int.from_bytes(index, "little")]))
                     with reply_w:
                         pickle.dump(done, reply_w)
                 finally:
@@ -395,7 +372,7 @@ def _train_forked(groups, workers: int) -> list[list[RunResult] | None]:
         for pid in replies:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [trained.get(index) for index in range(len(groups))]
+    return trained
 
 
 def _train_ahead(runs) -> dict[tuple, RunResult]:
@@ -411,11 +388,12 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
     workers started by `os.fork` (`_workers`), or else in-process, one
     after another. Workers inherit the groups, take their indices from one
     pipe in call order as they come free, and each write one pickled
-    `{index: results}` reply to a pipe of its own. That order starts each
-    seed with its costliest group: the group of an SL order sweep's first
-    run holds one distinct run per client but one, the others one or two.
+    `{run key: result}` reply, the results of every group it trained, to a
+    pipe of its own. That order starts each seed with its costliest group:
+    the group of an SL order sweep's first run holds one distinct run per
+    client but one, the others one or two.
 
-    A group that raised, or that no reply names (its worker died), is
+    A group that raised, or that no reply holds (its worker died), is
     left out: its calls train it again, so a sweep raises the error of
     its first failing run in call order."""
     groups: dict[tuple, dict[tuple, tuple]] = {}
@@ -423,14 +401,12 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
         key = _run_key(cfg, cfg.order)
         group = (key[0], key[1][0]) if SPECS[cfg.protocol].shared_body else key
         groups.setdefault(group, {}).setdefault(key, (cfg, datasets))
-    groups = [list(group.values()) for group in groups.values()]
-    workers = _workers(len(groups))
-    trained = (_train_forked(groups, workers) if workers else
-               [_train_group(group) for group in groups])
+    groups = list(groups.values())
+    if workers := _workers(len(groups)):
+        return _train_forked(groups, workers)
     store = {}
-    for group, results in zip(groups, trained):
-        for (cfg, _), result in zip(group, results or ()):
-            store[_run_key(cfg, cfg.order)] = result
+    for group in groups:
+        store.update(_train_group(group))
     return store
 
 
@@ -565,20 +541,6 @@ def render_table(table: ReportTable, undefined: str | None = None) -> str:
                       undefined if last == 0 else f"{metrics.percent_drop(first, last):.2f}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(make_table, out_dir, config: ExperimentConfig, name: str = "report") -> list:
-    """Write the config's manifest, then the CSV of the table that
-    `make_table()` returns, with an undefined drop written as `undefined`;
-    returns the paths. The table is made once the manifest is written, so
-    a table whose runs raise still leaves the config to rerun it from."""
-    import pathlib
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / f"{name}.csv", out / f"{name}.manifest.txt"]
-    paths[1].write_text(render_manifest(config))
-    paths[0].write_text(render_table(make_table(), "undefined"))
-    return paths
 
 
 # --- flat key-value config files ------------------------------------------

@@ -23,15 +23,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from splitsim import cli, datagen, harness, metrics, nn, protocols
-from splitsim.harness import (BestCheckpoint, ConfigurationError,
-                              DivergenceError, ExperimentConfig, ReportRow,
+from splitsim.harness import (ConfigurationError, DivergenceError, ExperimentConfig, ReportRow,
                               ReportTable, SaturationError, config_from, parse_config_file,
                               render_manifest, render_table, run_experiment, sweep,
                               sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
 from splitsim.model_split import U_SHAPED, VANILLA
-from splitsim.protocols import (PROTOCOLS, PlanError, TurnStates,
-                                composed_model, make_clients, run_round)
+from splitsim.protocols import PROTOCOLS, TurnStates, composed_model, make_clients, run_round
 from splitsim.transport import ChannelBus
 
 FAST = ExperimentConfig(protocol="sl", epochs=2, n_clients=2, lr=1e-3, seed=0)
@@ -181,47 +179,74 @@ class TestConfigFile:
                     assert x.tobytes() == y.tobytes()
 
 
-class TestBestCheckpoint:
+class TestCheckpointRule:
+    """`_train` keeps the epoch of the least mean validation loss, and
+    scores the test split only at an epoch whose loss is strictly below
+    every earlier one. Each epoch's loss is scripted through `nn.bce_loss`,
+    which `_train` reads through `nn` (the protocols train on `bce_grad`)."""
+
     @staticmethod
-    def offer_all(history):
-        checkpoint = BestCheckpoint()
-        for loss, snap in history:
-            checkpoint.offer(loss, lambda snap=snap: snap)
-        return checkpoint.best()
+    def run(monkeypatch, losses):
+        """FAST for len(losses) epochs, epoch i's mean validation loss
+        scripted as losses[i]. Returns the result, or the DivergenceError
+        raised, and the epochs whose test split `_predict` scored; checks
+        that `metrics.evaluate` scored the last of these."""
+        bce, predict, evaluate = [0], harness._predict, metrics.evaluate
+        epoch, tested, evaluated = [-1], [], []
 
-    def test_argmin(self):
-        idx, snap = self.offer_all([(0.9, "a"), (0.5, "b"), (0.7, "c")])
-        assert (idx, snap) == (1, "b")
+        def scripted_loss(probs, y):  # one call per client and epoch
+            bce[0] += 1
+            return losses[(bce[0] - 1) // FAST.n_clients]
 
-    def test_tie_breaks_earliest(self):
-        idx, snap = self.offer_all([(0.5, "a"), (0.5, "b")])
-        assert (idx, snap) == (0, "a")
+        def spied_predict(clients, server, datasets, split):
+            probs = predict(clients, server, datasets, split)
+            if split == "val":  # each epoch's first call
+                epoch[0] += 1
+            else:
+                tested.append((epoch[0], probs))
+            return probs
 
-    def test_monotone_decreasing_takes_last(self):
-        hist = [(1.0 - 0.05 * i, i) for i in range(10)]
-        idx, snap = self.offer_all(hist)
-        assert (idx, snap) == (9, 9)
+        def spied_evaluate(scores, *args):
+            evaluated.append(scores)
+            return evaluate(scores, *args)
 
-    def test_empty_rejected(self):
-        with pytest.raises(PlanError):
-            BestCheckpoint().best()
+        monkeypatch.setattr(nn, "bce_loss", scripted_loss)
+        monkeypatch.setattr(harness, "_predict", spied_predict)
+        monkeypatch.setattr(metrics, "evaluate", spied_evaluate)
+        try:
+            result = run_experiment(replace(FAST, epochs=len(losses)))
+        except DivergenceError as exc:
+            return exc, [e for e, _ in tested]
+        assert result.val_losses == losses
+        kept_epoch, kept = tested[-1]
+        assert kept_epoch == result.checkpoint_epoch
+        assert all(np.shares_memory(scores, kept[cid])
+                   for cid, scores in zip(sorted(kept), evaluated, strict=True))
+        return result, [e for e, _ in tested]
 
-    def test_snapshot_built_only_on_strict_improvement(self):
-        built = []
-        checkpoint = BestCheckpoint()
-        for epoch, loss in enumerate([0.9, 0.9, 0.7, 0.8, 0.7, 0.6]):
-            checkpoint.offer(loss, lambda epoch=epoch: built.append(epoch) or epoch)
-        assert built == [0, 2, 5]
-        assert checkpoint.best() == (5, 5)
-        assert checkpoint.losses == [0.9, 0.9, 0.7, 0.8, 0.7, 0.6]
+    def test_least_loss_wins(self, monkeypatch):
+        # at its first epoch: the least loss comes again at epoch 3
+        result, tested = self.run(monkeypatch, [0.9, 0.5, 0.7, 0.5])
+        assert (result.checkpoint_epoch, tested) == (1, [0, 1])
+
+    def test_tie_keeps_the_earliest_epoch(self, monkeypatch):
+        result, tested = self.run(monkeypatch, [0.5, 0.5])
+        assert (result.checkpoint_epoch, tested) == (0, [0])
+
+    def test_falling_loss_keeps_the_last_epoch(self, monkeypatch):
+        result, tested = self.run(monkeypatch, [1.0 - 0.05 * i for i in range(10)])
+        assert (result.checkpoint_epoch, tested) == (9, list(range(10)))
+
+    def test_test_split_scored_only_on_strict_improvement(self, monkeypatch):
+        result, tested = self.run(monkeypatch, [0.9, 0.9, 0.7, 0.8, 0.7, 0.6])
+        assert (result.checkpoint_epoch, tested) == (5, [0, 2, 5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_loss_names_the_epoch(self, bad):
-        checkpoint = BestCheckpoint()
-        checkpoint.offer(0.5, lambda: "a")
-        with pytest.raises(DivergenceError, match="epoch 1"):
-            checkpoint.offer(bad, lambda: "b")
-        assert checkpoint.best() == (0, "a")
+    def test_non_finite_loss_names_the_epoch(self, monkeypatch, bad):
+        raised, tested = self.run(monkeypatch, [0.5, bad, 0.4])
+        assert isinstance(raised, DivergenceError)
+        assert str(raised) == f"epoch 1: mean validation loss is {bad}"
+        assert tested == [0]
 
 
 def _history_reference(cfg, datasets):
@@ -304,28 +329,28 @@ class TestStreamingCheckpoint:
 
     # the kept snapshot of a 5-client run is each client's predictions at
     # the best epoch, not copies of its parameter vectors: one (n_val, 1)
-    # and one (n_test, 1) probability array per client, and nothing else
+    # and one (n_test, 1) probability array per client, and nothing else,
+    # whose columns are what metrics.evaluate scores
     @pytest.mark.parametrize("protocol, split_kind", [
         ("fl", U_SHAPED), ("sl", U_SHAPED), ("sfv1", U_SHAPED),
         ("sfv2", VANILLA), ("sfv3", U_SHAPED), ("sfv3", VANILLA)])
     def test_kept_snapshot_holds_one_copy_per_distinct_vector(self, monkeypatch, protocol,
                                                               split_kind):
-        kept = []
+        evaluate, kept = metrics.evaluate, []
 
-        class Recording(BestCheckpoint):
-            def best(self):
-                kept.append(self.kept)
-                return super().best()
+        def recording(scores, y, val_scores, val_y):
+            kept.append((scores, y, val_scores, val_y))
+            return evaluate(scores, y, val_scores, val_y)
 
-        monkeypatch.setattr(harness, "BestCheckpoint", Recording)
+        monkeypatch.setattr(metrics, "evaluate", recording)
         cfg = replace(FAST, protocol=protocol, split_kind=split_kind, n_clients=5)
         datasets = harness.load_or_generate(cfg)
         run_experiment(cfg, datasets)
-        ((val_probs, test_probs),) = kept
-        assert sorted(val_probs) == sorted(test_probs) == [ds.client_id for ds in datasets]
-        for ds in datasets:
-            assert val_probs[ds.client_id].shape == (ds.val_y.size, 1)
-            assert test_probs[ds.client_id].shape == (ds.test_y.size, 1)
+        assert len(kept) == len(datasets)  # one call per client, in client order
+        for ds, (scores, y, val_scores, val_y) in zip(datasets, kept):
+            assert y is ds.test_y and val_y is ds.val_y
+            assert scores.base.shape == (ds.test_y.size, 1)
+            assert val_scores.base.shape == (ds.val_y.size, 1)
 
     @pytest.mark.parametrize("protocol", ["fl", "sl"])
     def test_divergence_raises(self, protocol):
@@ -987,8 +1012,8 @@ class TestParallelSweeps:
         # 20,000 4-byte indices overflow a 64 KiB pipe buffer: the parent
         # can write them all only once the workers exist to read them, and a
         # worker sees their end only once every worker closed the write end
-        groups = [("group", index) for index in range(20_000)]
-        monkeypatch.setattr(harness, "_train_group", lambda group: ["trained", group])
+        groups = [{("run", index): None} for index in range(20_000)]
+        monkeypatch.setattr(harness, "_train_group", lambda group: dict.fromkeys(group, "trained"))
 
         def timed_out(signum, frame):
             raise TimeoutError("the workers did not finish")
@@ -1000,7 +1025,7 @@ class TestParallelSweeps:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, handler)
-        assert trained == [["trained", group] for group in groups]
+        assert trained == {("run", index): "trained" for index in range(20_000)}
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1092,13 +1117,6 @@ class TestRenderTable:
             render_table(table)
         assert render_table(table, "undefined").splitlines()[1] == (
             "x,0.4000,0.5000,20.00,0.2000,0.0000,undefined,0.1000,0.0000,undefined")
-
-    def test_emit_and_reread_identical(self, tmp_path):
-        rep = MetricReport(auprc=0.6, f1=0.5, kappa=0.4, threshold=0.5)
-        table = ReportTable([ReportRow("client0", rep, rep)])
-        paths = harness.emit_report(lambda: table, tmp_path, config=FAST)
-        assert paths[0].read_text() == render_table(table)
-        assert "protocol = sl" in paths[1].read_text()
 
 
 class TestCli:
@@ -1274,10 +1292,14 @@ class TestCli:
     def test_sweep_prints_the_table_it_writes(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
         capsys.readouterr()
+        out = tmp_path / "out"
         assert cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1",
-                         "--out", str(tmp_path / "out")]) == 0
-        table = (tmp_path / "out" / "order_sweep_seed0.csv").read_text()
+                         "--out", str(out)]) == 0
+        table = (out / "order_sweep_seed0.csv").read_text()
         assert capsys.readouterr().out == table
+        config = config_from(parse_config_file(cfg), {"epochs": 1})
+        assert table == render_table(sweep_order(config), "undefined")
+        assert (out / "order_sweep_seed0.manifest.txt").read_text() == render_manifest(config)
 
     def test_bias_fixture_order_sweep(self, tmp_path):
         a, b = tmp_path / "A", tmp_path / "B"
@@ -1396,6 +1418,25 @@ class TestCli:
         assert cli.main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"input error: dataset file {data}: client ids {sorted(ids)} are not 0..4\n")
+
+    # read as given, a dataset file's n_clients 0 failed on datasets[0] (exit
+    # 2) and -1 named the ids of datasets[:-1]
+    @pytest.mark.parametrize("command", ["run", "gen-data", "sweep-order", "sweep-clients"])
+    @pytest.mark.parametrize("n_clients", [0, -1])
+    def test_n_clients_below_1_exits_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        command, n_clients):
+        data = tmp_path / "clients.sds"
+        datagen.save_clients(data, datagen.generate_clients(datagen.desk_manifest(5), seed=0))
+        cfg = self._write_cfg(tmp_path, f"dataset_path = {data}\nn_clients = {n_clients}\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "make_clients", no_training)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "input error: n_clients must be >= 1\n"
+        assert not out.exists()
 
     def test_dataset_feature_width_mismatch_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data" / "clients.sds"
