@@ -108,8 +108,8 @@ def generate_clients(manifest: PartitionManifest, d: int = 8,
     means sit at ±v/2 with v the base separation vector (length
     SEPARATION) rotated by k * shift_scale radians, with unit-variance
     noise. shift_scale 0 gives the IID control arm."""
-    if shift_scale < 0:
-        raise ValueError("shift_scale must be non-negative")
+    if not (shift_scale >= 0 and np.isfinite((manifest.n_clients - 1) * shift_scale)):
+        raise ValueError("shift_scale must be >= 0 and give every client a finite angle")
     if d < 2:
         raise ValueError("need at least 2 feature dimensions for rotations")
     clients = []

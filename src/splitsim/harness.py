@@ -94,11 +94,13 @@ class ExperimentConfig:
         if self.n_clients < 1:
             raise ConfigurationError("n_clients must be >= 1")
         if self.dataset_path is None:
-            # the generated cohort's client count and eval splits
+            # the generated cohort's client count, eval splits and angles
             try:
                 desk_manifest(self.n_clients, self.eval_count)
             except datagen.ManifestError as exc:
                 raise ConfigurationError(str(exc)) from None
+            if not math.isfinite((self.n_clients - 1) * self.shift_scale):
+                raise ConfigurationError("shift_scale overflows the last client's angle")
         cuts = self.split_config()
         if cuts is not None:
             n_layers = len(self.widths) - 1

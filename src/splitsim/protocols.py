@@ -38,7 +38,7 @@ from .datagen import ClientDataset
 from .model_split import split_model
 from .nn import AdamState, SequentialModel, adam_step, backward, bce_grad, forward
 from .nn import bce_loss  # noqa: F401 - the benchmark's tracer wraps protocols.bce_loss
-from .transport import ChannelBus, Message, MsgType
+from .transport import ChannelBus, MsgType
 
 SERVER = 0          # wire id of the server participant
 
@@ -81,10 +81,6 @@ PROTOCOLS = tuple(SPECS)
 class PlanError(ValueError):
     """A round step asked for what it cannot do: averaging no models, or
     turn states outside round 0 against a shared body."""
-
-
-class ProtocolViolation(RuntimeError):
-    """A message arrived out of the protocol's expected order."""
 
 
 def wire_id(client_id: int) -> int:
@@ -193,16 +189,6 @@ def average_models(models: list[tuple[int, SequentialModel]],
     return avg
 
 
-# --- message plumbing -----------------------------------------------------
-
-def _expect(bus: ChannelBus, receiver: int, sender: int, msg_type: MsgType) -> Message:
-    msg = bus.recv(receiver, sender)
-    if msg.msg_type != msg_type:
-        raise ProtocolViolation(
-            f"expected {msg_type.name} from {sender}, got {msg.msg_type.name}")
-    return msg
-
-
 def _train_batch_split(client: ClientState, body: SequentialModel,
                        opt_body: AdamState, xb, yb, bus: ChannelBus, rnd: int) -> None:
     """One batch of split training for one client.
@@ -210,7 +196,8 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
     U-shaped (the client holds a tail): SmashedActivations -> BodyOutput
     -> BodyOutputGrad -> SmashedGrad. Vanilla (no tail): SmashedActivations
     + Labels -> SmashedGrad (the server holds the output head and the
-    loss). So a client sends Labels exactly when it holds no tail.
+    loss). So a client sends Labels exactly when it holds no tail. Each
+    side takes the payload of the message type it expects next.
 
     The client takes one Adam step over front and tail together, after
     the front's backward. Stepping the tail right after its own backward
@@ -221,35 +208,33 @@ def _train_batch_split(client: ClientState, body: SequentialModel,
 
     # client: front forward, ship cut-layer activations
     a_front, front_outputs = forward(client.front, xb)
-    bus.send(Message(MsgType.SMASHED_ACTIVATIONS, cw, SERVER, rnd, payload=a_front))
+    bus.send(MsgType.SMASHED_ACTIVATIONS, cw, SERVER, rnd, a_front)
     if not u_shaped:
-        bus.send(Message(MsgType.LABELS, cw, SERVER, rnd, payload=yb))
+        bus.send(MsgType.LABELS, cw, SERVER, rnd, yb)
 
     # server: body forward
-    msg = _expect(bus, SERVER, cw, MsgType.SMASHED_ACTIVATIONS)
-    a_body, body_outputs = forward(body, msg.payload)
+    a_body, body_outputs = forward(body, bus.recv(SERVER, cw, MsgType.SMASHED_ACTIVATIONS))
 
     if u_shaped:
-        bus.send(Message(MsgType.BODY_OUTPUT, SERVER, cw, rnd, payload=a_body))
+        bus.send(MsgType.BODY_OUTPUT, SERVER, cw, rnd, a_body)
 
         # client: tail forward, loss on local labels, tail backward
-        msg = _expect(bus, cw, SERVER, MsgType.BODY_OUTPUT)
-        probs, tail_outputs = forward(client.tail, msg.payload)
+        probs, tail_outputs = forward(client.tail, bus.recv(cw, SERVER, MsgType.BODY_OUTPUT))
         _, d_body_out = backward(client.tail, tail_outputs, bce_grad(probs, yb))
-        bus.send(Message(MsgType.BODY_OUTPUT_GRAD, cw, SERVER, rnd, payload=d_body_out))
-        d_body_out = _expect(bus, SERVER, cw, MsgType.BODY_OUTPUT_GRAD).payload
+        bus.send(MsgType.BODY_OUTPUT_GRAD, cw, SERVER, rnd, d_body_out)
+        d_body_out = bus.recv(SERVER, cw, MsgType.BODY_OUTPUT_GRAD)
     else:
         # server: loss on the labels the client shipped
-        d_body_out = bce_grad(a_body, _expect(bus, SERVER, cw, MsgType.LABELS).payload)
+        d_body_out = bce_grad(a_body, bus.recv(SERVER, cw, MsgType.LABELS))
 
     # server: body backward + update
     grads_body, d_smashed = backward(body, body_outputs, d_body_out)
     adam_step(body.flat, grads_body, opt_body)
-    bus.send(Message(MsgType.SMASHED_GRAD, SERVER, cw, rnd, payload=d_smashed))
+    bus.send(MsgType.SMASHED_GRAD, SERVER, cw, rnd, d_smashed)
 
     # client: front backward, then one update of front and tail
-    msg = _expect(bus, cw, SERVER, MsgType.SMASHED_GRAD)
-    backward(client.front, front_outputs, msg.payload, input_grad=False)
+    backward(client.front, front_outputs, bus.recv(cw, SERVER, MsgType.SMASHED_GRAD),
+             input_grad=False)
     adam_step(client.flat, client.grad, client.opt)
 
 
@@ -390,15 +375,14 @@ def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:
 
     for cid in ids:
         for segment in segments(cid):
-            bus.send(Message(MsgType.PARAM_BLOB, wire_id(cid), SERVER, rnd, payload=segment.flat))
+            bus.send(MsgType.PARAM_BLOB, wire_id(cid), SERVER, rnd, segment.flat)
     received = [[] for _ in range(n_segments)]
     for cid in ids:
         for models, segment in zip(received, segments(cid)):
-            msg = _expect(bus, SERVER, wire_id(cid), MsgType.PARAM_BLOB)
-            models.append((cid, SequentialModel(segment.layers, msg.payload)))
+            blob = bus.recv(SERVER, wire_id(cid), MsgType.PARAM_BLOB)
+            models.append((cid, SequentialModel(segment.layers, blob)))
     averages = [average_models(models, weights) for models in received]
     for cid in ids:
         for segment, avg in zip(segments(cid), averages):
-            bus.send(Message(MsgType.PARAM_BLOB, SERVER, wire_id(cid), rnd, payload=avg.flat))
-            nn.unflatten_params(segment, _expect(bus, wire_id(cid), SERVER,
-                                                 MsgType.PARAM_BLOB).payload)
+            bus.send(MsgType.PARAM_BLOB, SERVER, wire_id(cid), rnd, avg.flat)
+            nn.unflatten_params(segment, bus.recv(wire_id(cid), SERVER, MsgType.PARAM_BLOB))

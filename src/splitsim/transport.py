@@ -66,39 +66,45 @@ class EmptyChannel(Exception):
     """recv on a channel with no pending message."""
 
 
-@dataclass(eq=False)  # equal only to itself: an array payload has no single truth value
-class Message:
-    msg_type: MsgType
+class ProtocolViolation(RuntimeError):
+    """A message arrived out of the protocol's expected order."""
+
+
+class LogRecord(NamedTuple):
+    """A message's header fields and frame length, as the sender's bus
+    logs them and `decode` reads them off the frame."""
+    round: int
+    seq: int
     sender: int
     receiver: int
-    round: int = 0
-    seq: int = 0
-    payload: np.ndarray | None = None  # the tensor, as given; encode rejects None
+    msg_type: MsgType
+    nbytes: int
 
 
-def encode(message: Message) -> bytes:
-    """Serialize to the fixed wire layout; deterministic. Raises
+def encode(msg_type: MsgType, sender: int, receiver: int, rnd: int, seq: int, payload) -> bytes:
+    """Serialize one message to the fixed wire layout; deterministic.
+    Raises CodecError for a None payload or a rank above 255, and
     FieldOutOfRange when a header field does not fit its wire width.
     The one place a payload turns float64: any array-like is converted
     here (no copy when it already is a C-contiguous float64 array), then
     copied once, straight from its buffer into the frame."""
-    if message.payload is None:
+    if payload is None:
         raise CodecError("tensor message without payload")
-    tensor = np.asarray(message.payload, dtype=_WIRE_FLOAT, order="C")
+    tensor = np.asarray(payload, dtype=_WIRE_FLOAT, order="C")
     if tensor.ndim > 255:
         raise CodecError("tensor rank exceeds 255")
     try:
-        header = _HEADER.pack(MAGIC, VERSION, int(message.msg_type),
-                              message.sender, message.receiver,
-                              message.round, message.seq, tensor.ndim)
+        header = _HEADER.pack(MAGIC, VERSION, int(msg_type), sender, receiver, rnd, seq,
+                              tensor.ndim)
     except struct.error as exc:
         raise FieldOutOfRange(str(exc)) from None
     dims = _DIMS[tensor.ndim].pack(*tensor.shape)
     return b"".join((header, dims, tensor))
 
 
-def decode(data: bytes) -> Message:
-    """Inverse of encode; raises CorruptStream / Truncated /
+def decode(data: bytes) -> tuple[LogRecord, np.ndarray]:
+    """Inverse of encode: the frame's record, whose `nbytes` is the
+    frame's length, and its payload. Raises CorruptStream / Truncated /
     UnsupportedMessage / TrailingBytes.
 
     The payload is a read-only view of the frame, not a copy (a mutable
@@ -127,16 +133,7 @@ def decode(data: bytes) -> Message:
     if size > end:
         raise TrailingBytes("bytes after the declared payload")
     tensor = np.ndarray(shape, _WIRE_FLOAT, data, off)
-    return Message(msg_type, sender, receiver, rnd, seq, tensor)
-
-
-class LogRecord(NamedTuple):
-    round: int
-    seq: int
-    sender: int
-    receiver: int
-    msg_type: MsgType
-    nbytes: int
+    return LogRecord(rnd, seq, sender, receiver, msg_type, size), tensor
 
 
 @dataclass
@@ -149,29 +146,35 @@ class ChannelBus:
     seq_counts: dict = field(default_factory=dict)
     log: list = field(default_factory=list)
 
-    def send(self, message: Message) -> int:
-        """Encode and enqueue; assigns the per-channel sequence number.
-        Returns the encoded length."""
-        key = (message.sender, message.receiver)
-        message.seq = self.seq_counts.get(key, 0)
-        data = encode(message)  # may raise: commit nothing before it
-        self.seq_counts[key] = message.seq + 1
+    def send(self, msg_type: MsgType, sender: int, receiver: int, rnd: int, payload) -> int:
+        """Encode and enqueue one message, numbered next on its channel,
+        and log its record. Returns the encoded length. A message that
+        does not encode raises and commits nothing."""
+        key = (sender, receiver)
+        seq = self.seq_counts.get(key, 0)
+        data = encode(msg_type, sender, receiver, rnd, seq, payload)
+        self.seq_counts[key] = seq + 1
         queue = self.queues.get(key)
         if queue is None:
             queue = self.queues[key] = deque()
         queue.append(data)
         n = len(data)
-        self.log.append(LogRecord(message.round, message.seq, message.sender,
-                                  message.receiver, message.msg_type, n))
+        self.log.append(LogRecord(rnd, seq, sender, receiver, msg_type, n))
         return n
 
-    def recv(self, receiver: int, sender: int) -> Message:
-        """Pop the oldest pending message from sender to receiver; raises
-        EmptyChannel when nothing is pending."""
+    def recv(self, receiver: int, sender: int, msg_type: MsgType) -> np.ndarray:
+        """Pop and decode the oldest pending message from sender to
+        receiver, and return its payload. Raises EmptyChannel when
+        nothing is pending, and ProtocolViolation when the message is not
+        of `msg_type`."""
         q = self.queues.get((sender, receiver))
         if not q:
             raise EmptyChannel(f"no message from {sender} to {receiver}")
-        return decode(q.popleft())
+        record, payload = decode(q.popleft())
+        if record.msg_type != msg_type:
+            raise ProtocolViolation(
+                f"expected {msg_type.name} from {sender}, got {record.msg_type.name}")
+        return payload
 
     def bytes_sent(self) -> int:
         return sum(rec.nbytes for rec in self.log)

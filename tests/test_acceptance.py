@@ -21,7 +21,7 @@ from splitsim import datagen, harness, nn, protocols
 from splitsim.harness import DivergenceError, ExperimentConfig, run_experiment
 from splitsim.metrics import (ConfusionCounts, MetricError, auprc, cohen_kappa, f1,
                               percent_drop)
-from splitsim.transport import (HEADER_LEN, ChannelBus, CorruptStream, Message, MsgType,
+from splitsim.transport import (HEADER_LEN, ChannelBus, CorruptStream, MsgType,
                                 Truncated, decode, encode)
 
 from test_metrics import (ORDER_TABLE, SETTING_TABLE, brute_force_auprc,
@@ -29,7 +29,7 @@ from test_metrics import (ORDER_TABLE, SETTING_TABLE, brute_force_auprc,
 from test_nn import max_grad_check_error, models_equal
 from test_protocols import centralized_training, make_setup, run_rounds
 import test_protocols as tp
-from test_transport import messages_equal
+from test_transport import round_trips
 from splitsim.protocols import FL, SFV1, SFV2, SFV3, SL, composed_model, make_clients, run_round
 from splitsim.model_split import U_SHAPED, VANILLA
 
@@ -332,11 +332,10 @@ def test_codec_soundness():
     for msg_type in MsgType:
         for _ in range(per_variant):
             shape = tuple(int(v) for v in rng.integers(1, 6, size=rng.integers(1, 4)))
-            m = Message(msg_type, int(rng.integers(0, 2 ** 16)),
-                        int(rng.integers(0, 2 ** 16)), int(rng.integers(0, 2 ** 32)),
-                        int(rng.integers(0, 2 ** 32)), rng.normal(size=shape))
-            assert messages_equal(decode(encode(m)), m)
-    good = encode(Message(MsgType.SMASHED_GRAD, 1, 0, payload=rng.normal(size=(2, 3))))
+            assert round_trips(msg_type, int(rng.integers(0, 2 ** 16)),
+                               int(rng.integers(0, 2 ** 16)), int(rng.integers(0, 2 ** 32)),
+                               int(rng.integers(0, 2 ** 32)), rng.normal(size=shape))
+    good = encode(MsgType.SMASHED_GRAD, 1, 0, 0, 0, rng.normal(size=(2, 3)))
     with pytest.raises(CorruptStream):
         decode(b"XXXX" + good[4:])
     with pytest.raises(Truncated):

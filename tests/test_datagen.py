@@ -1,3 +1,4 @@
+import math
 import pathlib
 import tempfile
 
@@ -84,6 +85,17 @@ class TestGeneration:
     def test_angles_scale_with_index(self):
         clients = generate_clients(desk_manifest(3), shift_scale=0.5, seed=0)
         assert [c.angle for c in clients] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("n_clients, shift_scale", [(3, 1e308), (5, 1e308), (1, math.inf),
+                                                        (2, math.nan), (2, -0.5)])
+    def test_a_non_finite_or_negative_angle_is_rejected(self, n_clients, shift_scale):
+        with pytest.raises(ValueError, match="shift_scale"):
+            generate_clients(desk_manifest(n_clients), shift_scale=shift_scale, seed=0)
+
+    def test_1e308_with_two_clients_gives_finite_data(self):
+        clients = generate_clients(desk_manifest(2), shift_scale=1e308, seed=0)
+        assert clients[1].angle == 1e308
+        assert all(np.all(np.isfinite(c.train_x)) for c in clients)
 
     def test_prevalence_empty_split_rejected(self):
         with pytest.raises(ValueError):

@@ -1330,6 +1330,7 @@ class TestCli:
         "feature_dim = 1\nwidths = 1,16,16,16,8,1", "widths = 1,16,16,16,8,1",
         "widths = 8,0,16,16,8,1",
         "shift_scale = -0.5", "shift_scale = nan", "shift_scale = inf",
+        "shift_scale = 1e308\nn_clients = 3",
         "sweep_sizes =", "sweep_sizes = 0,2", "seed = -1",
         "epochs = abc", "order = None", "widths = 8,x", "dataset_path = .",
         "eval_count = 4", "eval_count = 0", "eval_count = -1",
@@ -1437,6 +1438,28 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "input error: n_clients must be >= 1\n"
         assert not out.exists()
+
+    # client k's angle is k * shift_scale: at 1e308 it was inf from client 2
+    # on, so run trained on NaN features and gen-data wrote them
+    @pytest.mark.parametrize("command", ["run", "gen-data", "sweep-order", "sweep-clients"])
+    def test_overflowing_shift_scale_exits_1_before_generating(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        cfg = self._write_cfg(tmp_path, "shift_scale = 1e308\nn_clients = 5\n")
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated")
+
+        monkeypatch.setattr(harness, "generate_clients", no_data)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: shift_scale overflows the last client's angle\n")
+        assert not out.exists()
+
+    def test_shift_scale_1e308_runs_at_two_clients(self, tmp_path):
+        # every angle is finite: 0 and 1e308 (three clients: test_invalid_config_exits_1)
+        cfg = self._write_cfg(tmp_path, "shift_scale = 1e308\nn_clients = 2\nepochs = 1\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_dataset_feature_width_mismatch_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data" / "clients.sds"
@@ -1576,7 +1599,8 @@ class TestConfigProperties:
         "input_width": st.sampled_from([1, 0, -1]),
         "hidden": st.lists(st.integers(-1, 3), min_size=1, max_size=3).filter(
             lambda h: min(h) < 1),
-        "shift_scale": st.sampled_from([-0.5, -1e-300, float("nan"), float("inf")]),
+        # 1e308 overflows the angle of client 2 and later: it runs at 1 or 2 clients
+        "shift_scale": st.sampled_from([-0.5, -1e-300, float("nan"), float("inf"), 1e308]),
         "seed": st.integers(-3, -1),
     }
 

@@ -11,10 +11,10 @@ import pytest
 from splitsim import datagen, nn, protocols, transport
 from splitsim.model_split import U_SHAPED, VANILLA, split_model
 from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
-                                SERVER, PlanError, ProtocolViolation, average_models,
+                                SERVER, PlanError, average_models,
                                 composed_model, iter_batches, make_clients,
                                 run_round)
-from splitsim.transport import ChannelBus, Message, MsgType
+from splitsim.transport import ChannelBus, MsgType, ProtocolViolation
 from test_nn import models_equal
 
 WIDTHS = [8, 16, 16, 16, 8, 1]
@@ -390,9 +390,9 @@ class TestMessageSequences:
         _, model, clients, server = make_setup(1, SL)
         bus = ChannelBus()
         # a stray parameter blob jumps the queue on the client->server channel
-        bus.send(Message(MsgType.PARAM_BLOB, protocols.wire_id(0), protocols.SERVER,
-                         payload=np.zeros(3)))
-        with pytest.raises(ProtocolViolation):
+        bus.send(MsgType.PARAM_BLOB, protocols.wire_id(0), protocols.SERVER, 0, np.zeros(3))
+        with pytest.raises(ProtocolViolation,
+                           match="expected SMASHED_ACTIVATIONS from 1, got PARAM_BLOB"):
             run_rounds(SL, clients, server, (0,), 1, bus=bus)
 
 
