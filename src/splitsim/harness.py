@@ -266,7 +266,7 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
            turns: TurnStates | None = None) -> RunResult:
     """`run_experiment`'s training, for a config that names its order and
     the datasets of its clients. `turns` (SL, SFv2) holds the round-0
-    states that the runs of its group share (`_train_group`)."""
+    turns that the runs of its group share (`_train_group`)."""
     start = time.perf_counter()
     ds_by_id = {ds.client_id: ds for ds in datasets}
     # the initial model is freed once make_clients has copied it: held for
@@ -313,15 +313,17 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
 # --- training a sweep's runs ahead of its calls -------------------------------
 
 def _train_group(group: dict) -> dict:
-    """Train one group's runs, `{run key: (config, datasets)}`, in order:
-    `{run key: result}`, or {} if a run raised. Under SL and SFv2 the runs
-    share their round-0 turns (`protocols.TurnStates`)."""
-    configs = [cfg for cfg, _ in group.values()]
-    shared = SPECS[configs[0].protocol].shared_body
-    turns = TurnStates([cfg.order for cfg in configs]) if shared else None
+    """Train one group's runs, `{run key: (config, datasets)}`, in sorted
+    order of the client orders they train in: `{run key: result}`, or {}
+    if a run raised. Under SL and SFv2 the runs share their round-0 turns
+    (`protocols.TurnStates`): each distinct round-0 prefix trains once,
+    and the group holds at most n_clients saved turns."""
+    runs = sorted(group.items(), key=lambda run: run[0][1])  # a run key is (config, order)
+    shared = SPECS[runs[0][0][0].protocol].shared_body
+    turns = TurnStates([order for (_, order), _ in runs]) if shared else None
     try:
         return {key: _train(cfg, datasets[:cfg.n_clients], turns=turns)
-                for key, (cfg, datasets) in group.items()}
+                for key, (cfg, datasets) in runs}
     except Exception:  # noqa: BLE001 - the group's calls train it again and raise
         return {}
 
@@ -385,13 +387,15 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
     into groups that share no work. Against a shared body (SL, SFv2) a
     group is a config (seed included) and the first client of the order
     its runs train in, as runs that share a round-0 prefix start with the
-    same client (`protocols.TurnStates`); otherwise (FL, SFv1, SFv3) each
-    run is its own group. Each group trains through `_train_group`, in
-    workers started by `os.fork` (`_workers`), or else in-process, one
-    after another. Workers inherit the groups, take their indices from one
-    pipe in call order as they come free, and each write one pickled
-    `{run key: result}` reply, the results of every group it trained, to a
-    pipe of its own. That order starts each seed with its costliest group:
+    same client; otherwise (FL, SFv1, SFv3) each run is its own group.
+    Each group trains through `_train_group`, its runs in sorted order of
+    their client orders, so each distinct round-0 prefix trains once and
+    the group holds at most n_clients saved turns (`protocols.TurnStates`).
+    The groups train in workers started by `os.fork` (`_workers`), or else
+    in-process, one after another. Workers inherit the groups, take their
+    indices from one pipe in call order as they come free, and each write
+    one pickled `{run key: result}` reply, the results of every group it
+    trained, to a pipe of its own. That order starts each seed with its costliest group:
     the group of an SL order sweep's first run holds one distinct run per
     client but one, the others one or two.
 

@@ -28,7 +28,6 @@ every client between trains in turn.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +78,9 @@ PROTOCOLS = tuple(SPECS)
 
 
 class PlanError(ValueError):
-    """A round step asked for what it cannot do: averaging no models, or
-    turn states outside round 0 against a shared body."""
+    """A round step asked for what it cannot do: averaging no models, turn
+    states outside round 0 against a shared body, or saved turns that do
+    not start the round's order."""
 
 
 def wire_id(client_id: int) -> int:
@@ -256,58 +256,53 @@ def _put_params(saved: tuple, flat: np.ndarray, opt: AdamState) -> None:
 
 
 class TurnStates:
-    """Round-0 states shared by runs that start from the same model, data
-    and hyperparameters and differ in their client order, keyed by the
-    order prefix whose turns led to them. A state holds copies of what
-    those turns against a shared body change: each of their clients'
-    `[front | tail]` vector and Adam state (m, v, step), the body and its
-    Adam state, and a copy of the bus log. Every other client is still as
-    `make_clients` dealt it.
+    """Round-0 turns shared by runs that start from the same model, data
+    and hyperparameters and differ in their client order, `orders`, given
+    in the order the runs train. Each run restores the turns it shares
+    with the run before it and trains the rest. With the orders sorted,
+    those are the most turns it shares with any earlier run, so each
+    distinct round-0 prefix trains once.
 
-    `orders` are the runs' orders, in the order they train: each run
-    restores the state after the longest prefix of its order that an
-    earlier run trained. `uses` counts, per prefix, the restores still to
-    come: a state is captured only while it has some, and dropped after
-    its last."""
+    `saved` is a stack: entry k holds what turn k + 1 of the current order
+    changed: that client's id, `[front | tail]` vector and Adam state (m,
+    v, step), the body and its Adam state, and a copy of the bus log; any
+    other client is as `make_clients` dealt it. A run keeps the stack only
+    as deep as it shares turns with the next run, so it never holds more
+    entries than the runs have clients."""
 
     def __init__(self, orders):
-        self.uses: Counter[tuple[int, ...]] = Counter()
-        self.states: dict[tuple[int, ...], tuple] = {}
-        trained: set[tuple[int, ...]] = set()
-        for order in orders:
-            prefixes = [order[:k] for k in range(1, len(order) + 1)]
-            restored = [prefix for prefix in prefixes if prefix in trained]
-            if restored:
-                self.uses[restored[-1]] += 1
-            trained.update(prefixes)
+        self.saved: list[tuple] = []
+        self._keeps = iter([_shared_turns(a, b) for a, b in zip(orders, orders[1:])] + [0])
+        self._keep = 0
 
     def restore(self, order: tuple[int, ...], clients, server: ServerState,
                 bus: ChannelBus) -> int:
-        """Restore the state of the longest stored prefix of `order`;
-        returns its length, 0 when none is stored."""
-        for k in range(len(order), 0, -1):
-            prefix = order[:k]
-            if prefix in self.states:
-                saved_clients, body, log = self.states[prefix]
-                self.uses[prefix] -= 1
-                if self.uses[prefix] <= 0:
-                    del self.states[prefix]
-                for cid, saved in zip(prefix, saved_clients):
-                    _put_params(saved, clients[cid].flat, clients[cid].opt)
-                _put_params(body, server.body.flat, server.opts[order[0]])
-                bus.restore_log(log)
-                return k
-        return 0
+        """Restore the turns that the run in `order` shares with the run
+        before it: the whole stack. Returns how many, 0 for none."""
+        if tuple(cid for cid, *_ in self.saved) != order[:len(self.saved)]:
+            raise PlanError(f"order {order} does not start with the saved turns")
+        for cid, saved, _, _ in self.saved:
+            _put_params(saved, clients[cid].flat, clients[cid].opt)
+        if self.saved:
+            _, _, body, log = self.saved[-1]
+            _put_params(body, server.body.flat, server.opts[order[0]])
+            bus.restore_log(log)
+        done, self._keep = len(self.saved), next(self._keeps)
+        del self.saved[self._keep:]
+        return done
 
-    def offer(self, prefix: tuple[int, ...], clients, server: ServerState,
-              bus: ChannelBus) -> None:
-        """Capture the state after `prefix`'s turns if a later run will
-        restore it."""
-        if self.uses[prefix] > 0 and prefix not in self.states:
-            self.states[prefix] = (
-                [_copy_params(clients[cid].flat, clients[cid].opt) for cid in prefix],
-                _copy_params(server.body.flat, server.opts[prefix[0]]),
-                list(bus.log))
+    def offer(self, cid: int, clients, server: ServerState, bus: ChannelBus) -> None:
+        """Save what client `cid`'s turn, the next on the stack, changed if
+        the next run shares that turn."""
+        if len(self.saved) < self._keep:
+            self.saved.append((cid, _copy_params(clients[cid].flat, clients[cid].opt),
+                               _copy_params(server.body.flat, server.opts[cid]),
+                               list(bus.log)))
+
+
+def _shared_turns(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The length of the longest prefix orders `a` and `b` share."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 # --- round engine ---------------------------------------------------------
@@ -324,10 +319,9 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
     as the turns end, becomes the body. Then the client segments are
     averaged if the row says so.
 
-    `turns` (round 0 against a shared body only) holds the states other
-    runs reached after the first turns of this round: the longest one
-    whose turns start this order is restored and its turns are skipped,
-    and the state after each turn trained here is offered to it."""
+    `turns` (round 0 against a shared body only) holds the first turns of
+    this round that the run before trained: they are restored and
+    skipped, and what each turn trained here changed is offered to it."""
     spec = SPECS[protocol]
     order = spec.training_order(order)
     done = 0
@@ -354,7 +348,7 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
             else:
                 mean.add(body.flat, float(client.sample_count))
         if turns is not None:
-            turns.offer(order[:k + 1], clients, server, bus)
+            turns.offer(client.id, clients, server, bus)
     if spec.replicas:
         mean.into(server.body.flat)
     if spec.average_segments:

@@ -21,7 +21,8 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHHIIB")  # magic, version, type, sender, receiver, round, seq, rank
 HEADER_LEN = _HEADER.size  # 19
-_DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(256))  # by tensor rank
+_MAX_RANK = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's most dims
+_DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(_MAX_RANK + 1))  # by tensor rank
 _WIRE_FLOAT = np.dtype("<f8")
 
 
@@ -50,7 +51,7 @@ class Truncated(CodecError):
 
 
 class UnsupportedMessage(CodecError):
-    """Unknown msg_type code."""
+    """Unknown msg_type code, or a tensor rank numpy cannot hold."""
 
 
 class TrailingBytes(CodecError):
@@ -83,16 +84,14 @@ class LogRecord(NamedTuple):
 
 def encode(msg_type: MsgType, sender: int, receiver: int, rnd: int, seq: int, payload) -> bytes:
     """Serialize one message to the fixed wire layout; deterministic.
-    Raises CodecError for a None payload or a rank above 255, and
-    FieldOutOfRange when a header field does not fit its wire width.
+    Raises CodecError for a None payload, and FieldOutOfRange when a
+    header field does not fit its wire width.
     The one place a payload turns float64: any array-like is converted
     here (no copy when it already is a C-contiguous float64 array), then
     copied once, straight from its buffer into the frame."""
     if payload is None:
         raise CodecError("tensor message without payload")
     tensor = np.asarray(payload, dtype=_WIRE_FLOAT, order="C")
-    if tensor.ndim > 255:
-        raise CodecError("tensor rank exceeds 255")
     try:
         header = _HEADER.pack(MAGIC, VERSION, int(msg_type), sender, receiver, rnd, seq,
                               tensor.ndim)
@@ -122,6 +121,8 @@ def decode(data: bytes) -> tuple[LogRecord, np.ndarray]:
     msg_type = _MSG_TYPES.get(type_code)
     if msg_type is None:
         raise UnsupportedMessage(f"unknown msg_type {type_code}")
+    if rank > _MAX_RANK:
+        raise UnsupportedMessage(f"tensor rank {rank} exceeds {_MAX_RANK}")
     off = HEADER_LEN
     if size < off + 4 * rank:
         raise Truncated("missing dims")

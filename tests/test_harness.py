@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from splitsim import cli, datagen, harness, metrics, nn, protocols
@@ -650,11 +650,15 @@ class TestSweepStore:
     def _small_data(n_clients):
         return datagen.generate_clients(datagen.desk_manifest(n_clients, 20), seed=0)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(orders=st.integers(3, 4).flatmap(lambda n: st.lists(
                st.permutations(range(n)).map(tuple), min_size=1, max_size=6, unique=True)),
            protocol=st.sampled_from(["sl", "sfv2"]),
            split_kind=st.sampled_from([VANILLA, U_SHAPED]), epochs=st.integers(1, 2))
+    # a group whose call order is not sorted: (0, 1, 3, 2) shares more with
+    # (0, 1, 2, 3) than with the run called before it
+    @example(orders=[(0, 1, 2, 3), (0, 2, 3, 1), (0, 1, 3, 2)], protocol="sfv2",
+             split_kind=U_SHAPED, epochs=2)
     def test_runs_trained_ahead_equal_standalone_runs(self, orders, protocol, split_kind,
                                                        epochs):
         n = len(orders[0])
@@ -662,16 +666,25 @@ class TestSweepStore:
         cfg = replace(FAST, protocol=protocol, split_kind=split_kind, epochs=epochs,
                       n_clients=n)
         runs = [(replace(cfg, order=order), datasets) for order in orders]
-        steps, original = [], protocols.adam_step
+        # each run keeps its bus, and the turns its group saved are counted
+        # as it ends, when they are the most they will be before the next run
+        steps, saved, original, train = [], [], protocols.adam_step, harness._train
+
+        def kept(config, datasets, keep_bus=False, turns=None):
+            result = train(config, datasets, True, turns)
+            saved.append(len(turns.saved))
+            return result
+
         with pytest.MonkeyPatch.context() as mp:
             _cpus(mp, 1)
             mp.setattr(protocols, "adam_step", lambda *a: steps.append(a) or original(*a))
+            mp.setattr(harness, "_train", kept)
             trained = harness._train_ahead(runs)
         assert len(trained) == len(runs)
         for run, _ in runs:
-            alone = run_experiment(run, datasets)
+            alone = run_experiment(run, datasets, keep_bus=True)
             ahead = trained[harness._run_key(run, run.order)]
-            assert (ahead.to_json(), ahead.total_bytes) == (alone.to_json(), alone.total_bytes)
+            assert (ahead.to_json(), ahead.bus.log) == (alone.to_json(), alone.bus.log)
         # round 0 trains each node of the orders' prefix tree once, every
         # later round each run's every turn; a batch takes two Adam steps,
         # the client's and the body's
@@ -679,6 +692,7 @@ class TestSweepStore:
         nodes = {order[:k] for order in orders for k in range(1, n + 1)}
         later = (epochs - 1) * len(orders) * sum(batches.values())
         assert len(steps) == 2 * (sum(batches[node[-1]] for node in nodes) + later)
+        assert max(saved) <= n
 
     def test_bias_sweeps_train_shared_turns_once(self, monkeypatch):
         # batch 4 gives 46/95/29/22/28 batches per client and epoch, two
@@ -731,29 +745,34 @@ class TestSweepStore:
         datasets = harness.load_or_generate(cfg)
         runs = [c for _, *pair, _ in harness._rows(cfg, datasets, "probe", range(4)) for c in pair]
         assert [c.order for c in runs[-2:]] == [(3, 0, 1, 2), (0, 1, 2, 3)]
-        # after each run trained: its order, the prefixes whose restores are
-        # still to come, and the states alive
+        # per run, as it trained: its order, the turns it restored (the
+        # stack before it) and the turns it kept for the next run
         original, live = harness._train, []
 
+        def path(turns):
+            return tuple(cid for cid, *_ in turns.saved)
+
         def train(config, datasets, keep_bus=False, turns=None):
+            restored = path(turns)
             result = original(config, datasets, keep_bus, turns)
-            live.append((config.order, +turns.uses, sorted(turns.states)))
+            live.append((config.order, restored, path(turns)))
             return result
 
         monkeypatch.setattr(harness, "_train", train)
         _cpus(monkeypatch, 1)
         store = harness._train_ahead([(run, datasets) for run in runs])
-        # groups by first client, in call order; in group 0, (0, 2, 3, 1)
-        # restores (0,) and (0, 1, 3, 2) restores (0, 1); in group 1,
-        # (1, 0, 2, 3) restores (1,); the last run equals the first
+        # groups by first client, in call order, each in sorted order of its
+        # orders; in group 0, (0, 1, 3, 2) restores (0, 1) and (0, 2, 3, 1)
+        # restores (0,); in group 1, (1, 2, 3, 0) restores (1,); the last
+        # run equals the first
         assert live == [
-            ((0, 1, 2, 3), {(0,): 1, (0, 1): 1}, [(0,), (0, 1)]),
-            ((0, 2, 3, 1), {(0, 1): 1}, [(0, 1)]),
-            ((0, 1, 3, 2), {}, []),
-            ((1, 2, 3, 0), {(1,): 1}, [(1,)]),
-            ((1, 0, 2, 3), {}, []),
-            ((2, 0, 1, 3), {}, []),
-            ((3, 0, 1, 2), {}, [])]
+            ((0, 1, 2, 3), (), (0, 1)),
+            ((0, 1, 3, 2), (0, 1), (0,)),
+            ((0, 2, 3, 1), (0,), ()),
+            ((1, 0, 2, 3), (), (1,)),
+            ((1, 2, 3, 0), (1,), ()),
+            ((2, 0, 1, 3), (), ()),
+            ((3, 0, 1, 2), (), ())]
         assert sorted(order for _, order in store) == sorted(order for order, _, _ in live)
         monkeypatch.undo()
         # a run that keeps its bus trains: a stored result has none
@@ -767,13 +786,22 @@ class TestSweepStore:
         runs = [replace(cfg, order=order) for order in ((0, 1, 2, 3), (0, 1, 3, 2))]
         turns = TurnStates([run.order for run in runs])
         first = harness._train(runs[0], datasets, keep_bus=True, turns=turns)
-        assert list(turns.states) == [(0, 1)]
+        assert [cid for cid, *_ in turns.saved] == [0, 1]
         second = harness._train(runs[1], datasets, keep_bus=True, turns=turns)
-        assert not turns.states  # restored, and dropped after its one use
+        assert not turns.saved  # restored, and dropped as the last run's
         for run, result in zip(runs, (first, second)):
             alone = harness._train(run, datasets, keep_bus=True)
             assert result.bus.log == alone.bus.log
             assert result.to_json() == alone.to_json()
+
+
+    def test_a_run_off_the_saved_turns_raises(self):
+        cfg = replace(FAST, n_clients=3)
+        datasets = harness.load_or_generate(cfg)
+        turns = TurnStates([(0, 1, 2), (0, 2, 1)])  # (0, 1, 2) saves client 0's turn
+        harness._train(replace(cfg, order=(0, 1, 2)), datasets, turns=turns)
+        with pytest.raises(protocols.PlanError, match="does not start with the saved turns"):
+            harness._train(replace(cfg, order=(1, 0, 2)), datasets, turns=turns)
 
 
 def _cpus(monkeypatch, n: int) -> None:

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitsim import transport
 from splitsim.transport import (HEADER_LEN, ChannelBus, CodecError, CorruptStream,
                                 EmptyChannel, FieldOutOfRange, LogRecord, MsgType,
                                 ProtocolViolation, TrailingBytes, Truncated,
@@ -123,6 +126,17 @@ class TestDecodeErrors:
         frame = encode(MsgType.BODY_OUTPUT, 0, 1, 0, 0, strided)
         assert frame == encode(MsgType.BODY_OUTPUT, 0, 1, 0, 0, strided.copy())
         assert decode(frame)[1].tobytes() == strided.tobytes()
+
+    @pytest.mark.parametrize("rank", [65, 255])
+    def test_rank_numpy_cannot_hold_is_a_codec_error(self, rank):
+        # well-formed but for its rank: dims of 1, one float64 of payload
+        frame = (struct.pack("<4sBBHHIIB", b"SPL1", 1, int(SMASHED), 1, 0, 0, 0, rank)
+                 + struct.pack(f"<{rank}I", *[1] * rank) + bytes(8))
+        with pytest.raises(CodecError):
+            decode(frame)
+
+    def test_highest_rank_numpy_holds_round_trips(self):
+        assert round_trips(SMASHED, 1, 0, 0, 0, np.full((1,) * transport._MAX_RANK, 2.5))
 
     def test_rank_zero_round_trip(self):
         payload = np.float64(2.5)
