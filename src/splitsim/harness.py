@@ -262,11 +262,14 @@ def run_experiment(config: ExperimentConfig,
                    val_losses=list(known.val_losses), duration=time.perf_counter() - start)
 
 
+@nn.one_blas_thread()
 def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bool = False,
            turns: TurnStates | None = None) -> RunResult:
     """`run_experiment`'s training, for a config that names its order and
     the datasets of its clients. `turns` (SL, SFv2) holds the round-0
-    turns that the runs of its group share (`_train_group`)."""
+    turns that the runs of its group share (`_train_group`). Every run
+    trains here, on one OpenBLAS thread (`nn.one_blas_thread`): a sweep's
+    forked workers are its parallelism."""
     start = time.perf_counter()
     ds_by_id = {ds.client_id: ds for ds in datasets}
     # the initial model is freed once make_clients has copied it: held for
@@ -337,11 +340,16 @@ def _workers(groups: int) -> int:
     return n if n > 1 and hasattr(os, "fork") and not (mp and mp.current_process().daemon) else 0
 
 
+@nn.one_blas_thread()
 def _train_forked(groups: list[dict], workers: int) -> dict:
     """`_train_group` of each group in `workers` forked workers, merged:
     `{run key: result}` of every group that a reply holds (`_train_ahead`).
     Every worker is killed, if still running, and reaped before this
-    returns or raises."""
+    returns or raises. The workers are forked on one OpenBLAS thread
+    (`nn.one_blas_thread`), so they never set the count themselves:
+    setting it in a worker restarted OpenBLAS's thread pool there, whose
+    new thread spun on a CPU that the other workers needed (bias-fixture
+    sweeps took 1.4x as long)."""
     # pipe ends as files; the tasks pipe's unbuffered, so a worker reads one index at a time
     tasks_r, tasks_w = files = [open(fd, mode, 0) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
     replies, trained = {}, {}  # by worker pid: the read end of its reply
@@ -554,7 +562,9 @@ def render_table(table: ReportTable, undefined: str | None = None) -> str:
 def render_manifest(config: ExperimentConfig) -> str:
     """The config as a config file that `parse_config_file` reads back to
     the same config; None fields are left out (they take their default).
-    A str value with '#', a line break or surrounding blanks cannot be held."""
+    A config file cannot hold a str value with '#', a line break or
+    surrounding blanks: such a value raises ConfigurationError naming its
+    field."""
     lines = [f"# splitsim {__version__}"]
     for f in fields(config):
         value = getattr(config, f.name)
@@ -562,6 +572,10 @@ def render_manifest(config: ExperimentConfig) -> str:
             continue
         if isinstance(value, tuple):
             value = ",".join(map(str, value))
+        elif isinstance(value, str) and ("#" in value or "\n" in value or "\r" in value
+                                         or value != value.strip()):
+            raise ConfigurationError(f"{f.name} {value!r} cannot be written to a config file "
+                                     "('#', a line break or surrounding blanks)")
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -1074,6 +1074,101 @@ class TestParallelSweeps:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.fixture
+def blas(monkeypatch):
+    """The (get, set) thread-count pair of numpy's OpenBLAS (`nn._openblas`),
+    set to 2 threads for the test, so a scope that did nothing would show;
+    the count it had is put back after. Skips the test without OpenBLAS."""
+    pair = nn._openblas()
+    if pair is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = pair
+    before = get()
+    put(2)
+    yield pair
+    put(before)
+
+
+class TestBlasThreads:
+    """Every run trains on one OpenBLAS thread (`nn.one_blas_thread`
+    around `harness._train`, and around `harness._train_forked`, so that
+    the workers start on one), and the count is put back after it."""
+
+    @staticmethod
+    def _counts_seen(monkeypatch, get) -> list:
+        """The thread count at each `run_round` call from now on."""
+        original, seen = harness.run_round, []
+
+        def spied_round(*args, **kwargs):
+            seen.append(get())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_round", spied_round)
+        return seen
+
+    def test_a_run_trains_on_one_thread_and_puts_the_count_back(self, monkeypatch, blas):
+        get, _ = blas
+        seen = self._counts_seen(monkeypatch, get)
+        run_experiment(FAST)
+        assert seen == [1] * FAST.epochs and get() == 2
+
+    def test_a_run_that_raises_puts_the_count_back(self, blas):
+        get, _ = blas
+        with pytest.raises(SaturationError):
+            run_experiment(ExperimentConfig(lr=10))  # CI's saturated run
+        assert get() == 2
+
+    def test_nested_scopes_restore_the_outer_count(self, blas):
+        get, _ = blas
+        with nn.one_blas_thread():
+            with nn.one_blas_thread():
+                assert get() == 1
+            assert get() == 1  # the outer scope's, not the count before it
+        assert get() == 2
+
+    def test_the_lookup_finds_the_openblas_numpy_was_built_with(self):
+        # so that a lookup that stopped finding OpenBLAS fails here rather
+        # than skipping every other test of this class
+        config = getattr(np.__config__, "CONFIG", None)  # numpy 1.26 and later
+        if config is None or "openblas" not in config["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy does not report an OpenBLAS build")
+        assert nn._openblas() is not None
+
+    def test_a_forked_sweep_worker_starts_and_trains_on_one_thread(self, monkeypatch, tmp_path,
+                                                                   blas):
+        # a worker inherits the count of one and never sets it, as setting
+        # it there restarts OpenBLAS's thread pool
+        get, put = blas
+        parent, log = os.getpid(), tmp_path / "threads"
+
+        def logged(name, original):
+            def spied(*args, **kwargs):
+                with open(log, "a") as fh:  # one short append per call: whole lines
+                    fh.write(f"{name} {os.getpid()} {get()}\n")
+                return original(*args, **kwargs)
+            return spied
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(nn, "_openblas", lambda: (get, logged("set", put)))
+        for name in ("_train_group", "run_round"):
+            monkeypatch.setattr(harness, name, logged(name, getattr(harness, name)))
+        starts = _worker_counts(monkeypatch)
+        sweep_order(TestParallelSweeps.CFG)
+        rows = [line.split() for line in log.read_text().splitlines()]
+        assert starts == [2] and get() == 2
+        assert {name for name, pid, _ in rows if pid != str(parent)} == {"_train_group",
+                                                                          "run_round"}
+        assert {count for name, _, count in rows if name != "set"} == {"1"}
+
+    def test_without_openblas_runs_train_and_give_the_same_result(self, monkeypatch, blas):
+        get, _ = blas
+        found = run_experiment(FAST).to_json()
+        monkeypatch.setattr(nn, "_openblas", lambda: None)
+        seen = self._counts_seen(monkeypatch, get)
+        assert run_experiment(FAST).to_json() == found
+        assert seen == [2] * FAST.epochs  # the scope did nothing
+
+
 class TestMultiSeedSweep:
     """`sweep` trains every seed's runs in one pool; each seed's table is
     what that seed's one-seed sweep gives."""
@@ -1589,6 +1684,24 @@ class TestConfigProperties:
     def test_manifest_round_trips(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("manifest") / "result.manifest.txt"
         path.write_text(render_manifest(cfg))
+        assert config_from(parse_config_file(path), {}) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=valid_configs(), dataset_path=st.text())
+    @example(cfg=FAST, dataset_path="runs/a#1.sds")
+    @example(cfg=FAST, dataset_path=" lead.sds")
+    @example(cfg=FAST, dataset_path="a\nb.sds")
+    @example(cfg=FAST, dataset_path="a\rb.sds")
+    def test_any_dataset_path_round_trips_or_is_refused(self, tmp_path_factory, cfg,
+                                                        dataset_path):
+        cfg = replace(cfg, dataset_path=dataset_path)
+        try:
+            text = render_manifest(cfg)
+        except ConfigurationError as exc:
+            assert str(exc).startswith(f"dataset_path {dataset_path!r} ")
+            return
+        path = tmp_path_factory.mktemp("manifest") / "result.manifest.txt"
+        path.write_text(text)
         assert config_from(parse_config_file(path), {}) == cfg
 
     # every field, and the keys of 0.1.0 that are now derived or constant,
