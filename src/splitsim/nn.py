@@ -390,25 +390,18 @@ _SCRATCH = _Scratch()
 @functools.cache
 def _openblas():
     """The (get_num_threads, set_num_threads) pair of the OpenBLAS that
-    numpy loaded, or None (another BLAS, or no /proc), found once per
-    process: of the mapped libraries in /proc/self/maps whose path holds
-    `openblas` and `.so`, the first with a pair prefixed `openblas_` or
-    `scipy_openblas_`, with or without the `64_` suffix."""
-    try:
-        with open("/proc/self/maps") as maps:  # a mapping's path starts at its line's first '/'
-            paths = sorted({line[line.find("/"):].rstrip() for line in maps
-                            if "openblas" in line and ".so" in line})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
-            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
+    numpy loaded, or None (another BLAS), found once per process: a
+    symbol lookup on numpy's linear-algebra extension also searches the
+    libraries it links, so the first pair prefixed `openblas_` or
+    `scipy_openblas_`, with or without the `64_` suffix, is numpy's."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
     return None
 
 
@@ -502,51 +495,29 @@ class WeightedMean:
     """The weighted mean sum(w * vec) / sum(w) of vectors added one at a
     time, accumulated from zero in the order added: per element,
     ((0.0 + w1 v1) + w2 v2 + ...) / sum(w), chunk by chunk through the
-    scratch pair.
-
-    `acc` holds the first vector, of weight `weight`. It stays that
-    vector while every vector added equals it, so that equal vectors
-    give the first one's bits (a weighted mean of equal values must be
-    bit-equal to them), and becomes the running sum at the first vector
-    that differs. The equal vectors before it are summed as copies of
-    the first: they can differ from it only in the signs of zeros, which
-    a sum from 0.0 cannot tell apart."""
+    scratch pair, whatever the values. `acc` holds the first vector, of
+    weight `weight`, and becomes the running sum at the first `add`; a
+    mean of one vector is that vector's bits."""
 
     def __init__(self, acc: np.ndarray, weight: float):
-        self.acc, self.weights, self.summing = acc, [weight], False
+        self.acc, self.weights = acc, [weight]
 
     def add(self, vec: np.ndarray, weight: float) -> None:
-        if not self.summing and not np.array_equal(vec, self.acc):
-            self.summing = True
-            for acc in _chunks(self.acc):
-                summed, tmp = _SCRATCH[acc.size]
-                summed.fill(0.0)
-                for w in self.weights:
-                    summed += np.multiply(w, acc, out=tmp)
-                acc[...] = summed
-        if self.summing:
-            for acc, v in zip(_chunks(self.acc), _chunks(vec)):
-                acc += np.multiply(weight, v, out=_SCRATCH[acc.size][1])
+        first = len(self.weights) == 1
+        for acc, v in zip(_chunks(self.acc), _chunks(vec)):
+            tmp = _SCRATCH[acc.size][1]
+            if first:  # acc = 0.0 + w1 v1
+                np.add(np.multiply(self.weights[0], acc, tmp), 0.0, acc)
+            acc += np.multiply(weight, v, out=tmp)
         self.weights.append(weight)
 
     def into(self, out: np.ndarray) -> None:
         """Write the mean into out, which may be `acc` or any vector
         added."""
-        if self.summing:
+        if len(self.weights) > 1:
             np.divide(self.acc, sum(self.weights), out)
         elif out is not self.acc:
             out[...] = self.acc
-
-
-def weighted_mean_into(out: np.ndarray, vecs: list[np.ndarray],
-                       weights: list[float]) -> None:
-    """Write the `WeightedMean` of `vecs` into `out`, which may be
-    `vecs[0]` but no other of them."""
-    out[...] = vecs[0]
-    mean = WeightedMean(out, weights[0])
-    for vec, w in zip(vecs[1:], weights[1:]):
-        mean.add(vec, w)
-    mean.into(out)
 
 
 def flatten_params(model: SequentialModel) -> np.ndarray:

@@ -10,8 +10,10 @@ All traffic goes through a ChannelBus; activations, gradients, labels
 (vanilla only) and parameter blobs genuinely transit the binary codec.
 The engine is a deterministic state machine: with replicas or without a
 body (FL, SFv1, SFv3) clients run in ascending client id whatever the
-given order, and all averaging accumulates in ascending client id, so
-"order invariance" is a bit-exact property, not an approximate one.
+given order, and every average is one plain sum of parameter vectors in
+ascending client id (`nn.WeightedMean`), so "order invariance" is a
+bit-exact property, not an approximate one, and averaging a whole model
+gives the bits of averaging its segments one by one.
 
 Server state: every split protocol has one server body. Under SL/SFv2
 it is one continuously trained model, and its one Adam state carries
@@ -171,22 +173,22 @@ def composed_model(client: ClientState, body: SequentialModel | None) -> Sequent
                            np.concatenate([part.flat for part in parts]))
 
 
-def average_models(models: list[tuple[int, SequentialModel]],
-                   weights: dict[int, float]) -> SequentialModel:
-    """Sample-count-weighted parameter mean, accumulated in ascending
-    client id order so the result is independent of call order
-    (`nn.weighted_mean_into`)."""
-    if not models:
+def average_models(vecs: list[tuple[int, np.ndarray]],
+                   weights: dict[int, float]) -> np.ndarray:
+    """The sample-count-weighted mean of (client id, parameter vector)
+    pairs, as a new aligned vector, summed in ascending client id
+    (`nn.WeightedMean`), so the result is independent of the list's
+    order."""
+    if not vecs:
         raise PlanError("cannot average zero models")
-    ordered = sorted(models, key=lambda kv: kv[0])
-    first = ordered[0][1]
-    shapes = [layer.weights.shape for layer in first.layers]
-    if any([layer.weights.shape for layer in m.layers] != shapes for _, m in ordered[1:]):
-        raise nn.ShapeError("models structurally different")
-    avg = SequentialModel(first.layers, nn.vectors(first.flat.size)[0])
-    nn.weighted_mean_into(avg.flat, [m.flat for _, m in ordered],
-                          [weights[cid] for cid, _ in ordered])
-    return avg
+    (cid, first), *rest = sorted(vecs, key=lambda kv: kv[0])
+    if any(vec.shape != first.shape for _, vec in rest):
+        raise nn.ShapeError("parameter vectors of different lengths")
+    mean = nn.WeightedMean(nn.aligned_copy(first), weights[cid])
+    for cid, vec in rest:
+        mean.add(vec, weights[cid])
+    mean.into(mean.acc)
+    return mean.acc
 
 
 def _train_batch_split(client: ClientState, body: SequentialModel,
@@ -372,11 +374,10 @@ def _average_client_segments(clients, bus: ChannelBus, rnd: int) -> None:
             bus.send(MsgType.PARAM_BLOB, wire_id(cid), SERVER, rnd, segment.flat)
     received = [[] for _ in range(n_segments)]
     for cid in ids:
-        for models, segment in zip(received, segments(cid)):
-            blob = bus.recv(SERVER, wire_id(cid), MsgType.PARAM_BLOB)
-            models.append((cid, SequentialModel(segment.layers, blob)))
-    averages = [average_models(models, weights) for models in received]
+        for vecs in received:
+            vecs.append((cid, bus.recv(SERVER, wire_id(cid), MsgType.PARAM_BLOB)))
+    averages = [average_models(vecs, weights) for vecs in received]
     for cid in ids:
         for segment, avg in zip(segments(cid), averages):
-            bus.send(MsgType.PARAM_BLOB, SERVER, wire_id(cid), rnd, avg.flat)
+            bus.send(MsgType.PARAM_BLOB, SERVER, wire_id(cid), rnd, avg)
             nn.unflatten_params(segment, bus.recv(wire_id(cid), SERVER, MsgType.PARAM_BLOB))

@@ -226,7 +226,7 @@ def _replica_reference(shape, protocol, kind, datasets):
     """The per-client-copy path a replica round follows: make_clients'
     clients and per-client body Adam states, an explicit copy of the
     starting body per client, each trained in ascending id, every copy
-    overwritten with their `nn.weighted_mean_into` at round end, then the
+    overwritten with their `average_models` at round end, then the
     segments averaged if the row says so. Yields each client's composed
     parameters and the bus log after every round."""
     model = nn.init_model(list(shape["widths"]), shape["seed"])
@@ -241,9 +241,8 @@ def _replica_reference(shape, protocol, kind, datasets):
             for xb, yb in protocols.iter_batches(ds.train_x, ds.train_y, shape["batch_size"]):
                 protocols._train_batch_split(clients[cid], bodies[cid], server.opts[cid],
                                              xb, yb, bus, rnd)
-        (mean,) = nn.vectors(server.body.flat.size)
-        nn.weighted_mean_into(mean, [bodies[cid].flat for cid in ids],
-                              [float(clients[cid].sample_count) for cid in ids])
+        mean = protocols.average_models([(cid, bodies[cid].flat) for cid in ids],
+                                        {cid: float(clients[cid].sample_count) for cid in ids})
         for body in bodies.values():
             body.flat[...] = mean
         if protocols.SPECS[protocol].average_segments:

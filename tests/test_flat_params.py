@@ -127,9 +127,41 @@ def test_average_bit_equals_per_array_reference(widths, n, data):
     for acc in ref:
         acc /= sum(counts.values())
 
-    avg = average_models(models, counts)
-    assert avg.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
-    assert all(not np.shares_memory(avg.flat, m.flat) for _, m in models)
+    avg = average_models([(cid, m.flat) for cid, m in models], counts)
+    assert avg.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+    assert all(not np.shares_memory(avg, m.flat) for _, m in models)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       equal=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1),
+       counts=st.lists(st.integers(1, 400), min_size=5, max_size=5))
+@example(n=3, sizes=[7, 9], equal=[False, True, False, False], seed=0,
+         counts=[182, 377, 115, 88, 109])
+@example(n=2, sizes=[3, 3], equal=[True, True, False, False], seed=1,
+         counts=[1, 2, 3, 4, 5])
+def test_whole_vector_mean_equals_the_per_part_means(n, sizes, equal, seed, counts):
+    """FL averages one whole-model vector per client, SFv1/SFv2 each
+    segment's vector on its own: the mean of the whole vectors is the
+    concatenation of the parts' means, bit for bit, also where a part is
+    equal in every vector."""
+    # zeros of either sign in every part; an equal part is one draw, its
+    # zeros' signs drawn per vector
+    rng = np.random.default_rng(seed)
+    parts = []
+    for size, same in zip(sizes, equal):
+        base, zeros = rng.normal(size=size), rng.random(size) < 0.25
+        part = []
+        for _ in range(n):
+            vec = base.copy() if same else rng.normal(size=size)
+            vec[zeros] = np.where(rng.random(size) < 0.5, 0.0, -0.0)[zeros]
+            part.append(vec)
+        parts.append(part)
+    weights = {cid: float(counts[cid]) for cid in range(n)}
+    whole = average_models([(cid, np.concatenate([part[cid] for part in parts]))
+                            for cid in range(n)], weights)
+    per_part = [average_models(list(enumerate(part)), weights) for part in parts]
+    assert whole.tobytes() == np.concatenate(per_part).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,9 +177,8 @@ def test_in_place_body_average_bit_equals_average_models(n, size, equal, seed, c
     over the first replica, added to in ascending id and written into the
     body in place), is bit-equal to `average_models` of the replicas."""
     # zeros of either sign in every replica; the first `equal` replicas
-    # differ only in the signs of their zeros, so with all of them equal
-    # the all-equal rule must give the first one's bits, and with some
-    # the sum must count each equal one as its own
+    # differ only in the signs of their zeros, and the sum counts each
+    # equal one as its own
     rng = np.random.default_rng(seed)
     base, zeros = rng.normal(size=size), rng.random(size) < 0.25
     vectors = []
@@ -156,10 +187,8 @@ def test_in_place_body_average_bit_equals_average_models(n, size, equal, seed, c
         vec[zeros] = np.where(rng.random(size) < 0.5, 0.0, -0.0)[zeros]
         vectors.append(vec)
     weights = {cid: float(counts[cid]) for cid in range(n)}
-    layers = [nn.DenseLayer(np.zeros((1, size - 1)), np.zeros(1))]
-    expected = average_models([(cid, nn.SequentialModel(layers, vec))
-                               for cid, vec in enumerate(vectors)], weights).flat.copy()
-    if not all(np.array_equal(vec, vectors[0]) for vec in vectors):
+    expected = average_models(list(enumerate(vectors)), weights)
+    if n > 1:
         # one whole-vector pass, ascending ids, from zero: the chunked mean's oracle
         ref = np.zeros(size)
         for cid in range(n):
@@ -219,9 +248,7 @@ def test_passes_of_different_sizes_share_the_scratch_pair():
         return p.tobytes() + state.m.tobytes() + state.v.tobytes()
 
     def mean():
-        (out,) = nn.vectors(vecs[0].size)
-        nn.weighted_mean_into(out, vecs, weights)
-        return out.tobytes()
+        return average_models(list(enumerate(vecs)), dict(enumerate(weights))).tobytes()
 
     alone = []
     for run in (step, mean, step, mean):

@@ -108,39 +108,26 @@ def observed_channels(log):
     return observed
 
 
-def scalar_model(value):
-    return nn.SequentialModel([nn.DenseLayer([[value]], [0.0], "linear")])
-
-
 class TestAverageModels:
-    def test_identical_models_exact(self):
-        m = nn.init_model([4, 3, 1], seed=0)
-        avg = average_models([(0, m.clone()), (1, m.clone()), (2, m.clone())],
-                             {0: 182.0, 1: 377.0, 2: 115.0})
-        assert models_equal(avg, m)
-        assert avg.flat.tobytes() == m.flat.tobytes()
-
     def test_simple_mean(self):
-        avg = average_models([(0, scalar_model(0.0)), (1, scalar_model(2.0))],
-                             {0: 1.0, 1: 1.0})
-        assert avg.layers[0].weights[0, 0] == 1.0
+        avg = average_models([(0, np.array([0.0])), (1, np.array([2.0]))], {0: 1.0, 1: 1.0})
+        assert avg[0] == 1.0
 
     def test_weighted_mean(self):
-        avg = average_models([(0, scalar_model(0.0)), (1, scalar_model(4.0))],
-                             {0: 1.0, 1: 3.0})
-        assert avg.layers[0].weights[0, 0] == 3.0
+        avg = average_models([(0, np.array([0.0])), (1, np.array([4.0]))], {0: 1.0, 1: 3.0})
+        assert avg[0] == 3.0
 
-    def test_structural_mismatch_rejected(self):
+    def test_length_mismatch_rejected(self):
         with pytest.raises(nn.ShapeError):
-            average_models([(0, scalar_model(1.0)), (1, nn.init_model([2, 1], 0))],
+            average_models([(0, np.array([1.0])), (1, nn.init_model([2, 1], 0).flat)],
                            {0: 1.0, 1: 1.0})
 
     def test_order_of_input_list_irrelevant(self):
-        models = [(i, scalar_model(float(i))) for i in range(3)]
+        vecs = [(i, np.array([float(i)])) for i in range(3)]
         w = {0: 1.0, 1: 2.0, 2: 3.0}
-        a = average_models(models, w)
-        b = average_models(models[::-1], w)
-        assert a.layers[0].weights.tobytes() == b.layers[0].weights.tobytes()
+        a = average_models(vecs, w)
+        b = average_models(vecs[::-1], w)
+        assert a.tobytes() == b.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(PlanError):
@@ -198,10 +185,10 @@ def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
                 grads, _ = nn.backward(fronts[c], front_outputs, d_smashed)
                 step(fronts[c], grads)
         if replicas:
-            avg = average_models(list(bodies.items()),
+            avg = average_models([(c, body.flat) for c, body in bodies.items()],
                                  {c: float(datasets[ids.index(c)].sample_count) for c in ids})
             for body in bodies.values():
-                body.flat[...] = avg.flat
+                body.flat[...] = avg
     return {c: (fronts[c].flat, bodies[c].flat, tails[c].flat) for c in ids}
 
 
