@@ -1,0 +1,174 @@
+"""The mutant gate: every planted defect below must make Tier-1 fail.
+
+Mutation analysis (DeMillo, Lipton and Sayward, IEEE Computer 1978): a
+one-line defect that no test catches marks a hole in the test suite.
+Each mutant is a file, a text that occurs in it exactly once, the text
+that replaces it, and the invariant the change breaks. A mutant whose
+anchor is gone or repeated fails the gate: a change that moves the
+mutated code rewrites the mutant.
+
+    python tests/mutants.py
+
+copies the tree (without `.git`, caches and `test_mutants.py`), runs
+Tier-1 on the unchanged copy, which must pass, then applies each mutant
+to a fresh copy and requires Tier-1 to exit with code 1 (a test failed;
+2, a collection error, does not count). Tier-1 runs as `TIER1` below, from
+the copy, with PYTHONPATH set to the copy's `src` and nothing else.
+Exits 0 when the unchanged copy passes and every mutant is caught; it
+prints each mutant's first failing test and seconds.
+
+Pytest does not collect this file; `test_mutants.py` checks every
+anchor in seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0")
+# test_mutants.py is left out of the copies: a mutant removes its own
+# anchor, so that test would fail under every mutant, and catch none
+NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                    ".bench_out", ".benchmarks", "out", "test_mutants.py")
+
+
+class AnchorError(ValueError):
+    """A mutant's old text does not occur exactly once in its file."""
+
+
+@dataclass(frozen=True)
+class Mutant:
+    defect: str
+    path: str   # relative to the repository root
+    old: str    # occurs exactly once in the file
+    new: str
+    breaks: str
+
+    def mutated(self, root: Path = ROOT) -> str:
+        """The file under `root` with `old` replaced by `new`."""
+        text = (root / self.path).read_text()
+        if text.count(self.old) != 1:
+            raise AnchorError(f"{self.defect}: the old text occurs {text.count(self.old)} "
+                              f"times in {self.path}, not once")
+        return text.replace(self.old, self.new)
+
+
+MUTANTS = (
+    Mutant("the last partial batch dropped", "src/splitsim/protocols.py",
+           "    for start in range(0, len(y), batch_size):",
+           "    for start in range(0, len(y) - len(y) % batch_size, batch_size):",
+           "one LABELS message per training batch, and every sample trains"),
+    Mutant("Adam's bias correction at step t + 1", "src/splitsim/nn.py",
+           "    bc1 = 1.0 - beta1 ** t\n    bc2 = 1.0 - beta2 ** t",
+           "    bc1 = 1.0 - beta1 ** (t + 1)\n    bc2 = 1.0 - beta2 ** (t + 1)",
+           "Adam as published; one client equals centralized training"),
+    Mutant("an SFv1/SFv3 replica not reset to the round's body", "src/splitsim/protocols.py",
+           "            body.flat[...] = server.body.flat\n", "",
+           "FL, SFv1 and SFv3 are bit-identical under every order"),
+    Mutant("labels sent under the U-shaped split", "src/splitsim/protocols.py",
+           "    if not u_shaped:\n        bus.send(MsgType.LABELS",
+           "    if True:\n        bus.send(MsgType.LABELS",
+           "labels never leave the client under the U-shaped split"),
+    Mutant("segment means unweighted", "src/splitsim/protocols.py",
+           "    weights = {cid: float(clients[cid].sample_count) for cid in ids}",
+           "    weights = dict.fromkeys(ids, 1.0)",
+           "round-end averages are sample-weighted"),
+    Mutant("replica means unweighted", "src/splitsim/protocols.py",
+           "                mean = nn.WeightedMean(body.flat, float(client.sample_count))\n"
+           "            else:\n"
+           "                mean.add(body.flat, float(client.sample_count))",
+           "                mean = nn.WeightedMean(body.flat, 1.0)\n"
+           "            else:\n"
+           "                mean.add(body.flat, 1.0)",
+           "round-end averages are sample-weighted"),
+    Mutant("checkpoint ties keep the latest epoch", "src/splitsim/harness.py",
+           "        if best is None or loss < losses[best[0]]:",
+           "        if best is None or loss <= losses[best[0]]:",
+           "the checkpoint is the earliest epoch of least validation loss"),
+    Mutant("the checkpoint is always the last epoch", "src/splitsim/harness.py",
+           "        if best is None or loss < losses[best[0]]:",
+           "        if True:",
+           "the checkpoint is the earliest epoch of least validation loss"),
+    Mutant("percent drop divided by `last`, not `abs(last)`", "src/splitsim/metrics.py",
+           "    return 100.0 * (last - first) / abs(last)",
+           "    return 100.0 * (last - first) / last",
+           "a percent drop has the sign of last - first"),
+    Mutant("sensitivity threshold off by one positive", "src/splitsim/metrics.py",
+           "    k = int(np.ceil(target * n_pos))",
+           "    k = int(np.ceil(target * n_pos)) + 1",
+           "the threshold is the largest that reaches the target sensitivity"),
+    Mutant("every client's data IID (angle 0)", "src/splitsim/datagen.py",
+           "        angle = k * shift_scale",
+           "        angle = 0.0",
+           "clients differ by a rotation that grows with their id"),
+    Mutant("SL and SFv2 train the order reversed", "src/splitsim/protocols.py",
+           "        return tuple(order) if self.shared_body else",
+           "        return tuple(reversed(order)) if self.shared_body else",
+           "against a shared body, clients train in the given order"),
+    Mutant("probe-first and probe-last configs swapped in `_rows`", "src/splitsim/harness.py",
+           "replace(cfg, order=(cfg.probe, *rest)),\n"
+           "                     replace(cfg, order=(*rest, cfg.probe))",
+           "replace(cfg, order=(*rest, cfg.probe)),\n"
+           "                     replace(cfg, order=(cfg.probe, *rest))",
+           "a row's first run trains the probe first"),
+    Mutant("U-shaped tails not averaged (SFv1, SFv2)", "src/splitsim/protocols.py",
+           "    n_segments = 2 if any(c.tail.layers for c in clients.values()) else 1",
+           "    n_segments = 1",
+           "FL and SFv1 give bit-identical models; exact wire byte counts"),
+    Mutant("SFv3 averages client segments", "src/splitsim/protocols.py",
+           "    SFV3: ProtocolSpec(split=True, replicas=True, average_segments=False),",
+           "    SFV3: ProtocolSpec(split=True, replicas=True, average_segments=True),",
+           "SFv3 keeps client segments local: no PARAM_BLOB traffic"),
+    Mutant("restored round-0 turns leave the bus log unrestored", "src/splitsim/protocols.py",
+           "            bus.restore_log(log)\n", "",
+           "a sweep's shared turns give a standalone run's result and bus log"),
+)
+
+
+def tier1(root: Path) -> tuple[int, float, str]:
+    """Tier-1 on the tree at `root`: its exit code, its seconds and its
+    first failing test ('' if none)."""
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return done.returncode, time.perf_counter() - start, failed.group(1) if failed else ""
+
+
+def main() -> int:
+    for mutant in MUTANTS:  # every anchor before any run: a stale one fails in a second
+        mutant.mutated()
+    with tempfile.TemporaryDirectory(prefix="splitsim-mutants-") as scratch:
+        unchanged = Path(scratch) / "unchanged"
+        shutil.copytree(ROOT, unchanged, ignore=NOT_COPIED)
+        code, seconds, _ = tier1(unchanged)
+        print(f"unchanged tree: exit {code} in {seconds:.0f} s", flush=True)
+        if code != 0:
+            return 1
+        caught = 0
+        for i, mutant in enumerate(MUTANTS):
+            copy = Path(scratch) / f"mutant{i}"
+            shutil.copytree(unchanged, copy, ignore=NOT_COPIED)
+            (copy / mutant.path).write_text(mutant.mutated(copy))
+            code, seconds, first = tier1(copy)
+            caught += code == 1
+            outcome = "caught" if code == 1 else f"SURVIVED (unchecked: {mutant.breaks})"
+            print(f"{outcome}: {mutant.defect}: exit {code} in {seconds:.0f} s, "
+                  f"first failure {first or '-'}", flush=True)
+            shutil.rmtree(copy)
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

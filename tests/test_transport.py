@@ -64,11 +64,6 @@ class TestRoundTrip:
 
 
 class TestDecodeErrors:
-    def test_bad_magic(self):
-        data = b"XXXX" + tensor_frame()[4:]
-        with pytest.raises(CorruptStream):
-            decode(data)
-
     def test_bad_version(self):
         data = bytearray(tensor_frame())
         data[4] = 99
@@ -82,11 +77,6 @@ class TestDecodeErrors:
             with pytest.raises(UnsupportedMessage):
                 decode(bytes(data))
 
-    def test_truncated_payload(self):
-        data = tensor_frame(shape=(2, 3))
-        with pytest.raises(Truncated):
-            decode(data[:-8])
-
     def test_truncated_header(self):
         with pytest.raises(Truncated):
             decode(b"SPL1")
@@ -95,19 +85,6 @@ class TestDecodeErrors:
         data = tensor_frame(shape=(2, 3))
         with pytest.raises(Truncated):
             decode(data[:HEADER_LEN + 2])
-
-    @settings(max_examples=100, deadline=None)
-    @given(cut=st.integers(1, 74))
-    def test_any_truncation_is_an_error_not_a_crash(self, cut):
-        data = tensor_frame(shape=(2, 3))
-        with pytest.raises((Truncated, CorruptStream)):
-            decode(data[:len(data) - cut])
-
-    @settings(max_examples=100, deadline=None)
-    @given(extra=st.binary(min_size=1, max_size=16))
-    def test_trailing_bytes_rejected(self, extra):
-        with pytest.raises(TrailingBytes):
-            decode(tensor_frame() + extra)
 
     @pytest.mark.parametrize("payload", [[[1, 0], [0, 1]], np.array([[1, 0], [0, 1]]),
                                          np.array([3, -2], dtype=np.int64), (0.5, 2)])
@@ -154,11 +131,11 @@ frames = st.builds(lambda t, shape, seed: encode(t, 1, 0, 2, 3,
 class TestFrameBoundaries:
     @settings(max_examples=200, deadline=None)
     @given(frame=frames, data=st.data())
-    def test_any_truncation_or_extension_is_a_codec_error(self, frame, data):
+    def test_any_truncation_is_truncated_and_any_extension_trailing_bytes(self, frame, data):
         cut = data.draw(st.integers(1, len(frame)))
-        with pytest.raises(CodecError):
+        with pytest.raises(Truncated):
             decode(frame[:len(frame) - cut])
-        with pytest.raises(CodecError):
+        with pytest.raises(TrailingBytes):
             decode(frame + data.draw(st.binary(min_size=1, max_size=24)))
 
     @settings(max_examples=100, deadline=None)
