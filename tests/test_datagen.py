@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import nn
-from splitsim.datagen import (ManifestError, PartitionManifest, desk_manifest,
-                              generate_clients, load_clients, save_clients)
+from splitsim import datagen, nn
+from splitsim.datagen import (ClientDataset, ManifestError, PartitionManifest,
+                              desk_manifest, generate_clients, load_clients,
+                              save_clients)
 from splitsim.transport import CodecError, TrailingBytes
 
 
@@ -63,6 +64,14 @@ class TestGeneration:
             assert prevalence(c.train_y) == pytest.approx(0.5, abs=1.0 / len(c.train_y))
             assert prevalence(c.val_y) == pytest.approx(0.1, abs=1.0 / len(c.val_y))
             assert prevalence(c.test_y) == pytest.approx(0.1, abs=1.0 / len(c.test_y))
+
+    def test_deterministic(self):
+        a = generate_clients(desk_manifest(3), seed=7)
+        b = generate_clients(desk_manifest(3), seed=7)
+        for ca, cb in zip(a, b):
+            assert ca.train_x.tobytes() == cb.train_x.tobytes()
+            assert np.array_equal(ca.train_y, cb.train_y)
+            assert ca.test_x.tobytes() == cb.test_x.tobytes()
 
     def test_seed_changes_data(self):
         a = generate_clients(desk_manifest(2), seed=1)
@@ -130,6 +139,12 @@ class TestFileRoundTrip:
             assert np.array_equal(a.train_y, b.train_y)
             assert a.val_x.tobytes() == b.val_x.tobytes()
             assert a.test_x.tobytes() == b.test_x.tobytes()
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "junk.sds"
+        path.write_bytes(b"NOPE" + b"\0" * 16)
+        with pytest.raises(ValueError):
+            load_clients(path)
 
     @staticmethod
     def _saved(tmp: str, seed: int) -> tuple[pathlib.Path, bytes]:

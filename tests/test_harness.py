@@ -77,6 +77,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             run_experiment(replace(FAST, probe=2))
 
+    def test_vanilla_split_has_empty_tail(self):
+        cfg = replace(FAST, split_kind="vanilla")
+        assert cfg.split_config() == (cfg.front_cut, len(cfg.widths) - 1)
+
     def test_fl_needs_no_split(self):
         assert replace(FAST, protocol="fl").split_config() is None
 
@@ -112,6 +116,12 @@ class TestConfigFile:
         assert cfg.seed == 9
         assert cfg.widths == (8, 16, 16, 16, 8, 1)
 
+    def test_bad_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("learning_rate = 0.1\n")
+        with pytest.raises(ConfigurationError):
+            parse_config_file(path)
+
     def test_repeated_key_names_file_and_line(self, tmp_path, capsys):
         # not the last value winning: epochs = 5 would silently replace 2
         path = tmp_path / "exp.cfg"
@@ -128,6 +138,10 @@ class TestConfigFile:
         path.write_text("epochs 4\n")
         with pytest.raises(ConfigurationError):
             parse_config_file(path)
+
+    def test_invalid_merged_config_rejected(self):
+        with pytest.raises(ConfigurationError):
+            config_from({"protocol": "nope"}, {})
 
     @pytest.mark.parametrize("line", ["epochs = abc", "order = None", "widths = 8,x",
                                       "lr = fast", "seed = 1.5", "sweep_sizes = 2,,3",
@@ -390,6 +404,11 @@ class TestStreamingCheckpoint:
 
 
 class TestRunExperiment:
+    def test_byte_identical_reruns(self):
+        a = run_experiment(FAST)
+        b = run_experiment(FAST)
+        assert a.to_json() == b.to_json()
+
     def test_result_shape(self):
         res = run_experiment(FAST)
         assert sorted(res.per_client) == [0, 1]
@@ -468,6 +487,15 @@ class TestSweeps:
     def test_order_sweep_needs_two_clients(self):
         with pytest.raises(ConfigurationError):
             sweep_order(replace(FAST, n_clients=1))
+
+    def test_client_count_sweep(self):
+        cfg = replace(FAST, epochs=1, n_clients=3)
+        table = sweep_client_count(cfg)
+        assert [r.key for r in table.rows] == ["2 client setting", "3 client setting"]
+        drops = harness.drops_over_seeds([table])
+        assert list(drops) == ["2 client setting", "3 client setting"]
+        assert all(isinstance(v, float) for per_metric in drops.values()
+                   for (v,) in per_metric.values())
 
     @pytest.mark.parametrize("probe", [0, 3])
     def test_client_count_sweep_rows_are_probe_pairs(self, probe):
@@ -1243,6 +1271,14 @@ class TestCli:
             "input error: probe 7 is not one of the clients [0, 1, 2, 3, 4]\n")
         assert not out.exists()
 
+    def test_gen_data(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["gen-data", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert (out / "clients.sds").exists()
+        assert (out / "manifest.txt").exists()
+
     def test_gen_data_manifest_regenerates_the_data(self, tmp_path):
         a, b = tmp_path / "A", tmp_path / "B"
         assert cli.main(["gen-data", "--config", str(BIAS_CFG), "--seed", "4",
@@ -1277,6 +1313,14 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_sweep_order_command(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1",
+                       "--out", str(out)])
+        assert rc == 0
+        assert (out / "order_sweep_seed0.csv").exists()
 
     def test_sweep_order_summarises_several_seeds(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
@@ -1384,6 +1428,11 @@ class TestCli:
         assert cli.main(["sweep-order", "--config", str(a / "order_sweep_seed0.manifest.txt"),
                          "--probe", "0", "--out", str(b)]) == 0
         assert (a / "order_sweep_seed0.csv").read_bytes() == (b / "order_sweep_seed0.csv").read_bytes()
+
+    def test_bad_config_exits_1(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("bogus = 1\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
 
     # the sensitivity, feature_dim and sweep_sizes lines set keys of 0.1.0
     # that are now derived or constant: bad keys
@@ -1546,6 +1595,16 @@ class TestCli:
                          "--out", str(b)]) == 0
         assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
         assert (a / "result.manifest.txt").read_text() == (b / "result.manifest.txt").read_text()
+
+    def test_sweep_manifest_reruns_identical(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1",
+                         "--seed", "3", "--out", str(a)]) == 0
+        assert cli.main(["sweep-order", "--config", str(a / "order_sweep_seed3.manifest.txt"),
+                         "--out", str(b)]) == 0
+        for name in ("order_sweep_seed3.csv", "order_sweep_seed3.manifest.txt"):
+            assert (a / name).read_text() == (b / name).read_text()
 
 
 def _letters():

@@ -106,6 +106,21 @@ class TestKappa:
         assert np.isfinite(cohen_kappa(ConfusionCounts(tp, fp, fn, tn)))
 
 
+class TestAgainstNaive:
+    def test_1000_random_confusion_matrices(self):
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            tp, fp, fn, tn = (int(v) for v in rng.integers(0, 50, size=4))
+            if tp + fp + fn + tn == 0:
+                continue
+            c = ConfusionCounts(tp, fp, fn, tn)
+            assert f1(c) == pytest.approx(naive_f1(c), abs=1e-12)
+            n = c.total
+            pe = ((tp + fp) * (tp + fn) + (fn + tn) * (fp + tn)) / n ** 2
+            if pe != 1.0:
+                assert cohen_kappa(c) == pytest.approx(naive_kappa(c), abs=1e-12)
+
+
 class TestAuprc:
     def test_perfect_ranking(self):
         assert auprc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
@@ -138,6 +153,17 @@ class TestAuprc:
     def test_ties_processed_as_one_group(self):
         # all scores equal: single group, area = prevalence
         assert auprc([0.5, 0.5, 0.5, 0.5], [1, 0, 0, 0]) == pytest.approx(0.25)
+
+    def test_matches_brute_force_small_sets(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 21))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                continue
+            scores = np.round(rng.uniform(size=n), 2)  # rounded: force ties
+            assert auprc(scores, labels) == pytest.approx(
+                brute_force_auprc(scores, labels), abs=1e-12)
 
 
 def grouped_loop_auprc(scores, labels):
@@ -231,6 +257,10 @@ class TestThresholdAtSensitivity:
 
 
 class TestPercentDrop:
+    def test_reference_examples(self):
+        assert percent_drop(0.4318, 0.5833) == pytest.approx(25.97, abs=0.02)
+        assert percent_drop(0.30, 0.76) == pytest.approx(60.53, abs=0.02)
+
     def test_no_change(self):
         assert percent_drop(0.5, 0.5) == 0.0
 
@@ -274,6 +304,14 @@ class TestPercentDrop:
     @given(first=st.floats(-1.0, 1.0), last=st.floats(-1.0, 1.0))
     def test_sign_is_the_sign_of_last_minus_first(self, first, last):
         assert np.sign(percent_drop(first, last)) == np.sign(last - first)
+
+    @pytest.mark.parametrize("row", ORDER_TABLE + SETTING_TABLE,
+                             ids=[r[0] for r in ORDER_TABLE] + [f"n{r[0]}" for r in SETTING_TABLE])
+    def test_reproduces_reference_table_cells(self, row):
+        _, a_f, a_l, a_d, f_f, f_l, f_d, k_f, k_l, k_d = row
+        assert percent_drop(a_f, a_l) == pytest.approx(a_d, abs=0.02)
+        assert percent_drop(f_f, f_l) == pytest.approx(f_d, abs=0.02)
+        assert percent_drop(k_f, k_l) == pytest.approx(k_d, abs=0.02)
 
 
 class TestSignTest:

@@ -96,8 +96,34 @@ class TestRoundTrip:
         rejoined = nn.SequentialModel([layer for part in segments(seg) for layer in part.layers])
         assert models_equal(rejoined, m)
 
+    def test_parameter_conservation(self):
+        m = four_layer_model()
+        total = m.flat.size
+        seg = split_model(m, 1, 3)
+        assert seg.front.flat.size + seg.body.flat.size + seg.tail.flat.size == total
+
+    def test_parameters_moved_not_copied(self):
+        m = four_layer_model()
+        seg = split_model(m, 1, 3)
+        seg.front.layers[0].weights[0, 0] = 123.0
+        assert m.layers[0].weights[0, 0] == 123.0
+
 
 class TestComposedEquivalence:
+    @pytest.mark.parametrize("config", [  # (front_cut, tail_cut)
+        (1, 3),
+        (2, 3),
+        (2, 4),
+    ])
+    def test_forward_bit_identical_to_uncut(self, config):
+        rng = np.random.default_rng(11)
+        m = four_layer_model(seed=11)
+        x = rng.normal(size=(6, 4))
+        ref, _ = nn.forward(m, x)
+        seg = split_model(m, *config)
+        out, _ = chained_forward(seg, x)
+        assert out.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("config", [  # (front_cut, tail_cut)
         (1, 3),
         (2, 4),

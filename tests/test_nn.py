@@ -227,6 +227,16 @@ class TestAdam:
         with pytest.raises(nn.ShapeError):
             nn.adam_step(p, np.zeros(4), st)
 
+    def test_determinism(self):
+        results = []
+        for _ in range(2):
+            p = np.array([0.5, -0.5])
+            st = nn.AdamState.for_params(p, lr=1e-3)
+            for g in ([0.1, 0.2], [-0.3, 0.4]):
+                nn.adam_step(p, np.array(g), st)
+            results.append(p.tobytes())
+        assert results[0] == results[1]
+
 
 class TestInitModel:
     def test_same_seed_identical(self):

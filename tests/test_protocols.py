@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import mmap
 import os
@@ -14,6 +15,7 @@ from splitsim.protocols import (FL, PROTOCOLS, SFV1, SFV2, SFV3, SL,
                                 composed_model, iter_batches, make_clients,
                                 run_round)
 from splitsim.transport import ChannelBus, MsgType, ProtocolViolation
+from test_nn import models_equal
 
 WIDTHS = [8, 16, 16, 16, 8, 1]
 SPLIT = (1, 4)          # (front_cut, tail_cut) under U_SHAPED
@@ -107,14 +109,42 @@ def observed_channels(log):
 
 
 class TestAverageModels:
+    def test_simple_mean(self):
+        avg = average_models([(0, np.array([0.0])), (1, np.array([2.0]))], {0: 1.0, 1: 1.0})
+        assert avg[0] == 1.0
+
+    def test_weighted_mean(self):
+        avg = average_models([(0, np.array([0.0])), (1, np.array([4.0]))], {0: 1.0, 1: 3.0})
+        assert avg[0] == 3.0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(nn.ShapeError):
             average_models([(0, np.array([1.0])), (1, nn.init_model([2, 1], 0).flat)],
                            {0: 1.0, 1: 1.0})
 
+    def test_order_of_input_list_irrelevant(self):
+        vecs = [(i, np.array([float(i)])) for i in range(3)]
+        w = {0: 1.0, 1: 2.0, 2: 3.0}
+        a = average_models(vecs, w)
+        b = average_models(vecs[::-1], w)
+        assert a.tobytes() == b.tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(PlanError):
             average_models([], {})
+
+
+class TestSingleClientEquivalence:
+    @pytest.mark.parametrize("protocol,kind", [
+        (SL, U_SHAPED), (SL, VANILLA), (SFV1, U_SHAPED), (SFV2, U_SHAPED),
+        (SFV3, U_SHAPED), (FL, U_SHAPED),
+    ])
+    def test_equals_centralized(self, protocol, kind):
+        datasets, model, clients, server = make_setup(1, protocol, kind, seed=5)
+        run_rounds(protocol, clients, server, (0,), 3)
+        final = composed_model(clients[0], server.body)
+        ref = centralized_training(datasets[0], seed=5, epochs=3)
+        assert models_equal(final, ref)
 
 
 def separate_step_training(datasets, protocol, kind, order, epochs, seed=0):
@@ -227,6 +257,7 @@ class TestAlignedVectors:
         assert all(v.ctypes.data % 64 == 0 for pair in nn._SCRATCH.values() for v in pair)
         assert all(a is b for a, b in zip(owned(), kept))
 
+
     def test_mapped_training_vectors_start_on_a_cache_line(self):
         # a 17,544-element body: its vector, replicas, gradient buffer and
         # Adam moments are blocks of at least MAP_MIN bytes
@@ -330,6 +361,18 @@ class TestMessageSequences:
                     MsgType.SMASHED_GRAD] * n_batches
         assert types == expected
 
+    @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_channel_sequences(self, protocol, kind):
+        """Every channel's exact (type, round, seq, bytes) sequence over
+        two rounds of two clients, from batch counts and segment sizes."""
+        datasets, _, clients, server = make_setup(2, protocol, kind)
+        bus = run_rounds(protocol, clients, server, (1, 0), 2)
+        cuts = None if protocol == FL else (SPLIT_VANILLA if kind == VANILLA else SPLIT)
+        counts = {ds.client_id: ds.sample_count for ds in datasets}
+        assert observed_channels(bus.log) == expected_channels(
+            protocol, kind, counts, WIDTHS, cuts, BATCH, 2)
+
     def test_out_of_order_message_rejected(self):
         _, model, clients, server = make_setup(1, SL)
         bus = ChannelBus()
@@ -338,6 +381,20 @@ class TestMessageSequences:
         with pytest.raises(ProtocolViolation,
                            match="expected SMASHED_ACTIVATIONS from 1, got PARAM_BLOB"):
             run_rounds(SL, clients, server, (0,), 1, bus=bus)
+
+
+class TestOrderInvariance:
+    @pytest.mark.parametrize("protocol", [FL, SFV1, SFV3])
+    def test_all_permutations_bit_identical(self, protocol):
+        finals = set()
+        for perm in itertools.permutations(range(3)):
+            _, model, clients, server = make_setup(3, protocol, seed=1)
+            run_rounds(protocol, clients, server, perm, 2)
+            parts = [nn.flatten_params(composed_model(clients[c], server.body))
+                     for c in sorted(clients)]
+            blob = np.concatenate(parts)
+            finals.add(blob.tobytes())
+        assert len(finals) == 1
 
 
 class TestOrderSensitivity:
@@ -386,3 +443,29 @@ class TestAveragingPlacement:
         run_rounds(protocol, clients, server, (0, 1, 2), 1)
         fronts = {clients[c].front.flat.tobytes() for c in clients}
         assert len(fronts) == 1
+
+
+class TestLabelPrivacy:
+    def test_u_shaped_never_ships_labels(self):
+        for protocol in (SL, SFV1, SFV2, SFV3):
+            _, model, clients, server = make_setup(2, protocol, seed=4)
+            bus = run_rounds(protocol, clients, server, (0, 1), 2)
+            assert bus.count_by_type(MsgType.LABELS) == 0
+
+    def test_vanilla_ships_one_labels_message_per_batch(self):
+        datasets, model, clients, server = make_setup(2, SL, VANILLA)
+        epochs = 2
+        bus = run_rounds(SL, clients, server, (0, 1), epochs)
+        n_batches = sum(-(-ds.sample_count // BATCH) for ds in datasets) * epochs
+        assert bus.count_by_type(MsgType.LABELS) == n_batches
+
+
+class TestCommunicationAccounting:
+    def test_sfv1_param_bytes_exceed_sfv3(self):
+        byte_counts = {}
+        for protocol in (SFV1, SFV3):
+            _, model, clients, server = make_setup(3, protocol, seed=6)
+            bus = run_rounds(protocol, clients, server, (0, 1, 2), 2)
+            byte_counts[protocol] = bus.bytes_by_type(MsgType.PARAM_BLOB)
+        assert byte_counts[SFV1] > byte_counts[SFV3]
+        assert byte_counts[SFV3] == 0  # replicas live server-side

@@ -64,6 +64,11 @@ class TestRoundTrip:
 
 
 class TestDecodeErrors:
+    def test_bad_magic(self):
+        data = b"XXXX" + tensor_frame()[4:]
+        with pytest.raises(CorruptStream):
+            decode(data)
+
     def test_bad_version(self):
         data = bytearray(tensor_frame())
         data[4] = 99
@@ -76,6 +81,11 @@ class TestDecodeErrors:
             data[5] = code
             with pytest.raises(UnsupportedMessage):
                 decode(bytes(data))
+
+    def test_truncated_payload(self):
+        data = tensor_frame(shape=(2, 3))
+        with pytest.raises(Truncated):
+            decode(data[:-8])
 
     def test_truncated_header(self):
         with pytest.raises(Truncated):
