@@ -9,6 +9,8 @@ of each metric, plus a client-count sweep for the bias-vs-n trend.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -262,14 +264,13 @@ def run_experiment(config: ExperimentConfig,
                    val_losses=list(known.val_losses), duration=time.perf_counter() - start)
 
 
-@nn.one_blas_thread()
 def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bool = False,
            turns: TurnStates | None = None) -> RunResult:
     """`run_experiment`'s training, for a config that names its order and
     the datasets of its clients. `turns` (SL, SFv2) holds the round-0
     turns that the runs of its group share (`_train_group`). Every run
-    trains here, on one OpenBLAS thread (`nn.one_blas_thread`): a sweep's
-    forked workers are its parallelism."""
+    trains here, on one OpenBLAS thread (`_one_blas_thread`)."""
+    _one_blas_thread()
     start = time.perf_counter()
     ds_by_id = {ds.client_id: ds for ds in datasets}
     # the initial model is freed once make_clients has copied it: held for
@@ -340,16 +341,50 @@ def _workers(groups: int) -> int:
     return n if n > 1 and hasattr(os, "fork") and not (mp and mp.current_process().daemon) else 0
 
 
-@nn.one_blas_thread()
+@functools.cache
+def _openblas():
+    """The (get_num_threads, set_num_threads) pair of the OpenBLAS that
+    numpy loaded, or None (another BLAS), found once per process: a
+    symbol lookup on numpy's linear-algebra extension also searches the
+    libraries it links, so the first pair prefixed `openblas_` or
+    `scipy_openblas_`, with or without the `64_` suffix, is numpy's."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's OpenBLAS (`_openblas`) to one thread for the rest of the
+    process; without OpenBLAS, do nothing. A sweep's parallelism is its
+    forked workers, one per CPU (`_workers`): OpenBLAS's own threads in each
+    of them oversubscribed the CPUs once a model was wide enough for it to
+    split its matmuls (a 2-epoch order sweep at widths 8-256-256-256-64-1
+    took 1.8-25.4 s in workers against 0.79-0.88 s on one BLAS thread,
+    2-vCPU VM). At these shapes the thread count changes no result.
+
+    A count that is already one is left alone: setting it in a forked
+    worker restarted OpenBLAS's thread pool there, whose new thread spun on
+    a CPU that the other workers needed (bias-fixture sweeps took 1.4x as
+    long). So `_train_forked` sets it before its first fork, and the
+    workers inherit it."""
+    blas = _openblas()
+    if blas and blas[0]() != 1:
+        blas[1](1)
+
+
 def _train_forked(groups: list[dict], workers: int) -> dict:
     """`_train_group` of each group in `workers` forked workers, merged:
     `{run key: result}` of every group that a reply holds (`_train_ahead`).
     Every worker is killed, if still running, and reaped before this
     returns or raises. The workers are forked on one OpenBLAS thread
-    (`nn.one_blas_thread`), so they never set the count themselves:
-    setting it in a worker restarted OpenBLAS's thread pool there, whose
-    new thread spun on a CPU that the other workers needed (bias-fixture
-    sweeps took 1.4x as long)."""
+    (`_one_blas_thread`), so they never set the count themselves."""
+    _one_blas_thread()
     # pipe ends as files; the tasks pipe's unbuffered, so a worker reads one index at a time
     tasks_r, tasks_w = files = [open(fd, mode, 0) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
     replies, trained = {}, {}  # by worker pid: the read end of its reply

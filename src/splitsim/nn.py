@@ -42,21 +42,11 @@ module's one scratch pair (`_SCRATCH`): the process is single-threaded
 and no pass runs inside another, so no two passes use it at once, and a
 forked worker writes its own copy. Everything else is pure; `clone` and
 `flatten_params` return copies.
-
-BLAS threads: training runs on one OpenBLAS thread (`one_blas_thread`).
-A sweep's parallelism is its forked workers, one per CPU; OpenBLAS's own
-threads in each of them oversubscribed the CPUs once a model was wide
-enough for it to split its matmuls: a 2-epoch order sweep at widths
-8-256-256-256-64-1 took 1.8-25.4 s in workers against 0.79-0.88 s on one
-BLAS thread (2-vCPU VM). At these shapes the thread count changes no
-result.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -385,47 +375,6 @@ class _Scratch(dict):
 
 
 _SCRATCH = _Scratch()
-
-
-@functools.cache
-def _openblas():
-    """The (get_num_threads, set_num_threads) pair of the OpenBLAS that
-    numpy loaded, or None (another BLAS), found once per process: a
-    symbol lookup on numpy's linear-algebra extension also searches the
-    libraries it links, so the first pair prefixed `openblas_` or
-    `scipy_openblas_`, with or without the `64_` suffix, is numpy's."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
-                 "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
-        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-        if get is not None and put is not None:
-            get.restype, get.argtypes = ctypes.c_int, []
-            put.restype, put.argtypes = None, [ctypes.c_int]
-            return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block on one OpenBLAS thread, and put the previous count
-    back on leaving it, also when it raises; scopes nest. A count that is
-    already one is left alone: in a forked child, setting the count
-    restarts OpenBLAS's thread pool, whose new thread spins on a CPU for a
-    while. Without OpenBLAS (`_openblas`) it does nothing. The count is
-    the process's, so, like `_SCRATCH`, this assumes a single-threaded
-    process: two threads in scopes at once would restore each other's
-    counts."""
-    blas = _openblas()
-    previous = blas[0]() if blas else 1
-    if previous == 1:  # no OpenBLAS, or one thread already
-        yield
-        return
-    put = blas[1]
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's usual constants

@@ -132,6 +132,10 @@ MUTANTS = (
     Mutant("restored round-0 turns leave the bus log unrestored", "src/splitsim/protocols.py",
            "            bus.restore_log(log)\n", "",
            "a sweep's shared turns give a standalone run's result and bus log"),
+    Mutant("a count of one set again", "src/splitsim/harness.py",
+           "    if blas and blas[0]() != 1:",
+           "    if blas:",
+           "a forked worker never sets OpenBLAS's thread count"),
 )
 
 

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pathlib
 import pickle
+import platform
 import re
 import signal
 import string
@@ -1071,12 +1072,18 @@ class TestParallelSweeps:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _numpy_reports_openblas() -> bool:
+    config = getattr(np.__config__, "CONFIG", None)  # numpy 1.26 and later
+    return config is not None and "openblas" in config["Build Dependencies"]["blas"]["name"]
+
+
 @pytest.fixture
 def blas(monkeypatch):
-    """The (get, set) thread-count pair of numpy's OpenBLAS (`nn._openblas`),
-    set to 2 threads for the test, so a scope that did nothing would show;
-    the count it had is put back after. Skips the test without OpenBLAS."""
-    pair = nn._openblas()
+    """The (get, set) thread-count pair of numpy's OpenBLAS
+    (`harness._openblas`), set to 2 threads for the test, so a run that
+    left the count alone would show; the count it had is put back after.
+    Skips the test without OpenBLAS."""
+    pair = harness._openblas()
     if pair is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
     get, put = pair
@@ -1086,10 +1093,21 @@ def blas(monkeypatch):
     put(before)
 
 
+def _logged(log, name: str, get, original):
+    """`original`, which first appends `name pid count` to `log`: one
+    short append per call, so forked workers write whole lines."""
+    def spied(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{name} {os.getpid()} {get()}\n")
+        return original(*args, **kwargs)
+    return spied
+
+
 class TestBlasThreads:
-    """Every run trains on one OpenBLAS thread (`nn.one_blas_thread`
-    around `harness._train`, and around `harness._train_forked`, so that
-    the workers start on one), and the count is put back after it."""
+    """Every run trains on one OpenBLAS thread, and the process stays on
+    one: `harness._one_blas_thread`, called by `harness._train`, and by
+    `harness._train_forked` before its first fork, so that the workers
+    start on one and never set it."""
 
     @staticmethod
     def _counts_seen(monkeypatch, get) -> list:
@@ -1103,67 +1121,99 @@ class TestBlasThreads:
         monkeypatch.setattr(harness, "run_round", spied_round)
         return seen
 
-    def test_a_run_trains_on_one_thread_and_puts_the_count_back(self, monkeypatch, blas):
+    def test_a_run_trains_on_one_thread_and_leaves_it_at_one(self, monkeypatch, blas):
         get, _ = blas
         seen = self._counts_seen(monkeypatch, get)
         run_experiment(FAST)
-        assert seen == [1] * FAST.epochs and get() == 2
+        assert seen == [1] * FAST.epochs and get() == 1
 
-    def test_a_run_that_raises_puts_the_count_back(self, blas):
+    def test_a_run_that_raises_trained_on_one_thread(self, monkeypatch, blas):
         get, _ = blas
+        seen = self._counts_seen(monkeypatch, get)
         with pytest.raises(SaturationError):
             run_experiment(ExperimentConfig(lr=10))  # CI's saturated run
-        assert get() == 2
+        assert seen == [1] and get() == 1  # it saturates in epoch 0
 
-    def test_nested_scopes_restore_the_outer_count(self, blas):
-        get, _ = blas
-        with nn.one_blas_thread():
-            with nn.one_blas_thread():
-                assert get() == 1
-            assert get() == 1  # the outer scope's, not the count before it
-        assert get() == 2
+    def test_a_count_of_one_is_not_set_again(self, monkeypatch, tmp_path, blas):
+        # in a forked worker, setting the count restarts OpenBLAS's pool
+        get, put = blas
+        log = tmp_path / "threads"
+        monkeypatch.setattr(harness, "_openblas", lambda: (get, _logged(log, "set", get, put)))
+        run_experiment(FAST)
+        run_experiment(FAST)
+        assert log.read_text() == f"set {os.getpid()} 2\n" and get() == 1
 
     def test_the_lookup_finds_the_openblas_numpy_was_built_with(self):
         # so that a lookup that stopped finding OpenBLAS fails here rather
         # than skipping every other test of this class
-        config = getattr(np.__config__, "CONFIG", None)  # numpy 1.26 and later
-        if config is None or "openblas" not in config["Build Dependencies"]["blas"]["name"]:
+        if not _numpy_reports_openblas():
             pytest.skip("numpy does not report an OpenBLAS build")
-        assert nn._openblas() is not None
+        assert harness._openblas() is not None
 
     def test_a_forked_sweep_worker_starts_and_trains_on_one_thread(self, monkeypatch, tmp_path,
                                                                    blas):
-        # a worker inherits the count of one and never sets it, as setting
-        # it there restarts OpenBLAS's thread pool
+        # the parent sets the count once, before its first fork; a worker
+        # inherits the count of one and never sets it
         get, put = blas
-        parent, log = os.getpid(), tmp_path / "threads"
-
-        def logged(name, original):
-            def spied(*args, **kwargs):
-                with open(log, "a") as fh:  # one short append per call: whole lines
-                    fh.write(f"{name} {os.getpid()} {get()}\n")
-                return original(*args, **kwargs)
-            return spied
-
+        parent, log = str(os.getpid()), tmp_path / "threads"
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(nn, "_openblas", lambda: (get, logged("set", put)))
+        monkeypatch.setattr(harness, "_openblas", lambda: (get, _logged(log, "set", get, put)))
         for name in ("_train_group", "run_round"):
-            monkeypatch.setattr(harness, name, logged(name, getattr(harness, name)))
+            monkeypatch.setattr(harness, name, _logged(log, name, get, getattr(harness, name)))
         starts = _worker_counts(monkeypatch)
+        monkeypatch.setattr(os, "fork", _logged(log, "fork", get, os.fork))
         sweep_order(TestParallelSweeps.CFG)
         rows = [line.split() for line in log.read_text().splitlines()]
-        assert starts == [2] and get() == 2
-        assert {name for name, pid, _ in rows if pid != str(parent)} == {"_train_group",
-                                                                          "run_round"}
+        assert starts == [2] and get() == 1
+        assert rows[:3] == [["set", parent, "2"], ["fork", parent, "1"], ["fork", parent, "1"]]
+        assert {name for name, pid, _ in rows if pid != parent} == {"_train_group", "run_round"}
+        assert [name for name, _, _ in rows].count("set") == 1
         assert {count for name, _, count in rows if name != "set"} == {"1"}
 
     def test_without_openblas_runs_train_and_give_the_same_result(self, monkeypatch, blas):
-        get, _ = blas
+        get, put = blas
         found = run_experiment(FAST).to_json()
-        monkeypatch.setattr(nn, "_openblas", lambda: None)
+        put(2)
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
         seen = self._counts_seen(monkeypatch, get)
         assert run_experiment(FAST).to_json() == found
-        assert seen == [2] * FAST.epochs  # the scope did nothing
+        assert seen == [2] * FAST.epochs  # the count was left alone
+
+
+# prints the name of the kernel that numpy's OpenBLAS picked at load time
+CORENAME = ("import ctypes, numpy as np\n"
+            "lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)\n"
+            "for name in ('openblas_get_corename', 'openblas_get_corename64_',\n"
+            "             'scipy_openblas_get_corename', 'scipy_openblas_get_corename64_'):\n"
+            "    if hasattr(lib, name):\n"
+            "        getattr(lib, name).restype = ctypes.c_char_p\n"
+            "        print(getattr(lib, name)().decode())\n"
+            "        break\n")
+
+
+def test_order_sweep_tables_are_the_same_bytes_on_another_openblas_kernel(tmp_path):
+    # OpenBLAS picks its kernels for the CPU when it loads; OPENBLAS_CORETYPE
+    # forces another. A run's floats may differ in their last bits (a bias
+    # run's result.json does), but the tables, at 2 or 4 decimals, do not.
+    if platform.machine() not in ("x86_64", "AMD64") or not _numpy_reports_openblas():
+        pytest.skip("not an x86-64 machine with numpy on OpenBLAS")
+    src = pathlib.Path(harness.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(src)
+    cores = []
+    for kernel, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        cores.append(subprocess.run([sys.executable, "-c", CORENAME], env={**env, **extra},
+                                    check=True, capture_output=True, text=True).stdout)
+        subprocess.run([sys.executable, "-m", "splitsim.cli", "sweep-order", "--config",
+                        str(BIAS_CFG), "--seeds", "2", "--out", str(tmp_path / kernel)],
+                       env={**env, **extra}, check=True, stdout=subprocess.DEVNULL)
+    if not cores[0]:
+        pytest.skip("OpenBLAS does not report its kernel")
+    assert cores[0] != cores[1]  # the variable took effect
+    for seed in (0, 1):
+        default, prescott = (tmp_path / kernel / f"order_sweep_seed{seed}.csv"
+                             for kernel in ("default", "prescott"))
+        assert default.read_bytes() == prescott.read_bytes()
 
 
 class TestMultiSeedSweep:
