@@ -136,6 +136,31 @@ MUTANTS = (
            "    if blas and blas[0]() != 1:",
            "    if blas:",
            "a forked worker never sets OpenBLAS's thread count"),
+    Mutant("a saturated run not raised", "src/splitsim/harness.py",
+           '            raise SaturationError(f"epoch {epoch}: every validation probability '
+           'is at a clamp bound")',
+           "            pass",
+           "a run whose validation probabilities all sit at a clamp bound exits 2"),
+    Mutant("a dataset label outside {0, 1} let through", "src/splitsim/harness.py",
+           "                if not np.all((y == 0) | (y == 1)):",
+           "                if False:",
+           "a dataset file's labels are 0 or 1, checked before training"),
+    Mutant("dataset file client ids not checked", "src/splitsim/harness.py",
+           "    if ids != list(range(n_clients)):",
+           "    if False:",
+           "a dataset file's first n_clients clients are clients 0 to n_clients - 1"),
+    Mutant("n_clients below 1 let through", "src/splitsim/harness.py",
+           "        if self.n_clients < 1:",
+           "        if False:",
+           "n_clients below 1 is an input error, also with a dataset file"),
+    Mutant("an overflowing client angle let through", "src/splitsim/harness.py",
+           "            if not math.isfinite((self.n_clients - 1) * self.shift_scale):",
+           "            if False:",
+           "a shift_scale that overflows the last client's angle is an input error"),
+    Mutant("a run's probe not checked against its clients", "src/splitsim/harness.py",
+           "    if config.probe not in client_ids:",
+           "    if False:",
+           "a run's probe is one of its clients, checked before training"),
 )
 
 

@@ -1638,22 +1638,34 @@ class TestCli:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("split", [VANILLA, U_SHAPED])
     def test_result_manifest_reruns_byte_identical(self, tmp_path, protocol, split):
+        # the first run also writes messages.log, the rerun does not: the
+        # log leaves result.json alone and sums to its counts
         a, b = tmp_path / "A", tmp_path / "B"
         assert cli.main(["run", "--protocol", protocol, "--split", split,
-                         "--epochs", "2", "--out", str(a)]) == 0
+                         "--epochs", "2", "--message-log", "--out", str(a)]) == 0
         assert cli.main(["run", "--config", str(a / "result.manifest.txt"),
                          "--out", str(b)]) == 0
         assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
         assert (a / "result.manifest.txt").read_text() == (b / "result.manifest.txt").read_text()
+        rows = [line.split() for line in (a / "messages.log").read_text().splitlines()]
+        counted = {"total_bytes": sum(int(r[5]) for r in rows),  # round seq sender receiver type bytes
+                   "param_blob_bytes": sum(int(r[5]) for r in rows if r[4] == "PARAM_BLOB"),
+                   "labels_messages": sum(r[4] == "LABELS" for r in rows)}
+        result = json.loads((a / "result.json").read_text())
+        assert counted == {key: result[key] for key in counted}
+        assert (counted["labels_messages"] > 0) == (split == VANILLA and protocol != "fl")
 
-    def test_sweep_manifest_reruns_identical(self, tmp_path):
-        cfg = self._write_cfg(tmp_path)
+    @pytest.mark.parametrize("command, stem", [("sweep-order", "order_sweep_seed3"),
+                                               ("sweep-clients", "client_sweep_seed3")],
+                             ids=["sweep-order", "sweep-clients"])
+    def test_sweep_manifest_reruns_identical(self, tmp_path, command, stem):
+        cfg = self._write_cfg(tmp_path, "n_clients = 3\n")
         a, b = tmp_path / "A", tmp_path / "B"
-        assert cli.main(["sweep-order", "--config", str(cfg), "--epochs", "1",
+        assert cli.main([command, "--config", str(cfg), "--epochs", "1",
                          "--seed", "3", "--out", str(a)]) == 0
-        assert cli.main(["sweep-order", "--config", str(a / "order_sweep_seed3.manifest.txt"),
+        assert cli.main([command, "--config", str(a / f"{stem}.manifest.txt"),
                          "--out", str(b)]) == 0
-        for name in ("order_sweep_seed3.csv", "order_sweep_seed3.manifest.txt"):
+        for name in (f"{stem}.csv", f"{stem}.manifest.txt"):
             assert (a / name).read_text() == (b / name).read_text()
 
 
