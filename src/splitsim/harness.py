@@ -228,15 +228,10 @@ def _run_key(config: ExperimentConfig, order) -> tuple[ExperimentConfig, tuple[i
 def run_experiment(config: ExperimentConfig,
                    datasets: list[ClientDataset] | None = None,
                    keep_bus: bool = False, store: dict | None = None) -> RunResult:
-    """Train for config.epochs global epochs, checkpoint on least mean
-    validation loss, and evaluate each client's test split with its own
-    model from the selected epoch, run through its segments in turn.
-
-    Each epoch is scored on the live models; only the best epoch's
-    validation and test probabilities are kept, the test ones computed
-    when the epoch becomes the best. Ties go to the earliest epoch. A
-    non-finite loss raises DivergenceError, and an epoch whose every
-    validation probability sits at a clamp bound raises SaturationError.
+    """Train for config.epochs global epochs and evaluate each client's
+    test split with its own model from the checkpoint epoch, run through
+    its segments in turn. `_checkpoint` picks that epoch and raises
+    DivergenceError or SaturationError.
 
     `store` holds a sweep's results trained ahead (`_train_ahead`), by
     `_run_key`. A run found there returns that result under its own
@@ -267,9 +262,10 @@ def run_experiment(config: ExperimentConfig,
 def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bool = False,
            turns: TurnStates | None = None) -> RunResult:
     """`run_experiment`'s training, for a config that names its order and
-    the datasets of its clients. `turns` (SL, SFv2) holds the round-0
-    turns that the runs of its group share (`_train_group`). Every run
-    trains here, on one OpenBLAS thread (`_one_blas_thread`)."""
+    the datasets of its clients: `_epochs`, scored at the epoch that
+    `_checkpoint` keeps. `turns` (SL, SFv2) holds the round-0 turns that
+    the runs of its group share (`_train_group`). Every run trains here,
+    on one OpenBLAS thread (`_one_blas_thread`)."""
     _one_blas_thread()
     start = time.perf_counter()
     ds_by_id = {ds.client_id: ds for ds in datasets}
@@ -279,24 +275,9 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
     clients, server = make_clients(datasets, init_model(list(config.widths), config.seed),
                                    config.protocol, config.split_config(), config.lr)
     bus = ChannelBus()
-
-    losses, best = [], None  # best: (epoch, val probs, test probs) of the least loss
-    for epoch in range(config.epochs):
-        run_round(clients, server, config.protocol, config.order, epoch, bus, config.batch_size,
-                  turns=turns if epoch == 0 else None)
-        val_probs = _predict(clients, server, ds_by_id, "val")
-        loss = float(np.mean([nn.bce_loss(val_probs[cid], ds_by_id[cid].val_y)
-                              for cid in sorted(clients)]))
-        if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
-               for p in val_probs.values()):
-            raise SaturationError(f"epoch {epoch}: every validation probability is at a clamp bound")
-        if not math.isfinite(loss):
-            raise DivergenceError(f"epoch {epoch}: mean validation loss is {loss}")
-        losses.append(loss)
-        if best is None or loss < losses[best[0]]:  # strictly: ties keep the earliest epoch
-            best = (epoch, val_probs, _predict(clients, server, ds_by_id, "test"))
-
-    best_epoch, val_probs, test_probs = best
+    losses, best_epoch, val_probs, test_probs = _checkpoint(
+        _epochs(config, clients, server, ds_by_id, bus, turns),
+        lambda: _predict(clients, server, ds_by_id, "test"))
     per_client = {cid: metrics.evaluate(test_probs[cid][:, 0], ds_by_id[cid].test_y,
                                         val_probs[cid][:, 0], ds_by_id[cid].val_y)
                   for cid in sorted(clients)}
@@ -312,6 +293,41 @@ def _train(config: ExperimentConfig, datasets: list[ClientDataset], keep_bus: bo
         duration=time.perf_counter() - start,
         bus=bus if keep_bus else None,
     )
+
+
+def _epochs(config: ExperimentConfig, clients, server: ServerState,
+            ds_by_id: dict[int, ClientDataset], bus: ChannelBus, turns: TurnStates | None):
+    """Train `config.epochs` rounds. After each, yield `(epoch, val probs,
+    mean validation loss)`, scored on the live models, which the next
+    round trains on: a consumer scores them before it asks for more."""
+    for epoch in range(config.epochs):
+        run_round(clients, server, config.protocol, config.order, epoch, bus, config.batch_size,
+                  turns=turns if epoch == 0 else None)
+        val_probs = _predict(clients, server, ds_by_id, "val")
+        yield epoch, val_probs, float(np.mean([nn.bce_loss(val_probs[cid], ds_by_id[cid].val_y)
+                                               for cid in sorted(clients)]))
+
+
+def _checkpoint(records, test_probs):
+    """Fold `_epochs`' records, epochs 0, 1, ... in turn, into `(losses,
+    checkpoint epoch, its val probs, its test probs)`. The checkpoint is
+    the earliest epoch of least mean validation loss. `test_probs()`
+    scores the live models' test split, so it is called only when an
+    epoch becomes the best, before the next record is drawn. An epoch
+    whose every validation probability sits at a clamp bound
+    (`nn.PROB_CLAMP`) raises SaturationError; a non-finite loss,
+    DivergenceError."""
+    losses, best = [], None  # best: (epoch, val probs, test probs) of the least loss
+    for epoch, val_probs, loss in records:
+        if all(np.all((p <= nn.PROB_CLAMP) | (p >= 1 - nn.PROB_CLAMP))
+               for p in val_probs.values()):
+            raise SaturationError(f"epoch {epoch}: every validation probability is at a clamp bound")
+        if not math.isfinite(loss):
+            raise DivergenceError(f"epoch {epoch}: mean validation loss is {loss}")
+        losses.append(loss)
+        if best is None or loss < losses[best[0]]:  # strictly: ties keep the earliest epoch
+            best = (epoch, val_probs, test_probs())
+    return losses, *best
 
 
 # --- training a sweep's runs ahead of its calls -------------------------------

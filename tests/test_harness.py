@@ -196,70 +196,55 @@ class TestConfigFile:
 
 
 class TestCheckpointRule:
-    """`_train` keeps the epoch of the least mean validation loss, and
+    """`_checkpoint` keeps the epoch of the least mean validation loss, and
     scores the test split only at an epoch whose loss is strictly below
-    every earlier one. Each epoch's loss is scripted through `nn.bce_loss`,
-    which `_train` reads through `nn` (the protocols train on `bce_grad`)."""
+    every earlier one. Each epoch's record is scripted."""
 
     @staticmethod
-    def run(monkeypatch, losses):
-        """FAST for len(losses) epochs, epoch i's mean validation loss
-        scripted as losses[i]. Returns the result, or the DivergenceError
-        raised, and the epochs whose test split `_predict` scored; checks
-        that `metrics.evaluate` scored the last of these."""
-        bce, predict, evaluate = [0], harness._predict, metrics.evaluate
-        epoch, tested, evaluated = [-1], [], []
+    def run(losses):
+        """`_checkpoint` of one record per loss, epoch i's mean validation
+        loss losses[i], its validation probabilities away from the clamp
+        bounds. Returns the checkpoint epoch, or the DivergenceError
+        raised, and the epochs at which `test_probs` was called; checks
+        that the fold kept that epoch's validation probabilities and what
+        the last call returned."""
+        val = [{0: np.full((3, 1), 0.5)} for _ in losses]
+        epoch, tested = [-1], []  # the record drawn; (its epoch, probs) per test_probs call
 
-        def scripted_loss(probs, y):  # one call per client and epoch
-            bce[0] += 1
-            return losses[(bce[0] - 1) // FAST.n_clients]
+        def records():
+            for epoch[0], loss in enumerate(losses):
+                yield epoch[0], val[epoch[0]], loss
 
-        def spied_predict(clients, server, datasets, split):
-            probs = predict(clients, server, datasets, split)
-            if split == "val":  # each epoch's first call
-                epoch[0] += 1
-            else:
-                tested.append((epoch[0], probs))
-            return probs
+        def test_probs():
+            tested.append((epoch[0], {0: np.zeros((2, 1))}))
+            return tested[-1][1]
 
-        def spied_evaluate(scores, *args):
-            evaluated.append(scores)
-            return evaluate(scores, *args)
-
-        monkeypatch.setattr(nn, "bce_loss", scripted_loss)
-        monkeypatch.setattr(harness, "_predict", spied_predict)
-        monkeypatch.setattr(metrics, "evaluate", spied_evaluate)
         try:
-            result = run_experiment(replace(FAST, epochs=len(losses)))
+            val_losses, checkpoint_epoch, val_probs, kept = harness._checkpoint(records(),
+                                                                                test_probs)
         except DivergenceError as exc:
             return exc, [e for e, _ in tested]
-        assert result.val_losses == losses
-        kept_epoch, kept = tested[-1]
-        assert kept_epoch == result.checkpoint_epoch
-        assert all(np.shares_memory(scores, kept[cid])
-                   for cid, scores in zip(sorted(kept), evaluated, strict=True))
-        return result, [e for e, _ in tested]
+        assert val_losses == losses
+        assert checkpoint_epoch == tested[-1][0] and kept is tested[-1][1]
+        assert val_probs is val[checkpoint_epoch]
+        return checkpoint_epoch, [e for e, _ in tested]
 
-    def test_least_loss_wins(self, monkeypatch):
+    def test_least_loss_wins(self):
         # at its first epoch: the least loss comes again at epoch 3
-        result, tested = self.run(monkeypatch, [0.9, 0.5, 0.7, 0.5])
-        assert (result.checkpoint_epoch, tested) == (1, [0, 1])
+        assert self.run([0.9, 0.5, 0.7, 0.5]) == (1, [0, 1])
 
-    def test_tie_keeps_the_earliest_epoch(self, monkeypatch):
-        result, tested = self.run(monkeypatch, [0.5, 0.5])
-        assert (result.checkpoint_epoch, tested) == (0, [0])
+    def test_tie_keeps_the_earliest_epoch(self):
+        assert self.run([0.5, 0.5]) == (0, [0])
 
-    def test_falling_loss_keeps_the_last_epoch(self, monkeypatch):
-        result, tested = self.run(monkeypatch, [1.0 - 0.05 * i for i in range(10)])
-        assert (result.checkpoint_epoch, tested) == (9, list(range(10)))
+    def test_falling_loss_keeps_the_last_epoch(self):
+        assert self.run([1.0 - 0.05 * i for i in range(10)]) == (9, list(range(10)))
 
-    def test_test_split_scored_only_on_strict_improvement(self, monkeypatch):
-        result, tested = self.run(monkeypatch, [0.9, 0.9, 0.7, 0.8, 0.7, 0.6])
-        assert (result.checkpoint_epoch, tested) == (5, [0, 2, 5])
+    def test_test_split_scored_only_on_strict_improvement(self):
+        assert self.run([0.9, 0.9, 0.7, 0.8, 0.7, 0.6]) == (5, [0, 2, 5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_loss_names_the_epoch(self, monkeypatch, bad):
-        raised, tested = self.run(monkeypatch, [0.5, bad, 0.4])
+    def test_non_finite_loss_names_the_epoch(self, bad):
+        raised, tested = self.run([0.5, bad, 0.4])
         assert isinstance(raised, DivergenceError)
         assert str(raised) == f"epoch 1: mean validation loss is {bad}"
         assert tested == [0]
@@ -383,25 +368,17 @@ class TestStreamingCheckpoint:
             run_experiment(cfg)
 
     @pytest.mark.parametrize("off", [None, 2e-12, 0.5, 1 - 2e-12])
-    def test_saturation_needs_every_probability_at_a_bound(self, monkeypatch, off):
+    def test_saturation_needs_every_probability_at_a_bound(self, off):
         # every validation probability at a clamp bound, or all but one
-        original = harness._predict
-
-        def pinned(clients, server, datasets, split):
-            probs = original(clients, server, datasets, split)
-            if split != "val":
-                return probs
-            probs = {cid: np.where(p < 0.5, nn.PROB_CLAMP, 1.0) for cid, p in probs.items()}
-            if off is not None:
-                probs[1][0, 0] = off
-            return probs
-
-        monkeypatch.setattr(harness, "_predict", pinned)
+        probs = {cid: np.array([[nn.PROB_CLAMP], [1.0], [1 - nn.PROB_CLAMP]]) for cid in (0, 1)}
+        if off is not None:
+            probs[1][0, 0] = off
+        records = [(0, probs, 0.5)]
         if off is None:
             with pytest.raises(SaturationError, match="epoch 0"):
-                run_experiment(FAST)
+                harness._checkpoint(records, dict)
         else:
-            run_experiment(FAST)
+            assert harness._checkpoint(records, dict) == ([0.5], 0, probs, {})
 
 
 class TestRunExperiment:
