@@ -27,7 +27,7 @@ from . import __version__, datagen, metrics, nn
 from .datagen import ClientDataset, desk_manifest, generate_clients
 from .model_split import U_SHAPED, VANILLA
 from .nn import forward, init_model
-from .protocols import PROTOCOLS, SL, SPECS, ServerState, TurnStates, make_clients, run_round
+from .protocols import PROTOCOLS, SL, SPECS, PlanError, ServerState, make_clients, run_round
 from .protocols import composed_model  # noqa: F401 - the benchmark's tracer wraps it here
 from .transport import ChannelBus, MsgType
 
@@ -180,38 +180,39 @@ def _take(datasets: list[ClientDataset], n_clients: int, source: str) -> list[Cl
     return datasets[:n_clients]
 
 
-def _first_clients(datasets: list[ClientDataset], n_clients: int,
-                   source: str) -> list[ClientDataset]:
-    """`_take`, for datasets whose first n_clients must be clients 0 to
-    n_clients - 1."""
-    datasets = _take(datasets, n_clients, source)
+def _first_clients(datasets: list[ClientDataset], config: ExperimentConfig, source: str,
+                   name: str) -> list[ClientDataset]:
+    """`_take` of config.n_clients, for datasets whose first n_clients
+    must be clients 0 to n_clients - 1, each with what training and
+    scoring need of its splits. `source` names the datasets in an error
+    about the whole list, `name` in one about a client's data."""
+    datasets = _take(datasets, config.n_clients, source)
     ids = sorted(ds.client_id for ds in datasets)
-    if ids != list(range(n_clients)):
-        raise ConfigurationError(f"{source}: client ids {ids} are not 0..{n_clients - 1}")
+    if ids != list(range(config.n_clients)):
+        raise ConfigurationError(f"{source}: client ids {ids} are not 0..{config.n_clients - 1}")
+    for ds in datasets:
+        client = f"{name} client {ds.client_id}"
+        for split in ("train", "val", "test"):
+            x, y = ds.split(split)
+            if x.shape[1:] != (config.feature_dim,):
+                raise ConfigurationError(f"{name} has {x.shape[-1]} features, "
+                                         f"config feature_dim is {config.feature_dim}")
+            if not np.all((y == 0) | (y == 1)):
+                raise ConfigurationError(f"{client} {split} split has a label not in {{0, 1}}")
+            if not np.all(np.isfinite(x)):
+                raise ConfigurationError(f"{client} {split} split has a non-finite feature")
+        if not np.any(ds.val_y == 1):
+            raise ConfigurationError(f"{client} val split has no positive")
+        # not np.unique: its first call in a process added 1 MB to peak RSS
+        if not (np.any(ds.test_y == 0) and np.any(ds.test_y == 1)):
+            raise ConfigurationError(f"{client} test split does not hold both classes")
     return datasets
 
 
 def load_or_generate(config: ExperimentConfig) -> list[ClientDataset]:
     if config.dataset_path:
-        datasets = _first_clients(datagen.load_clients(config.dataset_path),
-                                  config.n_clients, f"dataset file {config.dataset_path}")
-        width = datasets[0].train_x.shape[1]
-        if width != config.feature_dim:
-            raise ConfigurationError(f"dataset file has {width} features, "
-                                     f"config feature_dim is {config.feature_dim}")
-        for ds in datasets:  # what training and scoring need of each client's splits
-            name = f"dataset file client {ds.client_id}"
-            for split in ("train", "val", "test"):
-                x, y = ds.split(split)
-                if not np.all((y == 0) | (y == 1)):
-                    raise ConfigurationError(f"{name} {split} split has a label not in {{0, 1}}")
-                if not np.all(np.isfinite(x)):
-                    raise ConfigurationError(f"{name} {split} split has a non-finite feature")
-            if not np.any(ds.val_y == 1):
-                raise ConfigurationError(f"{name} val split has no positive")
-            if np.unique(ds.test_y).size < 2:
-                raise ConfigurationError(f"{name} test split does not hold both classes")
-        return datasets
+        return _first_clients(datagen.load_clients(config.dataset_path), config,
+                              f"dataset file {config.dataset_path}", "dataset file")
     manifest = desk_manifest(config.n_clients, config.eval_count)
     return generate_clients(manifest, d=config.feature_dim,
                             shift_scale=config.shift_scale, seed=config.seed)
@@ -299,10 +300,16 @@ def _epochs(config: ExperimentConfig, clients, server: ServerState,
             ds_by_id: dict[int, ClientDataset], bus: ChannelBus, turns: TurnStates | None):
     """Train `config.epochs` rounds. After each, yield `(epoch, val probs,
     mean validation loss)`, scored on the live models, which the next
-    round trains on: a consumer scores them before it asks for more."""
+    round trains on: a consumer scores them before it asks for more.
+    Round 0 restores the turns `turns` holds, trains the rest of the
+    order and offers each of its turns to `turns`."""
     for epoch in range(config.epochs):
-        run_round(clients, server, config.protocol, config.order, epoch, bus, config.batch_size,
-                  turns=turns if epoch == 0 else None)
+        order, after_turn = config.order, None
+        if epoch == 0 and turns is not None:  # SL, SFv2: config.order is the training order
+            order = order[turns.restore(order, clients, server, bus):]
+            after_turn = functools.partial(turns.offer, clients=clients, server=server, bus=bus)
+        run_round(clients, server, config.protocol, order, epoch, bus, config.batch_size,
+                  after_turn)
         val_probs = _predict(clients, server, ds_by_id, "val")
         yield epoch, val_probs, float(np.mean([nn.bce_loss(val_probs[cid], ds_by_id[cid].val_y)
                                                for cid in sorted(clients)]))
@@ -332,12 +339,70 @@ def _checkpoint(records, test_probs):
 
 # --- training a sweep's runs ahead of its calls -------------------------------
 
+def _copy_params(flat: np.ndarray, opt: nn.AdamState) -> tuple:
+    return flat.copy(), opt.m.copy(), opt.v.copy(), opt.step
+
+
+def _put_params(saved: tuple, flat: np.ndarray, opt: nn.AdamState) -> None:
+    flat[...], opt.m[...], opt.v[...], opt.step = saved
+
+
+class TurnStates:
+    """Round-0 turns shared by runs that start from the same model, data
+    and hyperparameters and differ in their client order, `orders`, given
+    in the order the runs train. Each run restores the turns it shares
+    with the run before it and trains the rest. With the orders sorted,
+    those are the most turns it shares with any earlier run, so each
+    distinct round-0 prefix trains once.
+
+    `saved` is a stack: entry k holds what turn k + 1 of the current order
+    changed: that client's id, `[front | tail]` vector and Adam state (m,
+    v, step), the body and its Adam state, and a copy of the bus log; any
+    other client is as `make_clients` dealt it. A run keeps the stack only
+    as deep as it shares turns with the next run, so it never holds more
+    entries than the runs have clients."""
+
+    def __init__(self, orders):
+        self.saved: list[tuple] = []
+        self._keeps = iter([_shared_turns(a, b) for a, b in zip(orders, orders[1:])] + [0])
+        self._keep = 0
+
+    def restore(self, order: tuple[int, ...], clients, server: ServerState,
+                bus: ChannelBus) -> int:
+        """Restore the turns that the run in `order` shares with the run
+        before it: the whole stack. Returns how many, 0 for none."""
+        if tuple(cid for cid, *_ in self.saved) != order[:len(self.saved)]:
+            raise PlanError(f"order {order} does not start with the saved turns")
+        for cid, saved, _, _ in self.saved:
+            _put_params(saved, clients[cid].flat, clients[cid].opt)
+        if self.saved:
+            _, _, body, log = self.saved[-1]
+            _put_params(body, server.body.flat, server.opts[order[0]])
+            bus.restore_log(log)
+        done, self._keep = len(self.saved), next(self._keeps)
+        del self.saved[self._keep:]
+        return done
+
+    def offer(self, cid: int, clients, server: ServerState, bus: ChannelBus) -> None:
+        """Save what client `cid`'s turn, the next on the stack, changed if
+        the next run shares that turn."""
+        if len(self.saved) < self._keep:
+            self.saved.append((cid, _copy_params(clients[cid].flat, clients[cid].opt),
+                               _copy_params(server.body.flat, server.opts[cid]),
+                               list(bus.log)))
+
+
+def _shared_turns(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The length of the longest prefix orders `a` and `b` share."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def _train_group(group: dict) -> dict:
     """Train one group's runs, `{run key: (config, datasets)}`, in sorted
     order of the client orders they train in: `{run key: result}`, or {}
     if a run raised. Under SL and SFv2 the runs share their round-0 turns
-    (`protocols.TurnStates`): each distinct round-0 prefix trains once,
-    and the group holds at most n_clients saved turns."""
+    (`TurnStates`): each distinct round-0 prefix trains once, and the
+    group holds at most n_clients saved turns."""
     runs = sorted(group.items(), key=lambda run: run[0][1])  # a run key is (config, order)
     shared = SPECS[runs[0][0][0].protocol].shared_body
     turns = TurnStates([order for (_, order), _ in runs]) if shared else None
@@ -449,7 +514,7 @@ def _train_ahead(runs) -> dict[tuple, RunResult]:
     same client; otherwise (FL, SFv1, SFv3) each run is its own group.
     Each group trains through `_train_group`, its runs in sorted order of
     their client orders, so each distinct round-0 prefix trains once and
-    the group holds at most n_clients saved turns (`protocols.TurnStates`).
+    the group holds at most n_clients saved turns (`TurnStates`).
     The groups train in workers started by `os.fork` (`_workers`), or else
     in-process, one after another. Workers inherit the groups, take their
     indices from one pipe in call order as they come free, and each write
@@ -548,7 +613,7 @@ def sweep(config: ExperimentConfig, seeds, field: str, values,
         cfg = replace(config, seed=seed)
         cfg.validate()
         rows.append(_rows(cfg, load_or_generate(cfg) if datasets is None else
-                          _first_clients(datasets, cfg.n_clients, "datasets"), field, values))
+                          _first_clients(datasets, cfg, "datasets", "datasets"), field, values))
     store = _train_ahead([(run, ds) for seed_rows in rows
                           for _, first, last, ds in seed_rows for run in (first, last)])
 

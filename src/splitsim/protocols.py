@@ -30,6 +30,7 @@ every client between trains in turn.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +81,9 @@ PROTOCOLS = tuple(SPECS)
 
 
 class PlanError(ValueError):
-    """A round step asked for what it cannot do: averaging no models, turn
-    states outside round 0 against a shared body, or saved turns that do
-    not start the round's order."""
+    """A step asked for what it cannot do: averaging no models, or
+    resuming a round from the turns of an order that this one does not
+    start with (`harness`)."""
 
 
 def wire_id(client_id: int) -> int:
@@ -247,93 +248,26 @@ def _train_batch_local(client: ClientState, xb, yb) -> None:
     adam_step(client.flat, client.grad, client.opt)
 
 
-# --- round-0 turn states ---------------------------------------------------
-
-def _copy_params(flat: np.ndarray, opt: AdamState) -> tuple:
-    return flat.copy(), opt.m.copy(), opt.v.copy(), opt.step
-
-
-def _put_params(saved: tuple, flat: np.ndarray, opt: AdamState) -> None:
-    flat[...], opt.m[...], opt.v[...], opt.step = saved
-
-
-class TurnStates:
-    """Round-0 turns shared by runs that start from the same model, data
-    and hyperparameters and differ in their client order, `orders`, given
-    in the order the runs train. Each run restores the turns it shares
-    with the run before it and trains the rest. With the orders sorted,
-    those are the most turns it shares with any earlier run, so each
-    distinct round-0 prefix trains once.
-
-    `saved` is a stack: entry k holds what turn k + 1 of the current order
-    changed: that client's id, `[front | tail]` vector and Adam state (m,
-    v, step), the body and its Adam state, and a copy of the bus log; any
-    other client is as `make_clients` dealt it. A run keeps the stack only
-    as deep as it shares turns with the next run, so it never holds more
-    entries than the runs have clients."""
-
-    def __init__(self, orders):
-        self.saved: list[tuple] = []
-        self._keeps = iter([_shared_turns(a, b) for a, b in zip(orders, orders[1:])] + [0])
-        self._keep = 0
-
-    def restore(self, order: tuple[int, ...], clients, server: ServerState,
-                bus: ChannelBus) -> int:
-        """Restore the turns that the run in `order` shares with the run
-        before it: the whole stack. Returns how many, 0 for none."""
-        if tuple(cid for cid, *_ in self.saved) != order[:len(self.saved)]:
-            raise PlanError(f"order {order} does not start with the saved turns")
-        for cid, saved, _, _ in self.saved:
-            _put_params(saved, clients[cid].flat, clients[cid].opt)
-        if self.saved:
-            _, _, body, log = self.saved[-1]
-            _put_params(body, server.body.flat, server.opts[order[0]])
-            bus.restore_log(log)
-        done, self._keep = len(self.saved), next(self._keeps)
-        del self.saved[self._keep:]
-        return done
-
-    def offer(self, cid: int, clients, server: ServerState, bus: ChannelBus) -> None:
-        """Save what client `cid`'s turn, the next on the stack, changed if
-        the next run shares that turn."""
-        if len(self.saved) < self._keep:
-            self.saved.append((cid, _copy_params(clients[cid].flat, clients[cid].opt),
-                               _copy_params(server.body.flat, server.opts[cid]),
-                               list(bus.log)))
-
-
-def _shared_turns(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """The length of the longest prefix orders `a` and `b` share."""
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
 # --- round engine ---------------------------------------------------------
 
 def run_round(clients: dict[int, ClientState], server: ServerState, protocol: str,
               order: tuple[int, ...], rnd: int, bus: ChannelBus, batch_size: int,
-              turns: TurnStates | None = None) -> None:
-    """Round `rnd` of `protocol` as its SPECS row describes it. `order` is
-    a permutation of the clients' ids (`harness.run_experiment` checks it).
+              after_turn: Callable[[int], None] | None = None) -> None:
+    """Round `rnd` of `protocol` as its SPECS row describes it, for the
+    clients in `order`, each once: a run's order (`harness.run_experiment`
+    checks it), or its tail in a resumed round 0 (`harness._epochs`).
 
     Clients train one after another, in the row's `training_order` of
     `order`. With replicas, each turn trains a replica of the round's
     starting body (`ServerState`), and the mean of the replicas, summed
     as the turns end, becomes the body. Then the client segments are
-    averaged if the row says so.
-
-    `turns` (round 0 against a shared body only) holds the first turns of
-    this round that the run before trained: they are restored and
-    skipped, and what each turn trained here changed is offered to it."""
+    averaged if the row says so. `after_turn`, if given, is called with
+    each client's id as its turn ends."""
     spec = SPECS[protocol]
     order = spec.training_order(order)
-    done = 0
-    if turns is not None:
-        if rnd != 0 or not spec.shared_body:
-            raise PlanError("turn states exist only for round 0 against a shared body")
-        done = turns.restore(order, clients, server, bus)
     mean = None
-    for k in range(done, len(order)):
-        client = clients[order[k]]
+    for k, cid in enumerate(order):
+        client = clients[cid]
         body = server.body
         if spec.replicas and k + 1 < len(order):
             body = server.replicas[min(k, 1)]
@@ -341,7 +275,7 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
         for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,
                                    batch_size):
             if spec.split:
-                _train_batch_split(client, body, server.opts[client.id], xb, yb, bus, rnd)
+                _train_batch_split(client, body, server.opts[cid], xb, yb, bus, rnd)
             else:
                 _train_batch_local(client, xb, yb)
         if spec.replicas:
@@ -349,8 +283,8 @@ def run_round(clients: dict[int, ClientState], server: ServerState, protocol: st
                 mean = nn.WeightedMean(body.flat, float(client.sample_count))
             else:
                 mean.add(body.flat, float(client.sample_count))
-        if turns is not None:
-            turns.offer(client.id, clients, server, bus)
+        if after_turn is not None:
+            after_turn(cid)
     if spec.replicas:
         mean.into(server.body.flat)
     if spec.average_segments:

@@ -67,6 +67,20 @@ class Mutant:
         return text.replace(self.old, self.new)
 
 
+# a client's turn in `protocols.run_round`, and the per-turn hook that ends it
+_TURN = ("        for xb, yb in iter_batches(client.dataset.train_x, client.dataset.train_y,\n"
+         "                                   batch_size):\n"
+         "            if spec.split:\n"
+         "                _train_batch_split(client, body, server.opts[cid], xb, yb, bus, rnd)\n"
+         "            else:\n"
+         "                _train_batch_local(client, xb, yb)\n"
+         "        if spec.replicas:\n"
+         "            if mean is None:\n"
+         "                mean = nn.WeightedMean(body.flat, float(client.sample_count))\n"
+         "            else:\n"
+         "                mean.add(body.flat, float(client.sample_count))\n")
+_HOOK = "        if after_turn is not None:\n            after_turn(cid)\n"
+
 MUTANTS = (
     Mutant("the last partial batch dropped", "src/splitsim/protocols.py",
            "    for start in range(0, len(y), batch_size):",
@@ -149,9 +163,18 @@ MUTANTS = (
            "    SFV3: ProtocolSpec(split=True, replicas=True, average_segments=True),",
            "SFv3 keeps client segments local: no PARAM_BLOB traffic",
            "test_acceptance.py::test_channel_sequences_over_drawn_configs"),
-    Mutant("restored round-0 turns leave the bus log unrestored", "src/splitsim/protocols.py",
+    Mutant("restored round-0 turns leave the bus log unrestored", "src/splitsim/harness.py",
            "            bus.restore_log(log)\n", "",
            "a sweep's shared turns give a standalone run's result and bus log",
+           "test_harness.py::TestTrainAhead::test_shared_sweeps_equal_standalone_runs[sl-vanilla]"),
+    Mutant("restored round-0 turns trained again", "src/splitsim/harness.py",
+           "            order = order[turns.restore(order, clients, server, bus):]\n",
+           "            turns.restore(order, clients, server, bus)\n",
+           "a run trains only the round-0 turns it did not restore",
+           "test_harness.py::TestTrainAhead::test_shared_sweeps_equal_standalone_runs[sl-vanilla]"),
+    Mutant("per-turn hook called before the turn trains", "src/splitsim/protocols.py",
+           _TURN + _HOOK, _HOOK + _TURN,
+           "`after_turn` sees each client's turn as it ends",
            "test_harness.py::TestTrainAhead::test_shared_sweeps_equal_standalone_runs[sl-vanilla]"),
     Mutant("a count of one set again", "src/splitsim/harness.py",
            "    if blas and blas[0]() != 1:",
@@ -166,13 +189,13 @@ MUTANTS = (
            "test_harness.py::TestStreamingCheckpoint::"
            "test_saturation_needs_every_probability_at_a_bound[None]"),
     Mutant("a dataset label outside {0, 1} let through", "src/splitsim/harness.py",
-           "                if not np.all((y == 0) | (y == 1)):",
-           "                if False:",
+           "            if not np.all((y == 0) | (y == 1)):",
+           "            if False:",
            "a dataset file's labels are 0 or 1, checked before training",
            "test_harness.py::TestCli::test_bad_dataset_contents_exit_1_before_training["
            "train_y-0-2-train split has a label not in {0, 1}]"),
     Mutant("dataset file client ids not checked", "src/splitsim/harness.py",
-           "    if ids != list(range(n_clients)):",
+           "    if ids != list(range(config.n_clients)):",
            "    if False:",
            "a dataset file's first n_clients clients are clients 0 to n_clients - 1",
            "test_harness.py::TestSweeps::"

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import datagen, nn
-from splitsim.datagen import (ClientDataset, ManifestError, PartitionManifest,
-                              desk_manifest, generate_clients, load_clients,
-                              save_clients)
+from splitsim import nn
+from splitsim.datagen import (ManifestError, PartitionManifest, desk_manifest,
+                              generate_clients, load_clients, save_clients)
 from splitsim.transport import CodecError, TrailingBytes
 
 

@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 
 from splitsim import cli, datagen, harness, metrics, nn, protocols
 from splitsim.harness import (ConfigurationError, DivergenceError, ExperimentConfig, ReportRow,
-                              ReportTable, SaturationError, config_from, parse_config_file,
-                              render_manifest, render_table, run_experiment, sweep,
-                              sweep_client_count, sweep_order)
+                              ReportTable, SaturationError, TurnStates, config_from,
+                              parse_config_file, render_manifest, render_table, run_experiment,
+                              sweep, sweep_client_count, sweep_order)
 from splitsim.metrics import MetricReport
 from splitsim.model_split import U_SHAPED, VANILLA
-from splitsim.protocols import PROTOCOLS, TurnStates, composed_model, make_clients, run_round
+from splitsim.protocols import PROTOCOLS, composed_model, make_clients, run_round
 from splitsim.transport import ChannelBus
 
 FAST = ExperimentConfig(protocol="sl", epochs=2, n_clients=2, lr=1e-3, seed=0)
@@ -515,6 +515,23 @@ class TestSweeps:
         # the client ids a dataset file must hold
         with pytest.raises(ConfigurationError, match=r"client ids \[.*\] are not 0\.\.2"):
             sweep(replace(FAST, n_clients=3), _clients_with_ids(ids))
+
+    # left to training, the label 2 was scored silently, and the others
+    # raised MetricError, DivergenceError or ShapeError once trained
+    @pytest.mark.parametrize("d, field, index, value, message", [
+        (8, "train_y", 0, 2, "datasets client 1 train split has a label not in {0, 1}"),
+        (8, "val_y", slice(None), 0, "datasets client 1 val split has no positive"),
+        (8, "val_x", (0, 0), np.nan, "datasets client 1 val split has a non-finite feature"),
+        (6, None, None, None, "datasets has 6 features, config feature_dim is 8"),
+    ])
+    def test_bad_datasets_rejected_before_training(self, monkeypatch, d, field, index, value,
+                                                   message):
+        datasets = datagen.generate_clients(datagen.desk_manifest(3), d=d, seed=0)
+        if field is not None:
+            getattr(datasets[1], field)[index] = value
+        _forbid(monkeypatch, "_train_ahead")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            sweep_order(replace(FAST, epochs=1, n_clients=3), datasets)
 
     def test_client_count_sweep_needs_two_clients(self):
         with pytest.raises(ConfigurationError):

@@ -383,6 +383,33 @@ class TestMessageSequences:
             run_rounds(SL, clients, server, (0,), 1, bus=bus)
 
 
+class TestAfterTurn:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_sees_each_turn_as_it_ends_and_changes_nothing(self, protocol):
+        # a round's clients train in the given order against a shared
+        # body (SL, SFv2), else in ascending id
+        order = (2, 0, 1)
+        trained = order if protocol in (SL, SFV2) else (0, 1, 2)
+        runs = []
+        for hook in (False, True):
+            datasets, _, clients, server = make_setup(3, protocol)
+            bus, seen = ChannelBus(), []
+
+            def after_turn(cid):  # the client's Adam steps so far show its turn trained
+                seen.append((cid, clients[cid].opt.step))
+
+            for rnd in range(2):
+                run_round(clients, server, protocol, order, rnd, bus, BATCH,
+                          after_turn if hook else None)
+            bits = [nn.flatten_params(composed_model(clients[cid], server.body)).tobytes()
+                    for cid in sorted(clients)]
+            runs.append((seen, bits, bus.log))
+        batches = {ds.client_id: -(-ds.sample_count // BATCH) for ds in datasets}
+        assert runs[1][0] == [(cid, (rnd + 1) * batches[cid]) for rnd in range(2)
+                              for cid in trained]
+        assert runs[1][1:] == runs[0][1:]
+
+
 class TestOrderInvariance:
     @pytest.mark.parametrize("protocol", [FL, SFV1, SFV3])
     def test_all_permutations_bit_identical(self, protocol):
