@@ -55,12 +55,8 @@ def confusion(scores: np.ndarray, labels: np.ndarray, threshold: float) -> Confu
     labels = np.asarray(labels)
     pred = scores >= threshold
     pos = labels == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-        tn=int(np.sum(~pred & ~pos)),
-    )
+    tn, fn, fp, tp = np.bincount(2 * pred + pos, minlength=4).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def f1(c: ConfusionCounts) -> float:
@@ -101,14 +97,11 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
     # seen and the positives among them up to each group's end
     seen = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
     tps = np.cumsum(labels[order] == 1)[seen - 1]
-    area = 0.0
-    prev_recall = 0.0
-    for tp, n_seen in zip(tps.tolist(), seen.tolist()):
-        recall = tp / n_pos
-        precision = tp / n_seen
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return area
+    recall = tps / n_pos
+    # summed left to right, as a loop over the groups would: a running
+    # sum, not np.sum's pairwise one, nor Python's sum, which compensates
+    # its rounding from 3.12 on
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * (tps / seen))[-1])
 
 
 def threshold_at_sensitivity(scores: np.ndarray, labels: np.ndarray,

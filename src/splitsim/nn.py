@@ -37,16 +37,21 @@ consumes it before the next `backward` on the same model. `adam_step`
 updates the parameter vector and optimizer state it is handed, a
 `WeightedMean` the vector it sums into and the vector it writes the mean
 to, and `unflatten_params` overwrites a model's vector. The chunked
-passes (Adam steps and weighted means) put their temporaries in this
-module's one scratch pair (`_SCRATCH`): the process is single-threaded
-and no pass runs inside another, so no two passes use it at once, and a
-forked worker writes its own copy. Everything else is pure; `clone` and
-`flatten_params` return copies.
+passes (Adam steps and weighted means) walk their vectors with one
+generator, `_chunks`, and put their temporaries in this module's one
+scratch pair, two CHUNK-element vectors made on first use (`_scratch`):
+the process is single-threaded and no pass runs inside another, so no
+two passes use it at once, and a forked worker writes its own copy.
+The pair is one private mapping, so a pass over fewer elements than a
+chunk makes resident only the pages it touches. Everything else is
+pure; `clone` and `flatten_params` return copies.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +61,7 @@ ACTIVATIONS = ("linear", "relu", "sigmoid")
 PROB_CLAMP = 1e-12
 
 # Elements per chunked pass (an Adam step's or a weighted mean's). The
-# passes share one scratch pair of at most a chunk (`_SCRATCH`), so the
+# passes share one scratch pair of a chunk each (`_scratch`), so the
 # size trades cache reuse and per-pass call overhead against the pair's
 # memory, not malloc behaviour. On aligned vectors, a 148,032-element
 # Adam step right after a 16 MiB write took 1,214 us at 8,192, 1,121 at
@@ -91,10 +96,6 @@ def vectors(*sizes: int) -> list[np.ndarray]:
     per_line = ALIGN // 8
     widths = [-(-n // per_line) * per_line for n in sizes]
     if 8 * sum(widths) >= MAP_MIN:
-        # imported here, not at the top: at the top it raised the bias
-        # sweeps' peak RSS by about 0.07 MB, and they map no block
-        import mmap
-
         block = np.frombuffer(mmap.mmap(-1, 8 * sum(widths), flags=mmap.MAP_PRIVATE))
         lo = 0
     else:
@@ -358,23 +359,26 @@ def bce_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return ((p - y) / (p * (1.0 - p)) / n).reshape(n, 1)
 
 
-class _Scratch(dict):
-    """`_SCRATCH[n]`: the leading n (<= CHUNK) elements of the chunked
-    passes' one aligned pair of temporaries, allocated on first use and
-    regrown to the largest pass so far; each length's views are kept."""
-
-    def __missing__(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        top = max(self, default=-1)  # the whole pair's length
-        if n > top:
-            self.clear()  # views of the old pair go with it
-            pair = vectors(n, n)
-        else:
-            pair = self[top]
-        self[n] = (pair[0][:n], pair[1][:n])
-        return self[n]
+@functools.cache
+def _scratch() -> tuple[np.ndarray, np.ndarray]:
+    """The chunked passes' one pair of CHUNK-element temporaries, made on
+    first use: one private mapping, so a pass makes resident only the
+    pages it touches."""
+    return tuple(vectors(CHUNK, CHUNK))
 
 
-_SCRATCH = _Scratch()
+def _chunks(*vecs: np.ndarray):
+    """Each CHUNK-element slice of the equal-length vecs (the whole vecs,
+    unsliced, when they fit in one chunk), followed by the scratch pair's
+    leading part of the same length."""
+    t1, t2 = _scratch()
+    n = vecs[0].size
+    if n <= CHUNK:
+        yield (*vecs, t1[:n], t2[:n])
+        return
+    for lo in range(0, n, CHUNK):
+        k = min(CHUNK, n - lo)
+        yield (*(vec[lo:lo + k] for vec in vecs), t1[:k], t2[:k])
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's usual constants
@@ -403,7 +407,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     elementwise, so the result is bit-identical to one whole-vector pass.
     The temporaries go to the scratch pair (output-argument forms of the
     same ops, in the same order), so a step allocates nothing once the
-    pair has grown to its size.
+    pair is made.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError("parameter/gradient/moment shape mismatch")
@@ -412,14 +416,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    if params.size <= CHUNK:  # one chunk: the whole vectors, unsliced
-        chunks = [(params, grads, state.m, state.v)]
-    else:
-        chunks = ((params[lo:lo + CHUNK], grads[lo:lo + CHUNK],
-                   state.m[lo:lo + CHUNK], state.v[lo:lo + CHUNK])
-                  for lo in range(0, params.size, CHUNK))
-    for p, g, m, v in chunks:
-        t1, t2 = _SCRATCH[p.size]
+    for p, g, m, v, t1, t2 in _chunks(params, grads, state.m, state.v):
         # each ufunc's output as its positional third argument: on a small
         # model the per-call cost is most of a step, and this form costs
         # less per call than `out=` or the in-place operators
@@ -436,10 +433,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         np.subtract(p, t1, p)
 
 
-def _chunks(vec: np.ndarray) -> list[np.ndarray]:
-    return [vec[lo:lo + CHUNK] for lo in range(0, vec.size, CHUNK)]
-
-
 class WeightedMean:
     """The weighted mean sum(w * vec) / sum(w) of vectors added one at a
     time, accumulated from zero in the order added: per element,
@@ -453,8 +446,7 @@ class WeightedMean:
 
     def add(self, vec: np.ndarray, weight: float) -> None:
         first = len(self.weights) == 1
-        for acc, v in zip(_chunks(self.acc), _chunks(vec)):
-            tmp = _SCRATCH[acc.size][1]
+        for acc, v, _, tmp in _chunks(self.acc, vec):
             if first:  # acc = 0.0 + w1 v1
                 np.add(np.multiply(self.weights[0], acc, tmp), 0.0, acc)
             acc += np.multiply(weight, v, out=tmp)

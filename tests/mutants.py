@@ -92,6 +92,11 @@ MUTANTS = (
            "    bc1 = 1.0 - beta1 ** (t + 1)\n    bc2 = 1.0 - beta2 ** (t + 1)",
            "Adam as published; one client equals centralized training",
            "test_flat_params.py::test_chunked_adam_bit_equals_per_array_reference"),
+    Mutant("the walker drops the last partial chunk", "src/splitsim/nn.py",
+           "    for lo in range(0, n, CHUNK):",
+           "    for lo in range(0, n - n % CHUNK, CHUNK):",
+           "a chunked pass (an Adam step, a weighted mean) covers every element",
+           "test_flat_params.py::test_chunked_adam_bit_equals_per_array_reference"),
     Mutant("an SFv1/SFv3 replica not reset to the round's body", "src/splitsim/protocols.py",
            "            body.flat[...] = server.body.flat\n", "",
            "FL, SFv1 and SFv3 are bit-identical under every order",

@@ -232,34 +232,63 @@ def test_fused_adam_equals_two_separate_steps(front, tail, seed, steps, lr):
     assert fused_state.v.tobytes() == np.concatenate([s.v for s in states]).tobytes()
 
 
-def test_passes_of_different_sizes_share_the_scratch_pair():
+def test_passes_of_different_sizes_share_the_scratch_pair(monkeypatch):
     """A 153-element Adam step, a 2 * CHUNK + 9 weighted mean, then the
     step and the mean again, back to back through the one scratch pair
-    (which the mean grows to a chunk, and every pass leaves dirty): each
-    result is bit-equal to the same pass run alone, on a fresh pair."""
+    (which every pass leaves dirty): each result is bit-equal to the same
+    pass run alone, on a fresh pair. The pair is two CHUNK-element
+    vectors, each on a 64-byte line, and after the first pass no step and
+    no mean calls `nn.vectors`: every pass reuses the same two objects."""
     rng = np.random.default_rng(0)
     params, grads = rng.normal(size=153), rng.normal(size=153)
     vecs = [rng.normal(size=2 * nn.CHUNK + 9) for _ in range(3)]
     weights = [182.0, 377.0, 115.0]
 
     def step():
-        p, state = params.copy(), nn.AdamState.for_params(params, lr=1e-3)
+        p, state = params.copy(), nn.AdamState(lr=1e-3, m=np.zeros(153), v=np.zeros(153))
         nn.adam_step(p, grads, state)
         return p.tobytes() + state.m.tobytes() + state.v.tobytes()
 
     def mean():
-        return average_models(list(enumerate(vecs)), dict(enumerate(weights))).tobytes()
+        total = nn.WeightedMean(vecs[0].copy(), weights[0])
+        for vec, weight in zip(vecs[1:], weights[1:]):
+            total.add(vec, weight)
+        total.into(total.acc)
+        return total.acc.tobytes()
 
     alone = []
     for run in (step, mean, step, mean):
-        nn._SCRATCH.clear()
+        nn._scratch.cache_clear()
         alone.append(run())
-    nn._SCRATCH.clear()
-    assert [step(), mean(), step(), mean()] == alone
-    assert max(nn._SCRATCH) == nn.CHUNK
-    # every length's views are the leading part of one pair
-    starts = {(t1.ctypes.data, t2.ctypes.data) for t1, t2 in nn._SCRATCH.values()}
-    assert len(starts) == 1
+    nn._scratch.cache_clear()
+    first = step()
+    pair = nn._scratch()
+    made, original = [], nn.vectors
+    monkeypatch.setattr(nn, "vectors", lambda *sizes: made.append(sizes) or original(*sizes))
+    assert [first, mean(), step(), mean()] == alone
+    assert made == []
+    assert nn._scratch() is pair
+    assert [t.size for t in pair] == [nn.CHUNK, nn.CHUNK]
+    assert all(t.ctypes.data % 64 == 0 for t in pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 3 * nn.CHUNK), k=st.integers(1, 4))
+@example(n=2 * nn.CHUNK + 9, k=2)
+@example(n=nn.CHUNK, k=1)
+@example(n=nn.CHUNK + 1, k=1)
+def test_chunks_walk_every_element_once_with_the_pair_s_leading_part(n, k):
+    vecs = [np.arange(n, dtype=np.float64) + i for i in range(k)]
+    pair = nn._scratch()
+    walked = list(nn._chunks(*vecs))
+    assert len(walked) == max(1, -(-n // nn.CHUNK))
+    if n <= nn.CHUNK:  # one chunk: the whole vectors, unsliced
+        assert all(a is b for a, b in zip(walked[0], vecs))
+    for i, vec in enumerate(vecs):
+        assert np.concatenate([chunk[i] for chunk in walked]).tobytes() == vec.tobytes()
+    for *parts, t1, t2 in walked:
+        assert all(part.size == t1.size == t2.size <= nn.CHUNK for part in parts)
+        assert t1.ctypes.data == pair[0].ctypes.data and t2.ctypes.data == pair[1].ctypes.data
 
 
 @settings(max_examples=40, deadline=None)

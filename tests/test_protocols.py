@@ -254,7 +254,7 @@ class TestAlignedVectors:
         kept = owned()
         assert all(v.ctypes.data % 64 == 0 for v in kept)
         run_rounds(protocol, clients, server, (2, 0, 1), 2)
-        assert all(v.ctypes.data % 64 == 0 for pair in nn._SCRATCH.values() for v in pair)
+        assert all(v.ctypes.data % 64 == 0 and v.size == nn.CHUNK for v in nn._scratch())
         assert all(a is b for a, b in zip(owned(), kept))
 
 
@@ -324,7 +324,7 @@ class TestReplicaMemory:
         """The body-size parameter vectors a replica run allocates (every
         body-size vector but the gradient buffer and the Adam moments),
         over make_clients and two rounds: at most 3, at most n."""
-        nn._SCRATCH[nn.CHUNK]  # the scratch pair at its largest: it allocates no more
+        nn._scratch()  # the scratch pair, made before the spy: no pass allocates another
         made, original = [], nn.vectors
 
         def spied(*sizes):
