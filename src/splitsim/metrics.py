@@ -117,12 +117,14 @@ def threshold_at_sensitivity(scores: np.ndarray, labels: np.ndarray,
     pos_scores = np.sort(scores[labels == 1])[::-1]
     if pos_scores.size == 0:
         raise MetricError("no positives; sensitivity target unreachable")
-    n_pos = pos_scores.size
-    k = int(np.ceil(target * n_pos))
-    if k < 1:
+    if target <= 0:
         return float(pos_scores[0]), True
-    k = min(k, n_pos)
-    return float(pos_scores[k - 1]), False
+    # the least k positives whose recall, k / n_pos as `f1` computes it,
+    # reaches target; ceil(target * n_pos) is one more where the product
+    # rounds up past a whole number (0.81 * 300)
+    n_pos = pos_scores.size
+    k = int(np.searchsorted(np.arange(1, n_pos + 1) / n_pos, target)) + 1
+    return float(pos_scores[min(k, n_pos) - 1]), False
 
 
 def percent_drop(first: float, last: float) -> float:

@@ -19,16 +19,13 @@ about half as fast: a multiply into 8,192 in-cache elements took 0.68 ns
 per element against 0.35 into an aligned vector (a divide, 0.85 either
 way; 2-vCPU Xeon VM). Adam is fourteen such passes.
 
-Memory: a block of `vectors` of at least MAP_MIN bytes (glibc's default
-mmap threshold) is its own private anonymous mapping, page-aligned,
-zeroed by the kernel and unmapped when its last view goes, so the
-process's resident memory follows the training state that is alive.
-From the heap, such a block's pages stay resident once it is freed:
-glibc raises its mmap threshold to a freed mapped block's size, and
-later blocks of that size come from the heap. The mapping is private
-(`MAP_PRIVATE`), not Python's default `MAP_SHARED`: a sweep's forked
-worker gets copy-on-write pages, so its training never writes into the
-parent's vectors.
+Memory: every block of `vectors` is its own private anonymous mapping,
+page-aligned, zeroed by the kernel and unmapped when its last view goes,
+so the process's resident memory follows the training state that is
+alive, not the heap's history. The mapping is private (`MAP_PRIVATE`),
+not Python's default `MAP_SHARED`: a sweep's forked worker gets
+copy-on-write pages, so its training never writes into the parent's
+vectors.
 
 What mutates: `backward` writes the gradients into the model's gradient
 buffer, `model.grad` (laid out like `flat`, allocated on the first call
@@ -49,7 +46,6 @@ pure; `clone` and `flatten_params` return copies.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import mmap
 from dataclasses import dataclass, field
@@ -75,8 +71,6 @@ CHUNK = 16_384
 
 ALIGN = 64  # bytes: one cache line
 
-MAP_MIN = 128 * 1024  # bytes: a block this large is its own mapping (glibc's default threshold)
-
 
 class ShapeError(ValueError):
     """Input rejected because its shape does not match the model."""
@@ -87,21 +81,16 @@ class StateError(ValueError):
 
 
 def vectors(*sizes: int) -> list[np.ndarray]:
-    """Zeroed float64 vectors of the given sizes, each starting on an
-    ALIGN-byte boundary, carved from one block: a vector's owner is the
-    block, not the vector. A block of at least MAP_MIN bytes is a private
-    anonymous mapping, page-aligned; a smaller one comes from numpy and
-    pays for one address query (about 0.5 us) however many vectors it
-    holds."""
+    """Zeroed float64 vectors of the given sizes, carved from one private
+    anonymous mapping: a vector's owner is the block, not the vector.
+    Each vector's width is rounded up to whole ALIGN-byte lines, so each
+    starts on one. The block is one line at least, as the kernel maps no
+    empty block."""
     per_line = ALIGN // 8
     widths = [-(-n // per_line) * per_line for n in sizes]
-    if 8 * sum(widths) >= MAP_MIN:
-        block = np.frombuffer(mmap.mmap(-1, 8 * sum(widths), flags=mmap.MAP_PRIVATE))
-        lo = 0
-    else:
-        block = np.zeros(sum(widths) + per_line)
-        lo = -ctypes.addressof(ctypes.c_char.from_buffer(block)) % ALIGN // 8
-    out = []
+    size = 8 * max(sum(widths), per_line)
+    block = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
+    out, lo = [], 0
     for n, width in zip(sizes, widths):
         out.append(block[lo:lo + n])
         lo += width

@@ -97,6 +97,10 @@ MUTANTS = (
            "    for lo in range(0, n - n % CHUNK, CHUNK):",
            "a chunked pass (an Adam step, a weighted mean) covers every element",
            "test_flat_params.py::test_chunked_adam_bit_equals_per_array_reference"),
+    Mutant("the vector mapping is shared (`MAP_SHARED`)", "src/splitsim/nn.py",
+           "flags=mmap.MAP_PRIVATE", "flags=mmap.MAP_SHARED",
+           "a sweep's forked worker never writes into the parent's vectors",
+           "test_protocols.py::TestAlignedVectors::test_a_forked_child_s_writes_stay_in_the_child"),
     Mutant("an SFv1/SFv3 replica not reset to the round's body", "src/splitsim/protocols.py",
            "            body.flat[...] = server.body.flat\n", "",
            "FL, SFv1 and SFv3 are bit-identical under every order",
@@ -137,8 +141,8 @@ MUTANTS = (
            "test_metrics.py::TestPercentDrop::"
            "test_negative_last_keeps_the_sign_of_last_minus_first"),
     Mutant("sensitivity threshold off by one positive", "src/splitsim/metrics.py",
-           "    k = int(np.ceil(target * n_pos))",
-           "    k = int(np.ceil(target * n_pos)) + 1",
+           "    k = int(np.searchsorted(np.arange(1, n_pos + 1) / n_pos, target)) + 1",
+           "    k = int(np.searchsorted(np.arange(1, n_pos + 1) / n_pos, target)) + 2",
            "the threshold is the largest that reaches the target sensitivity",
            "test_metrics.py::TestThresholdAtSensitivity::test_enumerated_case"),
     Mutant("every client's data IID (angle 0)", "src/splitsim/datagen.py",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitsim.harness import ReportRow, ReportTable, render_table
@@ -243,6 +243,32 @@ class TestThresholdAtSensitivity:
         thr, _ = threshold_at_sensitivity(scores, labels, target)
         c = confusion(scores, labels, thr)
         assert c.tp / (c.tp + c.fn) >= min(target, 1.0) - 1e-12
+
+    def test_300_positives_at_0_81_take_243(self):
+        # 0.81 * 300 is 243.00000000000003 in float64, and 243 / 300 is 0.81
+        scores = np.arange(300, 0, -1) / 300
+        labels = np.ones(300, dtype=int)
+        thr, flag = threshold_at_sensitivity(scores, labels, 0.81)
+        assert thr == scores[242] and not flag
+        c = confusion(scores, labels, thr)
+        assert c.tp / (c.tp + c.fn) == 0.81
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 120), st.integers(0, 40), st.sampled_from([8, 2 ** 20]),
+           st.integers(0, 2 ** 31), st.sampled_from([0.28, 0.56, 0.81]) | st.floats(0.01, 1.0))
+    @example(n_pos=25, n_neg=3, grid=2 ** 20, seed=0, target=0.56)
+    def test_no_higher_positive_score_meets_target(self, n_pos, n_neg, grid, seed, target):
+        """Maximality: at the least positive score above the threshold,
+        recall is below target. Scores are on a grid, of 8 (ties) or 2**20
+        steps; 0.28 or 0.56 times 25, 50, 75 or 100 positives rounds up
+        past a whole number, as 0.81 times 300 does."""
+        scores = np.random.default_rng(seed).integers(0, grid, size=n_pos + n_neg) / grid
+        labels = np.repeat([1, 0], [n_pos, n_neg])
+        thr, _ = threshold_at_sensitivity(scores, labels, target)
+        higher = scores[(labels == 1) & (scores > thr)]
+        if higher.size:
+            c = confusion(scores, labels, higher.min())
+            assert c.tp / (c.tp + c.fn) < target
 
     def test_raising_threshold_never_increases_recall(self):
         rng = np.random.default_rng(4)

@@ -234,6 +234,15 @@ class TestOneStepPerParticipant:
         assert len({m.flat.ctypes.data for m in models}) == len(models)
 
 
+def _training_vectors(clients, server):
+    """Every client's and the body's parameter and gradient vector, every
+    Adam moment and the replicas' vectors."""
+    vecs = [v for c in clients.values() for v in (c.flat, c.grad, c.opt.m, c.opt.v)]
+    vecs += [v for opt in server.opts.values() for v in (opt.m, opt.v)]
+    return vecs + [v for m in [server.body, *server.replicas] if m is not None
+                   for v in (m.flat, m.grad)]
+
+
 class TestAlignedVectors:
     @pytest.mark.parametrize("kind", [VANILLA, U_SHAPED])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -243,35 +252,40 @@ class TestAlignedVectors:
         64-byte line, and rounds (averaging included) write into the same
         vectors."""
         _, _, clients, server = make_setup(3, protocol, kind, seed=0)
-
-        def owned():
-            vecs = [v for c in clients.values() for v in (c.flat, c.grad, c.opt.m, c.opt.v)]
-            vecs += [v for opt in server.opts.values() for v in (opt.m, opt.v)]
-            return vecs + [v for m in [server.body, *server.replicas] if m is not None
-                           for v in (m.flat, m.grad)]
-
         assert (server.body is None) == (protocol == FL)
-        kept = owned()
+        kept = _training_vectors(clients, server)
         assert all(v.ctypes.data % 64 == 0 for v in kept)
         run_rounds(protocol, clients, server, (2, 0, 1), 2)
         assert all(v.ctypes.data % 64 == 0 and v.size == nn.CHUNK for v in nn._scratch())
-        assert all(a is b for a, b in zip(owned(), kept))
+        assert all(a is b for a, b in zip(_training_vectors(clients, server), kept))
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_default_width_training_vectors_are_private_mappings(self, protocol):
+        """After a round at the default widths, every training vector and
+        the scratch pair is a view of a mapping and starts on a 64-byte
+        line, and the mappings are private: a forked child's writes to
+        all of them leave the parent's bytes as they were."""
+        _, _, clients, server = make_setup(3, protocol, seed=0)
+        run_rounds(protocol, clients, server, (2, 0, 1), 1)
+        vecs = [*_training_vectors(clients, server), *nn._scratch()]
+        assert all(_mapping(v) is not None and v.ctypes.data % 64 == 0 for v in vecs)
+        before = [v.tobytes() for v in vecs]
+        assert _written_in_a_forked_child(vecs) == 0
+        assert [v.tobytes() for v in vecs] == before
 
     def test_mapped_training_vectors_start_on_a_cache_line(self):
         # a 17,544-element body: its vector, replicas, gradient buffer and
-        # Adam moments are blocks of at least MAP_MIN bytes
+        # Adam moments each span several pages
         widths, cuts = [8, 128, 128, 8, 1], (1, 3)
         datasets = datagen.generate_clients(datagen.desk_manifest(3), seed=0)
         clients, server = make_clients(datasets, nn.init_model(widths, 0), SFV1, cuts, LR)
-        assert 8 * server.body.flat.size >= nn.MAP_MIN
         vecs = [v for m in [server.body, *server.replicas] for v in (m.flat, m.grad)]
         vecs += [v for opt in server.opts.values() for v in (opt.m, opt.v)]
         assert all(_mapping(v) is not None and v.ctypes.data % 64 == 0 for v in vecs)
         assert server.body.flat.ctypes.data % mmap.PAGESIZE == 0
 
-    @pytest.mark.parametrize("sizes", [(nn.MAP_MIN // 8,), (3, nn.MAP_MIN // 8 - 9, 5),
-                                       (148_032, 148_032), (1, 9, 17, 2 * nn.CHUNK + 9)])
+    @pytest.mark.parametrize("sizes", [(0,), (1,), (3, 0, 5), (148_032, 148_032),
+                                       (1, 9, 17, 2 * nn.CHUNK + 9)])
     def test_mapped_vectors_start_on_a_cache_line_zeroed(self, sizes):
         vecs = nn.vectors(*sizes)
         assert [v.size for v in vecs] == list(sizes)
@@ -290,23 +304,12 @@ class TestAlignedVectors:
         gc.collect()
         assert mapping() is None
 
-    def test_small_blocks_are_not_mapped(self):
-        assert _mapping(nn.vectors(nn.MAP_MIN // 8 - 8)[0]) is None
-
     def test_a_forked_child_s_writes_stay_in_the_child(self):
         # private, not shared: a sweep's worker never writes into the
         # parent's vectors
-        (vec,) = nn.vectors(nn.MAP_MIN // 8)
+        (vec,) = nn.vectors(3)
         vec[...] = 1.0
-        pid = os.fork()
-        if pid == 0:  # the child: write, check the write, and leave
-            try:
-                vec[...] = 2.0
-                os._exit(0 if np.all(vec == 2.0) else 1)
-            finally:
-                os._exit(2)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        assert _written_in_a_forked_child([vec]) == 0
         assert np.all(vec == 1.0)
 
 
@@ -314,6 +317,21 @@ def _mapping(vec):
     """The mmap that vec's block is a view of, or None."""
     base = vec.base.base if vec.base is not None else None
     return base.obj if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap) else None
+
+
+def _written_in_a_forked_child(vecs):
+    """Fork a child that fills every vector with 2.0 and exits 0 when it
+    then reads 2.0 back; the child's exit code."""
+    pid = os.fork()
+    if pid == 0:  # the child: write, check the write, and leave
+        try:
+            for vec in vecs:
+                vec[...] = 2.0
+            os._exit(0 if all(np.all(vec == 2.0) for vec in vecs) else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
 
 
 class TestReplicaMemory:
